@@ -424,18 +424,9 @@ def _dispatch(args):
             row = {"ratio": ratio, "w_star": res.w_star, "r_rms_m": res.r_rms,
                    "bound_local": res.bound_local,
                    "bound_global": res.bound_global}
-            if res.breakdown is not None:
-                row.update({
-                    "kinetic_J": res.breakdown.kinetic,
-                    "trap_J": res.breakdown.trap,
-                    "swave_J": res.breakdown.swave,
-                    "gravitational_J": res.breakdown.gravitational,
-                    "total_J": res.breakdown.total,
-                })
-            else:
-                row.update({k: math.nan for k in (
-                    "kinetic_J", "trap_J", "swave_J", "gravitational_J",
-                    "total_J")})
+            parts = asdict(res.breakdown) if res.breakdown else {}
+            row.update({f"{k}_J": parts.get(k, math.nan) for k in (
+                "kinetic", "trap", "swave", "gravitational", "total")})
             rows.append(row)
         emit_csv(rows, args.out)
 

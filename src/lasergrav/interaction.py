@@ -83,6 +83,19 @@ def _fprime_series(x: np.ndarray) -> np.ndarray:
     return -_F_COEFFS[0] / x2 + acc
 
 
+def _kernel_branches(r_tilde, series, direct, scale):
+    r = np.asarray(r_tilde, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("separation must be positive")
+    x = np.atleast_1d(2.0 * math.pi * r)
+    out = np.empty_like(x)
+    lo = x < X_SWITCH
+    out[lo] = series(x[lo])
+    out[~lo] = direct(x[~lo])
+    out *= scale
+    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+
+
 def kernel_shape(r_tilde) -> np.ndarray | float:
     """Pair potential in units of u/lam as a function of r/lam.
 
@@ -91,31 +104,15 @@ def kernel_shape(r_tilde) -> np.ndarray | float:
     rate of the closed form's series,
     -1/r_tilde * (1 - (46/77) (2 pi r_tilde)^2 + O(r_tilde^4)).
     """
-    r = np.asarray(r_tilde, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("separation must be positive")
-    x = np.atleast_1d(2.0 * math.pi * r)
-    out = np.empty_like(x)
-    lo = x < X_SWITCH
-    out[lo] = _f_series(x[lo])
-    out[~lo] = _f_direct(x[~lo])
-    out *= -(15.0 * math.pi / 11.0)
-    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+    return _kernel_branches(r_tilde, _f_series, _f_direct,
+                            -(15.0 * math.pi / 11.0))
 
 
 def kernel_slope(r_tilde) -> np.ndarray | float:
     """d/d(r/lam) of :func:`kernel_shape`; positive slope means the pair
     force is still attractive."""
-    r = np.asarray(r_tilde, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("separation must be positive")
-    x = np.atleast_1d(2.0 * math.pi * r)
-    out = np.empty_like(x)
-    lo = x < X_SWITCH
-    out[lo] = _fprime_series(x[lo])
-    out[~lo] = _fprime_direct(x[~lo])
-    out *= -(15.0 * math.pi / 11.0) * 2.0 * math.pi
-    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+    return _kernel_branches(r_tilde, _fprime_series, _fprime_direct,
+                            -(15.0 * math.pi / 11.0) * 2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -136,28 +133,32 @@ class InteractionParams:
         return 2.0 * math.pi / self.wavelength
 
     @classmethod
+    def from_alpha(cls, intensity: float, wavelength: float,
+                   alpha: float) -> "InteractionParams":
+        """Coupling u = (11 pi/15) I alpha^2 / (c eps0^2 lam^2) in J m for
+        the SI polarizability ``alpha``; linear in the total intensity."""
+        if intensity < 0.0:
+            raise ValueError(f"intensity must be non-negative, got {intensity}")
+        if wavelength <= 0.0:
+            raise ValueError(f"wavelength must be positive, got {wavelength}")
+        coupling = (11.0 * math.pi / 15.0) * intensity * alpha**2 / (
+            CONSTANTS.c * CONSTANTS.eps0**2 * wavelength**2)
+        return cls(intensity=intensity, wavelength=wavelength,
+                   coupling=coupling, alpha_si=alpha)
+
+    @classmethod
     def from_intensity(cls, species: AtomSpecies, intensity: float,
                        wavelength: float, use_detuned: bool = False) -> "InteractionParams":
-        alpha = species.alpha_si(use_detuned)
-        return cls(intensity=intensity, wavelength=wavelength,
-                   coupling=coupling_strength(intensity, species, wavelength, use_detuned),
-                   alpha_si=alpha)
+        return cls.from_alpha(intensity, wavelength,
+                              species.alpha_si(use_detuned))
 
 
 def coupling_strength(intensity: float, species: AtomSpecies,
                       wavelength: float, use_detuned: bool = False) -> float:
-    """Coupling u = (11 pi/15) I alpha^2 / (c eps0^2 lam^2) in J m.
-
-    Linear in the total intensity; ``use_detuned`` selects the near-resonant
-    polarizability from the species' detuned context.
-    """
-    if intensity < 0.0:
-        raise ValueError(f"intensity must be non-negative, got {intensity}")
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    alpha = species.alpha_si(use_detuned)
-    return (11.0 * math.pi / 15.0) * intensity * alpha**2 / (
-        CONSTANTS.c * CONSTANTS.eps0**2 * wavelength**2)
+    """Coupling u in J m (see :meth:`InteractionParams.from_alpha`);
+    ``use_detuned`` selects the near-resonant polarizability."""
+    return InteractionParams.from_intensity(species, intensity, wavelength,
+                                            use_detuned).coupling
 
 
 def pair_potential(r_tilde, coupling: float, wavelength: float):

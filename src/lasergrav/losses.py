@@ -10,8 +10,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constants import CONSTANTS
+from .errors import UnboundError
 from .regimes import border_atom_number, f_factor
 from .species import AtomSpecies
+from .variational import (config_at_ratio, minimize_width, peak_density,
+                          threshold_intensity)
 
 # K/u below this counts as a negligible repulsive correction
 REPULSION_NEGLIGIBLE = 1e-2
@@ -131,8 +134,6 @@ def saturation_at_threshold(species: AtomSpecies) -> tuple[float, bool]:
     s = (48.0 * math.pi / 7.0) * a * CONSTANTS.eps0 * CONSTANTS.hbar**2 / (
         species.mass * ctx.dipole_moment**2)
     # validity of the far-detuned two-level formula at the threshold intensity
-    from .variational import threshold_intensity
-
     i0 = threshold_intensity(species, use_detuned=True)
     rabi = rabi_frequency(i0, ctx.dipole_moment)
     ok = ctx.far_detuned() and abs(ctx.detuning) > 10.0 * rabi
@@ -156,10 +157,8 @@ def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
 
     The peak density entering the direct plasma frequency comes from the
     TF-limit variational cloud at the same intensity; ``omega_triad``
-    defaults to the scaled plasma frequency."""
-    from .variational import (config_at_ratio, minimize_width, peak_density,
-                              threshold_intensity)
-
+    defaults to the scaled plasma frequency.  Raises :class:`UnboundError`
+    when no bound TF cloud exists at ``ratio``."""
     if wavelength is None:
         if use_detuned and species.detuned is not None:
             wavelength = species.detuned.transition_wavelength
@@ -174,7 +173,7 @@ def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
                           use_detuned=use_detuned, tf_limit=True)
     trial = minimize_width(cfg)
     if not trial.bound_local:
-        raise ValueError(f"no bound TF solution at I/I0 = {ratio}")
+        raise UnboundError(f"no bound TF solution at I/I0 = {ratio}")
     rho_peak = peak_density(n_atoms, trial.w_star, wavelength)
 
     coupling = cfg.interaction.coupling

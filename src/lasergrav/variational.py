@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.optimize import brentq
 
 from .constants import CONSTANTS
 from .errors import NumericsError
@@ -39,12 +40,20 @@ _GL_LO = leggauss(16)
 _GL_HI = leggauss(32)
 _QUAD_RTOL = 1e-9
 
-GRID_W_MIN = 1e-2
-GRID_W_MAX = 1e2
-GRID_POINTS = 400
-GOLDEN_TOL = 1e-6
+# The attraction slope g'(w) = d<U lam/u>/dw depends on the kernel alone, so
+# it is computed once per process at widths 10^(k/_SCAN_DENSITY), cached by
+# (kernel, k); a configuration only adds its closed-form terms.  The scan
+# spans _SCAN_DECADES and widens by decades up to the hard _WIDEN_LIMITS.
+_SCAN_DENSITY = 20
+_SCAN_DECADES = (-2, 2)
+_WIDEN_LIMITS = (-6, 3)
+_ROOT_RTOL = 1e-12
+_SLOPES: dict[tuple[str, int], float] = {}
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# S_c: contact coefficient of the TF energy S_c/(r w^3) at I = I0 (r = I/I0,
+# units of N u/lam); also the w -> infinity limit, approached from below, of
+# the full kernel's h(w) = w^4 g'(w)/6.  The threshold formula states this.
+CONTACT_AT_THRESHOLD = 35.0 / (88.0 * math.pi * (2.0 * math.pi) ** 1.5)
 
 
 @dataclass(frozen=True)
@@ -184,28 +193,33 @@ def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
                  / (2.0 * (2.0 * math.pi) ** 1.5 * b**3))
     grav = 0.0
     if cfg.interaction.coupling != 0.0:
-        grav = (0.5 * cfg.n_atoms * cfg.interaction.coupling / lam
-                * pair_interaction_integral(w, cfg.kernel))
+        grav = 0.5 * tf_energy_unit(cfg) * pair_interaction_integral(w, cfg.kernel)
     return EnergyBreakdown.from_parts(kinetic, trap, swave, grav)
+
+
+def _closed_coefficients(cfg: AnsatzConfig) -> tuple[float, float, float]:
+    """(k, t, s) such that kinetic + trap + s-wave = k/w^2 + t w^2 + s/w^3 (J)."""
+    lam = cfg.interaction.wavelength
+    m = cfg.species.mass
+    k = 0.0 if cfg.tf_limit else 3.0 * CONSTANTS.hbar**2 / (4.0 * m * lam * lam)
+    t = 0.75 * m * cfg.trap_frequency**2 * lam * lam
+    s = 0.0
+    if cfg.include_swave:
+        s = (cfg.species.contact_coupling * cfg.n_atoms
+             / (2.0 * (2.0 * math.pi) ** 1.5 * lam**3))
+    return k, t, s
+
+
+def _closed_gradient(w, cfg: AnsatzConfig):
+    k, t, s = _closed_coefficients(cfg)
+    return -2.0 * k / w**3 + 2.0 * t * w - 3.0 * s / w**4
 
 
 def energy_gradient_parts(w: float, cfg: AnsatzConfig) -> tuple[float, float]:
     """(closed-form dE/dw of kinetic+trap+swave, quadrature dE/dw of the
     attraction term), both per particle in J per unit w."""
-    lam = cfg.interaction.wavelength
-    b = w * lam
-    m = cfg.species.mass
-    hbar = CONSTANTS.hbar
-    closed = 0.0
-    if not cfg.tf_limit:
-        closed += -2.0 * 3.0 * hbar**2 / (4.0 * m * b * b * w)
-    closed += 2.0 * 0.75 * m * cfg.trap_frequency**2 * b * b / w
-    if cfg.include_swave:
-        closed += (-3.0 * cfg.species.contact_coupling * cfg.n_atoms
-                   / (2.0 * (2.0 * math.pi) ** 1.5 * b**3 * w))
-    grav = (0.5 * cfg.n_atoms * cfg.interaction.coupling / lam
-            * pair_interaction_integral(w, cfg.kernel, d_dw=True))
-    return closed, grav
+    grav = 0.5 * tf_energy_unit(cfg) * pair_interaction_integral(w, cfg.kernel, d_dw=True)
+    return float(_closed_gradient(w, cfg)), grav
 
 
 def total_energy(w: float, cfg: AnsatzConfig) -> float:
@@ -217,65 +231,69 @@ def tf_energy_unit(cfg: AnsatzConfig) -> float:
     return cfg.n_atoms * cfg.interaction.coupling / cfg.interaction.wavelength
 
 
-def _golden_minimize(fun, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of ``fun`` over [lo, hi] in log space."""
-    lo, hi = math.log(lo), math.log(hi)
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = fun(math.exp(c)), fun(math.exp(d))
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = fun(math.exp(c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = fun(math.exp(d))
-    return math.exp(0.5 * (lo + hi))
+def slope_scan(kernel: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Widths 10^(k/_SCAN_DENSITY) over the decades [10^lo, 10^hi] and the
+    attraction slope g'(w) there, each quadrature done once per process."""
+    ks = range(lo * _SCAN_DENSITY, hi * _SCAN_DENSITY + 1)
+    widths = [10.0 ** (k / _SCAN_DENSITY) for k in ks]
+    for k, w in zip(ks, widths):
+        if (kernel, k) not in _SLOPES:
+            _SLOPES[kernel, k] = pair_interaction_integral(w, kernel, d_dw=True)
+    return np.array(widths), np.array([_SLOPES[kernel, k] for k in ks])
 
 
-def minimize_width(cfg: AnsatzConfig,
-                   w_min: float = GRID_W_MIN,
-                   w_max: float = GRID_W_MAX,
-                   n_grid: int = GRID_POINTS) -> VariationalResult:
+def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
     """Locate the lowest finite-width local energy minimum.
 
-    Scans a log-spaced width grid for the sign structure of the discrete
-    energy differences, refines every interior candidate by golden section to
-    relative width 1e-6 and returns the deepest one.  If no interior minimum
-    exists, the unbound verdict is returned with NaN width.
+    Forms dE/dw on the cached slope scan, refines every - to + sign change
+    with Brent's method on :func:`energy_gradient_parts` and returns the
+    deepest minimum.  The scan widens by decades, up to hard limits
+    (:class:`NumericsError`), while a root can lie beyond it: downward while
+    dE/dw > 0 at the bottom and a kinetic or contact term will outgrow the
+    attraction; upward while dE/dw < 0 at the top, with a trap or the -u/r
+    kernel (its slope falls off only as 1/w^2) always, else only below
+    w = 3A/(2k): for the full kernel h(w) < S_c bounds dE/dw < -2k/w^3 +
+    3A/w^4 with A = S_c N u/lam - s.  Unbound (NaN width) means no minimum.
     """
-    grid = np.logspace(math.log10(w_min), math.log10(w_max), n_grid)
-    energies = np.array([total_energy(w, cfg) for w in grid])
-    candidates = [
-        i for i in range(1, n_grid - 1)
-        if energies[i] <= energies[i - 1] and energies[i] < energies[i + 1]
-    ]
-    if not candidates:
+    k, t, s = _closed_coefficients(cfg)
+    far = CONTACT_AT_THRESHOLD * tf_energy_unit(cfg) - s
+    rises = t > 0.0 or (cfg.kernel == "near_zone" and cfg.interaction.coupling > 0.0)
+    lo, hi = _SCAN_DECADES
+    while True:
+        w, slope = slope_scan(cfg.kernel, lo, hi)
+        slope = _closed_gradient(w, cfg) + 0.5 * tf_energy_unit(cfg) * slope
+        room = rises or (far > 0.0 and (k == 0.0 or w[-1] < 1.5 * far / k))
+        down = bool(slope[0] > 0.0 and (k > 0.0 or s > 0.0))
+        up = bool(slope[-1] < 0.0 and room)
+        if not (down or up):
+            break
+        lo, hi = lo - down, hi + up
+        if lo < _WIDEN_LIMITS[0] or hi > _WIDEN_LIMITS[1]:
+            raise NumericsError(f"width minimum outside [1e{_WIDEN_LIMITS[0]}, "
+                                f"1e{_WIDEN_LIMITS[1]}] wavelengths")
+    roots = [brentq(lambda x: sum(energy_gradient_parts(x, cfg)), w[i],
+                    w[i + 1], xtol=_ROOT_RTOL * w[i], rtol=_ROOT_RTOL)
+             for i in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0))]
+    if not roots:
         return VariationalResult(math.nan, math.nan, None, False, False)
-    best_w, best_e = None, math.inf
-    for i in candidates:
-        w_ref = _golden_minimize(lambda w: total_energy(w, cfg),
-                                 grid[i - 1], grid[i + 1], GOLDEN_TOL)
-        e_ref = total_energy(w_ref, cfg)
-        if e_ref < best_e:
-            best_w, best_e = w_ref, e_ref
-    breakdown = energy_breakdown(best_w, cfg)
-    r_rms = math.sqrt(1.5) * best_w * cfg.interaction.wavelength
-    return VariationalResult(best_w, r_rms, breakdown,
-                             bound_local=True,
-                             bound_global=breakdown.total < 0.0)
+    best, w_star = min(((energy_breakdown(x, cfg), x) for x in roots),
+                       key=lambda pair: pair[0].total)
+    r_rms = math.sqrt(1.5) * w_star * cfg.interaction.wavelength
+    return VariationalResult(w_star, r_rms, best, bound_local=True,
+                             bound_global=best.total < 0.0)
 
 
 def threshold_intensity(species: AtomSpecies, use_detuned: bool = False) -> float:
     """Total intensity (W/m^2) above which the TF cloud self-binds:
     (48 pi / 7) hbar^2 c eps0^2 a / (m alpha^2)."""
+    return _threshold_at(species, species.alpha_si(use_detuned))
+
+
+def _threshold_at(species: AtomSpecies, alpha: float) -> float:
     a = species.scattering_length
     if a <= 0.0:
         raise ValueError(
             f"threshold undefined for non-positive scattering length a={a}")
-    alpha = species.alpha_si(use_detuned)
     return (48.0 * math.pi / 7.0) * CONSTANTS.hbar**2 * CONSTANTS.c \
         * CONSTANTS.eps0**2 * a / (species.mass * alpha**2)
 
@@ -301,49 +319,31 @@ def width_vs_intensity(cfg: AnsatzConfig, ratios: Sequence[float]) -> list[dict]
     """
     if any(r <= 0.0 for r in ratios):
         raise ValueError("intensity ratios must be positive")
-    alpha = cfg.interaction.alpha_si
-    i0 = (48.0 * math.pi / 7.0) * CONSTANTS.hbar**2 * CONSTANTS.c \
-        * CONSTANTS.eps0**2 * cfg.species.scattering_length \
-        / (cfg.species.mass * alpha**2)
-    lam = cfg.interaction.wavelength
+    alpha, lam = cfg.interaction.alpha_si, cfg.interaction.wavelength
+    i0 = _threshold_at(cfg.species, alpha)
     rows = []
     for ratio in ratios:
-        intensity = ratio * i0
-        coupling = (11.0 * math.pi / 15.0) * intensity * alpha**2 / (
-            CONSTANTS.c * CONSTANTS.eps0**2 * lam**2)
-        params = InteractionParams(intensity=intensity, wavelength=lam,
-                                   coupling=coupling, alpha_si=alpha)
+        params = InteractionParams.from_alpha(ratio * i0, lam, alpha)
         result = minimize_width(replace(cfg, interaction=params))
-        rows.append({
-            "ratio": ratio,
-            "w_star": result.w_star,
-            "r_rms": result.r_rms,
-            "bound": result.bound_local,
-        })
+        rows.append({"ratio": ratio, "w_star": result.w_star,
+                     "r_rms": result.r_rms, "bound": result.bound_local})
     return rows
 
 
 def critical_intensity_ratio(species: AtomSpecies, wavelength: float,
-                             n_atoms: float = 1.0, use_detuned: bool = False,
-                             rel_tol: float = 1e-3,
-                             bracket: tuple[float, float] = (0.5, 2.0)) -> float:
-    """Bisect I/I0 between the unbound and bound verdicts in the TF limit."""
-    def bound_at(ratio):
-        cfg = config_at_ratio(species, ratio, wavelength, n_atoms,
-                              use_detuned, tf_limit=True)
-        return minimize_width(cfg).bound_local
+                             n_atoms: float = 1.0,
+                             use_detuned: bool = False) -> float:
+    """I_c/I0 above which a TF cloud self-binds, from the shared slope scan.
 
-    lo, hi = bracket
-    if bound_at(lo) or not bound_at(hi):
-        raise NumericsError(
-            f"bracketing failure: expected unbound at I/I0={lo} and bound at {hi}")
-    while (hi - lo) > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if bound_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    Without a trap, dE/dw = 3 (h(w) - S/r) / w^4 in units of N u/lam, with
+    h(w) = w^4 g'(w)/6 and S the contact coefficient at I0; a minimum exists
+    iff r > S / max h.
+    """
+    cfg = config_at_ratio(species, 1.0, wavelength, n_atoms, use_detuned,
+                          tf_limit=True)
+    contact = _closed_coefficients(cfg)[2] / tf_energy_unit(cfg)
+    w, slope = slope_scan("full", *_SCAN_DECADES)
+    return contact / float(np.max(w**4 * slope / 6.0))
 
 
 def mfa_validity(rho_peak: float, species: AtomSpecies,

@@ -141,6 +141,12 @@ def test_atom_count_unbound_is_numerical_failure(tmp_path):
     assert "no bound" in proc.stderr
 
 
+def test_losses_unbound_is_numerical_failure():
+    proc = _run_cli("losses", "--species", "Na", "--ratio", "0.5")
+    assert proc.returncode == 1
+    assert "no bound" in proc.stderr
+
+
 def test_gpe_missing_intensity_is_usage_error():
     proc = _run_cli("gpe", "--species", "Na")
     assert proc.returncode == 2

@@ -9,7 +9,10 @@ from lasergrav import (CONSTANTS, AnsatzConfig, InteractionParams,
                        energy_breakdown, energy_gradient_parts, mfa_validity,
                        minimize_width, pair_potential, peak_density,
                        threshold_intensity, total_energy, width_vs_intensity)
-from lasergrav.variational import pair_interaction_integral, tf_energy_unit
+from lasergrav import variational
+from lasergrav.variational import (CONTACT_AT_THRESHOLD,
+                                   pair_interaction_integral, slope_scan,
+                                   tf_energy_unit)
 
 LAM = 589e-9
 
@@ -97,7 +100,7 @@ def test_pure_gravity_minimizer_matches_calculus_oracle(na):
     b_star = 3.0 * math.sqrt(2 * math.pi) * CONSTANTS.hbar**2 / (
         2.0 * na.mass * params.coupling * n_atoms)
     assert result.bound_local and result.bound_global
-    assert result.w_star == pytest.approx(b_star / LAM, rel=1e-5)
+    assert result.w_star == pytest.approx(b_star / LAM, rel=1e-9)
     e_oracle = 3 * CONSTANTS.hbar**2 / (4 * na.mass * b_star**2) \
         - params.coupling * n_atoms / (math.sqrt(2 * math.pi) * b_star)
     assert result.breakdown.total == pytest.approx(e_oracle, rel=1e-8)
@@ -136,6 +139,92 @@ def test_width_sweep_tags_unbound_entries(na):
 def test_critical_ratio_near_unity(na):
     ratio = critical_intensity_ratio(na, LAM, use_detuned=True)
     assert ratio == pytest.approx(1.0, rel=0.05)
+
+
+def test_critical_ratio_is_unity_to_scan_accuracy(na):
+    # h(w) reaches S_c only as w -> infinity; the scan top at w = 100 leaves
+    # S_c / max h = 1 + 5e-6
+    ratio = critical_intensity_ratio(na, LAM, use_detuned=True)
+    assert abs(ratio - 1.0) < 1e-4
+    assert ratio > 1.0
+
+
+def test_far_field_slope_rises_below_contact_coefficient():
+    # h(w) = w^4 g'(w)/6 increases monotonically towards S_c from below:
+    # the premise of the far-field stop rule in minimize_width
+    w, slope = slope_scan("full", -2, 2)
+    h = w**4 * slope / 6.0
+    assert np.all(np.diff(h) > 0.0)
+    assert np.all(h < CONTACT_AT_THRESHOLD)
+    assert h[-1] / CONTACT_AT_THRESHOLD == pytest.approx(1.0, abs=1e-5)
+
+
+def test_tf_bound_beyond_the_default_scan(na):
+    # I/I0 = 1e4 puts w* below the scan floor 1e-2; 1 + 1e-4 puts it far out
+    # where h(w) is within 1e-4 of S_c
+    for ratio, lo, hi in ((1e4, 1e-3, 1e-2), (1.0 + 1e-4, 10.0, 100.0)):
+        cfg = config_at_ratio(na, ratio, LAM, use_detuned=True, tf_limit=True)
+        result = minimize_width(cfg)
+        assert result.bound_local and result.bound_global
+        assert lo < result.w_star < hi
+        closed, grav = energy_gradient_parts(result.w_star, cfg)
+        assert abs(closed + grav) < 1e-9 * abs(closed)
+
+
+def test_tf_tail_follows_inverse_sqrt_intensity(na):
+    ratios = np.logspace(1.0, 4.0, 7)
+    widths = [minimize_width(config_at_ratio(na, float(r), LAM,
+                                             use_detuned=True,
+                                             tf_limit=True)).w_star
+              for r in ratios]
+    local = np.diff(np.log(widths)) / np.diff(np.log(ratios))
+    assert np.all(np.abs(local + 0.5) < 0.05)
+
+
+@pytest.fixture
+def quad_count(monkeypatch):
+    """Fresh slope cache; counts pair_interaction_integral calls."""
+    monkeypatch.setattr(variational, "_SLOPES", {})
+    calls = []
+    inner = variational.pair_interaction_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "pair_interaction_integral", counted)
+    return calls
+
+
+def test_unbound_verdict_needs_no_widening(na, quad_count):
+    # TF below threshold: h < S_c <= S_c/r everywhere.  --no-tf at N = 100:
+    # no root beyond w = 3 S_c (1 - 1/r) / (2K) ~ 0.07, inside the scan
+    cfgs = [config_at_ratio(na, r, LAM, use_detuned=True, tf_limit=True)
+            for r in (0.5, 0.9)]
+    cfgs.append(config_at_ratio(na, 1.2, LAM, n_atoms=100.0,
+                                use_detuned=True))
+    for cfg in cfgs:
+        result = minimize_width(cfg)
+        assert not result.bound_local and math.isnan(result.w_star)
+    scan = len(slope_scan("full", -2, 2)[0])
+    assert len(quad_count) == scan == 81
+
+
+def test_minimizer_quadrature_budget(na, quad_count):
+    w, _ = slope_scan("full", -2, 2)
+    assert len(quad_count) == len(w)
+    cfgs = [config_at_ratio(na, r, LAM, use_detuned=True, tf_limit=True)
+            for r in (1.001, 1.5, 3.0, 50.0, 300.0)]
+    cfgs += [config_at_ratio(na, r, LAM, n_atoms=3.2e4, use_detuned=True)
+             for r in (1.5, 56.3)]
+    for cfg in cfgs:
+        quad_count.clear()
+        assert minimize_width(cfg).bound_local
+        assert len(quad_count) <= 20
+    quad_count.clear()
+    variational._SLOPES.clear()
+    critical_intensity_ratio(na, LAM, use_detuned=True)
+    assert len(quad_count) <= len(w)
 
 
 def test_critical_ratio_independent_of_atom_number_and_wavelength(na):
