@@ -460,7 +460,7 @@ def _dispatch(args):
         r_max = args.rmax if args.rmax is not None else 8.0 * expected
         grid = gpe.RadialGrid(n_points=args.n, r_max=r_max)
         state = gpe.solve_ground(
-            cfg, grid, w_init=trial.w_star if trial.bound_local else None)
+            cfg, grid, w_init=trial.w_star if trial.bound_local else 1.0)
         report = gpe.virial_report(state)
         rho_peak = float(state.density[0])
         summary = {

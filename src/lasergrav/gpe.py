@@ -14,9 +14,14 @@ whole convolution is then a precomputed dense matrix applied per iteration,
 O(n^2) with small constants.
 
 The solver relaxes v = R * Psi (which makes the radial Laplacian
-tridiagonal) in imaginary time, semi-implicit on the kinetic term, explicit
-on the local and mean-field potentials, renormalizing to N every step, with
-Dirichlet boundaries v(0) = v(R_max) = 0.
+tridiagonal) by the normalized gradient flow with backward-Euler steps of
+Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004): kinetic term, trap, contact
+and the Hartree potential of the current state are all taken implicitly, so
+each step is one banded Cholesky solve, followed by renormalization to N,
+with Dirichlet boundaries v(0) = v(R_max) = 0.  The step grows while the
+eigen-residual ||(H[rho] - mu) v|| / |mu| falls, and the solve stops when
+that residual is small, so the iteration count does not grow with the grid
+and the answer does not depend on the starting width.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import solveh_banded
 
 from .constants import CONSTANTS
 from .errors import CollapseError, ConvergenceError, NumericsError
@@ -39,7 +43,10 @@ _J_SAMPLES_PER_HALF_OSC = 40
 # full kernel needs >= 20 grid points per lam/2 oscillation
 _MIN_POINTS_PER_HALF_WAVE = 20
 
-MU_RTOL = 1e-9
+# stop when ||(H[rho] - mu) v|| / |mu| falls below this
+RESIDUAL_TOL = 1e-8
+# step growth factor after an accepted step that lowered the residual
+DTAU_GROWTH = 1.25
 MAX_ITERATIONS = 400_000
 _ENERGY_SLACK = 1e-12
 
@@ -76,7 +83,7 @@ class GroundState:
     mu: float                # J
     r_rms: float             # m
     iterations: int
-    residual: float          # last relative change of mu
+    residual: float          # eigen-residual ||(H[rho] - mu) v|| / |mu|
     n_atoms: float
     energies: dict = field(repr=False)  # per-term totals, J
 
@@ -116,19 +123,15 @@ def _kink_split_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _canonical_kernel(kernel: str) -> str:
-    if kernel in ("full", "full_uiso"):
-        return "full"
-    if kernel in ("near_zone", "newton"):
-        return "near_zone"
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
 def _j_table(n: int, h_dimless: float, kernel: str) -> np.ndarray:
     """J(t)/ (u lam) on t_k = k h, k = 0..2n, t in wavelength units."""
     t_max = 2 * n * h_dimless
     if kernel == "near_zone":
         return -h_dimless * np.arange(0, 2 * n + 1)
+    # imported here so that importing the package does not load
+    # scipy.interpolate, which only the full-kernel Hartree table needs
+    from scipy.interpolate import CubicSpline
+
     step = 0.25 / _J_SAMPLES_PER_HALF_OSC
     t_fine = np.arange(0.0, t_max + step, step)
     w = np.empty_like(t_fine)
@@ -146,7 +149,8 @@ class _HartreeOperator:
     """
 
     def __init__(self, grid: RadialGrid, wavelength: float, kernel: str):
-        kernel = _canonical_kernel(kernel)
+        if kernel not in ("full", "near_zone"):
+            raise ValueError(f"unknown kernel {kernel!r}")
         n = grid.n_points
         h = grid.spacing / wavelength
         if kernel == "full" and h > 0.5 / _MIN_POINTS_PER_HALF_WAVE:
@@ -159,12 +163,15 @@ class _HartreeOperator:
         self.kernel = kernel
         self._x = grid.nodes / wavelength
         j_tab = _j_table(n, h, kernel)
-        i = np.arange(1, n + 1)
-        j = np.arange(1, n + 1)
-        diffs = j_tab[i[:, None] + j[None, :]] - j_tab[np.abs(i[:, None] - j[None, :])]
+        # entry (i, j), nodes 1..n: J(t_{i+j}) - J(t_{|i-j|}), from strided
+        # Hankel and Toeplitz views so that only the result is allocated
+        windows = np.lib.stride_tricks.sliding_window_view
+        sym = np.concatenate((j_tab[n - 1:0:-1], j_tab[:n]))  # J(t_|k|), |k| < n
+        matrix = windows(j_tab[2:], n) - windows(sym, n)[:, ::-1]
         # the s = 0 node of the split-Simpson rule multiplies an integrand
         # that vanishes there, so only columns j >= 1 are kept
-        self._matrix = diffs * _kink_split_weights(n, h)[:, 1:]
+        matrix *= _kink_split_weights(n, h)[:, 1:]
+        self._matrix = matrix
 
     def __call__(self, rho_dimless: np.ndarray) -> np.ndarray:
         """Potential in units of u/lam for density samples in units lam^-3."""
@@ -186,16 +193,24 @@ def hartree_potential(rho: np.ndarray, grid: RadialGrid, coupling: float,
 
 def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
                  w_init: Optional[float] = None,
-                 mu_rtol: float = MU_RTOL,
+                 residual_tol: float = RESIDUAL_TOL,
                  max_iterations: int = MAX_ITERATIONS,
                  on_step=None) -> GroundState:
     """Relax to the mean-field ground state on ``grid``.
 
     The starting profile is a Gaussian of width ``w_init`` (in wavelength
     units); when omitted the variational equilibrium width is used if one
-    exists, else 1.  Raises :class:`ConvergenceError` after
-    ``max_iterations`` and :class:`CollapseError` when the cloud shrinks
-    below four grid spacings.  The kinetic term is always retained
+    exists, else 1.  Each step solves the backward-Euler system
+    ``(1 + dtau (T + V - min V)) v_new = v`` with the whole local potential
+    ``V`` (trap, contact and the Hartree term of the current state) taken
+    implicitly, then renormalizes.  A step that raises the energy is
+    rejected and retried at half ``dtau``; after an accepted step ``dtau``
+    grows by ``DTAU_GROWTH`` while the eigen-residual falls and halves, not
+    below ``0.1 h^2``, when it rises.  The solve stops once the
+    eigen-residual ``||(H[rho] - mu) v|| / |mu|`` is below ``residual_tol``.
+    Raises :class:`ConvergenceError` after ``max_iterations`` steps
+    (accepted plus rejected) and :class:`CollapseError` when the cloud
+    shrinks below four grid spacings.  The kinetic term is always retained
     (``cfg.tf_limit`` only affects the variational treatment).
     ``on_step(iteration, energy_J, mu_J)`` is invoked after every accepted
     step.
@@ -227,19 +242,9 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     v /= math.sqrt(4.0 * math.pi * h * float(v @ v))
 
     # v = x Psi: kinetic operator is -(1/2) d^2/dx^2, Dirichlet at both ends
-    diag = np.full(n, 1.0 / h**2)
-    off = np.full(n - 1, -0.5 / h**2)
-    dtau0 = 0.1 * h * h
-    dtau = dtau0
-
-    banded = np.zeros((2, n))
-
-    def factor(dt):
-        banded[0, 1:] = dt * off
-        banded[1, :] = 1.0 + dt * diag
-        return cholesky_banded(banded)
-
-    chol = factor(dtau)
+    dtau_floor = 0.1 * h * h
+    dtau = dtau_floor
+    banded = np.empty((2, n))  # upper form: superdiagonal (first unused), diagonal
 
     def apply_kinetic(vec):
         out = 2.0 * vec.copy()
@@ -247,48 +252,56 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
         out[1:] -= vec[:-1]
         return out * (0.5 / h**2)
 
-    def functionals(vec):
+    def evaluate(vec):
+        """Local potential, energy terms, mu and eigen-residual of ``vec``."""
         chi2 = (vec / x) ** 2
         phi = gamma * hartree(chi2) if gamma != 0.0 else np.zeros(n)
-        e_kin = 4.0 * math.pi * h * float(vec @ apply_kinetic(vec))
+        kin = apply_kinetic(vec)
+        local = v_trap + g_sw * chi2 + phi
+        e_kin = 4.0 * math.pi * h * float(vec @ kin)
         e_trap = 4.0 * math.pi * h * float((v_trap * vec) @ vec)
         e_sw = 4.0 * math.pi * h * 0.5 * g_sw * float((chi2 * vec) @ vec)
         e_grav = 4.0 * math.pi * h * 0.5 * float((phi * vec) @ vec)
-        return phi, e_kin, e_trap, e_sw, e_grav
+        mu = e_kin + e_trap + 2.0 * e_sw + 2.0 * e_grav
+        r = kin + local * vec - mu * vec
+        residual = math.sqrt(4.0 * math.pi * h * float(r @ r)) / max(abs(mu), 1e-300)
+        return local, (e_kin, e_trap, e_sw, e_grav), mu, residual
 
-    phi, e_kin, e_trap, e_sw, e_grav = functionals(v)
-    energy_prev = e_kin + e_trap + e_sw + e_grav
-    mu = e_kin + e_trap + 2.0 * e_sw + 2.0 * e_grav
-    mu_prev = math.inf
-    residual = math.inf
+    local, terms, mu, residual = evaluate(v)
+    energy_prev = sum(terms)
     iterations = 0
-    r_rms_dimless = math.sqrt(4.0 * math.pi * h * float((x**2 * v) @ v))
 
-    while iterations < max_iterations:
+    while residual >= residual_tol:
+        if iterations >= max_iterations:
+            raise ConvergenceError(
+                f"no convergence after {max_iterations} iterations "
+                f"(eigen-residual {residual:.3e}, target {residual_tol:g})")
         iterations += 1
-        chi2 = (v / x) ** 2
-        local = v_trap + g_sw * chi2 + phi
-        v_new = cho_solve_banded((chol, False), v - dtau * local * v)
+        banded[0] = -0.5 * dtau / h**2
+        banded[1] = 1.0 + dtau * (1.0 / h**2 + local - local.min())
+        v_new = solveh_banded(banded, v)
         norm = 4.0 * math.pi * h * float(v_new @ v_new)
         if not math.isfinite(norm) or norm <= 0.0:
             raise NumericsError("relaxation produced a non-normalizable state")
         v_new /= math.sqrt(norm)
 
-        phi_new, e_kin, e_trap, e_sw, e_grav = functionals(v_new)
-        energy = e_kin + e_trap + e_sw + e_grav
+        local_new, terms_new, mu_new, residual_new = evaluate(v_new)
+        energy = sum(terms_new)
         if energy > energy_prev + _ENERGY_SLACK * abs(energy_prev):
-            # reject the step; phi still belongs to the accepted state
+            # reject the step; the potential still belongs to the accepted state
             dtau *= 0.5
-            if dtau < 1e-8 * dtau0:
+            if dtau < 1e-8 * dtau_floor:
                 raise ConvergenceError(
-                    f"time step collapsed below {1e-8 * dtau0:g} without "
+                    f"time step collapsed below {1e-8 * dtau_floor:g} without "
                     f"monotone energy descent")
-            chol = factor(dtau)
             continue
 
-        v, phi = v_new, phi_new
+        if residual_new < residual:
+            dtau *= DTAU_GROWTH
+        else:
+            dtau = max(0.5 * dtau, dtau_floor)
+        v, local, terms, mu, residual = v_new, local_new, terms_new, mu_new, residual_new
         energy_prev = energy
-        mu = e_kin + e_trap + 2.0 * e_sw + 2.0 * e_grav
         if on_step is not None:
             on_step(iterations, cfg.n_atoms * energy * energy_unit,
                     mu * energy_unit)
@@ -299,15 +312,8 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
                 f"cloud radius {r_rms_dimless * lam:.3e} m fell below four "
                 f"grid spacings after {iterations} iterations")
 
-        residual = abs(mu - mu_prev) / max(abs(mu), 1e-300)
-        if residual < mu_rtol:
-            break
-        mu_prev = mu
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iterations} iterations "
-            f"(mu residual {residual:.3e}, target {mu_rtol:g})")
-
+    r_rms_dimless = math.sqrt(4.0 * math.pi * h * float((x**2 * v) @ v))
+    e_kin, e_trap, e_sw, e_grav = terms
     chi = v / x
     psi = math.sqrt(cfg.n_atoms) / lam**1.5 * chi
     energies = {

@@ -43,3 +43,9 @@ def gpe_full_512(na, tf_width_15):
 @pytest.fixture(scope="session")
 def gpe_full_1024(na, tf_width_15):
     return _solve_full(na, 1024, tf_width_15.w_star)
+
+
+@pytest.fixture(scope="session")
+def solve_full_512(na):
+    """The n=512 full-kernel setup, solved from a chosen starting width."""
+    return lambda w_init: _solve_full(na, 512, w_init)[0]

@@ -22,6 +22,18 @@ def test_unknown_subcommand_is_usage_error():
     assert proc.returncode == 2
 
 
+def test_cli_import_does_not_load_scipy_interpolate():
+    # only the full-kernel Hartree table needs it, so commands that never
+    # solve the PDE must not pay for importing it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lasergrav.cli; "
+         "print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_threshold_static_sodium(tmp_path):
     out = tmp_path / "t.json"
     assert run(["threshold", "--species", "Na", "--static",
