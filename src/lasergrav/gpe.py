@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .constants import CONSTANTS
 from .errors import CollapseError, ConvergenceError, NumericsError
@@ -178,6 +178,14 @@ class _HartreeOperator:
         return (2.0 * math.pi / self._x) * (self._matrix @ (self._x * rho_dimless))
 
 
+@lru_cache(maxsize=1)
+def _hartree_operator(grid: RadialGrid, wavelength: float,
+                      kernel: str) -> _HartreeOperator:
+    """The operator of the latest (grid, wavelength, kernel), built once, so
+    that a solve and the potential of its result share one matrix."""
+    return _HartreeOperator(grid, wavelength, kernel)
+
+
 def hartree_potential(rho: np.ndarray, grid: RadialGrid, coupling: float,
                       wavelength: float, kernel: str = "full") -> np.ndarray:
     """Mean-field potential (J) of an isotropic density (m^-3) on the grid."""
@@ -187,7 +195,7 @@ def hartree_potential(rho: np.ndarray, grid: RadialGrid, coupling: float,
             f"density must have one sample per node, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("density samples must be finite")
-    op = _HartreeOperator(grid, wavelength, kernel)
+    op = _hartree_operator(grid, wavelength, kernel)
     return (coupling / wavelength) * op(rho * wavelength**3)
 
 
@@ -215,6 +223,10 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     ``on_step(iteration, energy_J, mu_J)`` is invoked after every accepted
     step.
     """
+    # imported here so that importing the package does not load
+    # scipy.linalg, which only the PDE solve needs
+    from scipy.linalg import solveh_banded
+
     lam = cfg.interaction.wavelength
     m = cfg.species.mass
     hbar = CONSTANTS.hbar
@@ -232,7 +244,7 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     v_trap = 0.5 * omega_t**2 * x**2
 
     # no coupling means no kernel resolution constraint on the grid
-    hartree = _HartreeOperator(grid, lam, cfg.kernel) if gamma != 0.0 else None
+    hartree = _hartree_operator(grid, lam, cfg.kernel) if gamma != 0.0 else None
 
     if w_init is None:
         trial = minimize_width(cfg)

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from .constants import CONSTANTS
 from .errors import NumericsError
@@ -48,6 +47,7 @@ _SCAN_DENSITY = 20
 _SCAN_DECADES = (-2, 2)
 _WIDEN_LIMITS = (-6, 3)
 _ROOT_RTOL = 1e-12
+_ROOT_MAXITER = 100
 _SLOPES: dict[tuple[str, int], float] = {}
 
 # S_c: contact coefficient of the TF energy S_c/(r w^3) at I = I0 (r = I/I0,
@@ -242,6 +242,62 @@ def slope_scan(kernel: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(widths), np.array([_SLOPES[kernel, k] for k in ks])
 
 
+def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Step for step the algorithm of ``scipy.optimize.brentq``, which it
+    replaces so that importing the package does not load scipy.optimize:
+    ``f(a)`` and ``f(b)`` must differ in sign, an endpoint where ``f`` is
+    exactly 0 is returned as given, and the iterate ``b`` is accepted once
+    the bracket's half-width is below (xtol + rtol |b|)/2.  Raises
+    :class:`NumericsError` without a bracket or after ``_ROOT_MAXITER``
+    steps.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericsError(f"f({a:g}) and f({b:g}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # keep the best estimate in xcur, the contrapoint in xblk
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NumericsError(f"Brent root in [{a:g}, {b:g}] not converged "
+                        f"after {_ROOT_MAXITER} iterations")
+
+
 def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
     """Locate the lowest finite-width local energy minimum.
 
@@ -271,8 +327,9 @@ def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
         if lo < _WIDEN_LIMITS[0] or hi > _WIDEN_LIMITS[1]:
             raise NumericsError(f"width minimum outside [1e{_WIDEN_LIMITS[0]}, "
                                 f"1e{_WIDEN_LIMITS[1]}] wavelengths")
-    roots = [brentq(lambda x: sum(energy_gradient_parts(x, cfg)), w[i],
-                    w[i + 1], xtol=_ROOT_RTOL * w[i], rtol=_ROOT_RTOL)
+    roots = [_brent_root(lambda x: sum(energy_gradient_parts(x, cfg)),
+                         float(w[i]), float(w[i + 1]),
+                         xtol=_ROOT_RTOL * float(w[i]), rtol=_ROOT_RTOL)
              for i in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0))]
     if not roots:
         return VariationalResult(math.nan, math.nan, None, False, False)

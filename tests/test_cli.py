@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from lasergrav import gpe
 from lasergrav.cli import _parse_ratio_spec, _resolve_intensity, emit_csv, run
 
 def _run_cli(*argv):
@@ -32,6 +33,51 @@ def test_cli_import_does_not_load_scipy_interpolate():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def test_cli_import_does_not_load_scipy():
+    # only the PDE solve needs scipy (scipy.linalg, scipy.interpolate)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, lasergrav.cli; print({_SCIPY_LOADED})"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_without_pde_do_not_load_scipy(tmp_path):
+    commands = [
+        ["catalog"],
+        ["potential", "--samples", "8"],
+        ["threshold"],
+        ["fig1a", "--ratios", "0.5,1.5", "--samples", "4"],
+        ["fig1b", "--ratios", "0.9,1.5"],
+        ["width-sweep", "--ratios", "1.5", "--no-tf"],
+        ["phase-map", "--nx", "3", "--ny", "3"],
+        ["fig2", "--points", "2"],
+        ["losses"],
+        ["atom-count", "--wavelength", "589e-9", "--rho-peak", "1e21"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from lasergrav.cli import run\n"
+        "from lasergrav.species import catalog_lookup\n"
+        "from lasergrav.variational import critical_intensity_ratio\n"
+        "codes = [run(argv + ['--out', f'{sys.argv[1]}/{i}.out'])\n"
+        "         for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
+        "critical_intensity_ratio(catalog_lookup('Na'), 589e-9)\n"
+        f"print(json.dumps([codes, {_SCIPY_LOADED}]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(commands)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(commands)
+    assert loaded == []
 
 
 def test_threshold_static_sodium(tmp_path):
@@ -219,6 +265,24 @@ def test_gpe_subcommand_with_profile(tmp_path):
     lines = profile.read_text().splitlines()
     assert lines[0] == "R_m,psi,rho_m3,phi_J"
     assert len(lines) == 257
+
+
+def test_gpe_profile_builds_one_hartree_operator(tmp_path, monkeypatch):
+    # the solve and the phi_J column of the profile share one dense matrix
+    built = []
+
+    class Counted(gpe._HartreeOperator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gpe, "_HartreeOperator", Counted)
+    gpe._hartree_operator.cache_clear()
+    assert run(["gpe", "--species", "Na", "--ratio", "1.5", "--atoms", "1e4",
+                "--n", "256", "--out", str(tmp_path / "gpe.json"),
+                "--profile", str(tmp_path / "profile.csv")]) == 0
+    assert len(built) == 1
+    gpe._hartree_operator.cache_clear()
 
 
 def test_emit_csv_empty_dataset(tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from lasergrav import (UnboundError, atom_capacity, border_atom_number,
-                       capacity_band, classify, coupling_strength, f_factor,
-                       phase_map, threshold_intensity, trap_relevance)
+                       capacity_band, classify, config_at_ratio,
+                       coupling_strength, f_factor, minimize_width, phase_map,
+                       threshold_intensity, trap_relevance)
 
 LAM = 589e-9
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -165,3 +166,33 @@ def test_phase_map_contains_all_regimes(na):
     labels = {row["label"] for row in rows}
     assert labels == {"Unbound", "G", "TFG"}
     assert len(rows) == 21 * 17
+
+
+def test_labels_match_dominant_pressure_at_the_minimum(na):
+    # G names zero-point kinetic pressure, TF-G contact pressure: at the
+    # --no-tf variational minimum the named term is the larger one wherever
+    # the label holds for 0.75 decade of I/I0 either way.  The boundaries
+    # are soft, so 0.25 decade from one the two can disagree.  Points are
+    # realized as in phase_map: N = 10, wavelength from x.
+    n_atoms = 10.0
+    i0 = threshold_intensity(na)
+
+    def label(x, y):
+        lam = 10.0**x * n_atoms * na.scattering_length
+        return classify(n_atoms, 10.0**y * i0, na, lam).label
+
+    checked = {"G": 0, "TFG": 0}
+    for x in np.arange(-1.0, 3.01, 0.5):
+        for y in np.arange(0.0, 6.01, 0.25):
+            here = label(x, y)
+            if here == "Unbound" or {label(x, y - 0.75),
+                                     label(x, y + 0.75)} != {here}:
+                continue
+            lam = 10.0**x * n_atoms * na.scattering_length
+            result = minimize_width(config_at_ratio(na, 10.0**y, lam,
+                                                    n_atoms=n_atoms))
+            assert result.bound_local, (x, y)
+            kinetic, swave = result.breakdown.kinetic, result.breakdown.swave
+            assert (kinetic > swave) == (here == "G"), (x, y, kinetic / swave)
+            checked[here] += 1
+    assert min(checked.values()) >= 10

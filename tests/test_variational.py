@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lasergrav import (CONSTANTS, AnsatzConfig, InteractionParams,
                        config_at_ratio, critical_intensity_ratio,
@@ -10,7 +11,8 @@ from lasergrav import (CONSTANTS, AnsatzConfig, InteractionParams,
                        minimize_width, pair_potential, peak_density,
                        threshold_intensity, total_energy, width_vs_intensity)
 from lasergrav import variational
-from lasergrav.variational import (CONTACT_AT_THRESHOLD,
+from lasergrav.errors import NumericsError
+from lasergrav.variational import (CONTACT_AT_THRESHOLD, _brent_root,
                                    pair_interaction_integral, slope_scan,
                                    tf_energy_unit)
 
@@ -300,3 +302,88 @@ def test_breakdown_total_is_sum_of_parts(na):
     b = energy_breakdown(0.4, cfg)
     assert b.total == b.kinetic + b.trap + b.swave + b.gravitational
     assert b.kinetic >= 0.0 and b.trap >= 0.0 and b.swave >= 0.0
+
+
+def _counted(f):
+    """``f`` with a list of the abscissae it was called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return f(x)
+
+    return wrapped, calls
+
+
+def _assert_brent_matches_scipy(f, a, b, xtol, rtol):
+    # same root to the bit and the same evaluations: the same step sequence
+    ours, our_calls = _counted(f)
+    theirs, their_calls = _counted(f)
+    root = _brent_root(ours, a, b, xtol, rtol)
+    assert type(root) is float
+    assert root == brentq(theirs, a, b, xtol=xtol, rtol=rtol)
+    assert our_calls == their_calls
+
+
+@pytest.mark.parametrize("f, brackets", [
+    (lambda x: x**3 - 2.0, [(0.0, 2.0), (-1.0, 5.0), (1.2, 1.3)]),
+    (lambda x: math.cos(x) - x, [(0.0, 1.0), (-2.0, 3.0), (0.7, 0.8)]),
+])
+def test_brent_root_matches_scipy_brentq_bitwise(f, brackets):
+    for a, b in brackets:
+        for xtol, rtol in ((2e-12, 4.0 * np.finfo(float).eps), (1e-12, 1e-12),
+                           (1e-4, 1e-6)):
+            _assert_brent_matches_scipy(f, a, b, xtol, rtol)
+
+
+def test_minimizer_brackets_give_scipy_roots_bitwise(na, monkeypatch):
+    seen = []
+    inner = variational._brent_root
+
+    def recorded(f, a, b, xtol, rtol):
+        seen.append((f, a, b, xtol, rtol))
+        return inner(f, a, b, xtol, rtol)
+
+    monkeypatch.setattr(variational, "_brent_root", recorded)
+    cfgs = [config_at_ratio(na, r, LAM, use_detuned=True, tf_limit=True)
+            for r in (1.0 + 1e-4, 1.01, 1.5, 10.0, 300.0, 1e4)]
+    cfgs += [config_at_ratio(na, r, LAM, n_atoms=n, use_detuned=True)
+             for r, n in ((1.5, 1e4), (56.3, 3.2e4), (1e3, 1e5))]
+    for cfg in cfgs:
+        assert minimize_width(cfg).bound_local
+    assert len(seen) >= len(cfgs)
+    for f, a, b, xtol, rtol in seen:
+        assert type(a) is float and type(b) is float
+        _assert_brent_matches_scipy(f, a, b, xtol, rtol)
+
+
+def test_brent_root_returns_exact_zero_endpoint():
+    for a, b in ((1.0, 3.0), (-1.0, 1.0)):
+        f, calls = _counted(lambda x: x - 1.0)
+        assert _brent_root(f, a, b, 1e-12, 1e-12) == 1.0
+        assert calls == [a, b]
+        assert brentq(lambda x: x - 1.0, a, b) == 1.0
+
+
+def test_brent_root_failures_raise():
+    with pytest.raises(NumericsError, match="same sign"):
+        _brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+    # a sign jump at 1/3 bracketed by [0, 1e300]: about a thousand halvings
+    # to reach the tolerance, so both give up after 100 iterations
+    step = lambda x: -1.0 if x < 1.0 / 3.0 else 1.0
+    rtol = 4.0 * np.finfo(float).eps
+    with pytest.raises(NumericsError, match="100 iterations"):
+        _brent_root(step, 0.0, 1e300, 1e-300, rtol)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        brentq(step, 0.0, 1e300, xtol=1e-300, rtol=rtol)
+
+
+def test_minimizer_returns_python_scalars(na):
+    # numpy scalars would leak into the CLI output (np.bool_ is not bool)
+    for tf_limit, n_atoms in ((True, 1.0), (False, 1e4)):
+        cfg = config_at_ratio(na, 1.5, LAM, n_atoms=n_atoms, use_detuned=True,
+                              tf_limit=tf_limit)
+        result = minimize_width(cfg)
+        assert type(result.w_star) is float and type(result.r_rms) is float
+        assert type(result.bound_local) is bool
+        assert type(result.bound_global) is bool
