@@ -7,7 +7,7 @@ class LaserGravError(Exception):
 
 
 class NumericsError(LaserGravError):
-    """A numerical procedure failed (non-convergence, quadrature breakdown)."""
+    """A numerical procedure failed (non-convergence, a minimum out of range)."""
 
 
 class ConvergenceError(NumericsError):

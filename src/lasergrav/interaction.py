@@ -18,16 +18,19 @@ evaluate a precomputed power series instead of the closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CONSTANTS
+from .errors import NumericsError
 from .species import AtomSpecies
 
 # x = 2*pi*r/lam below which the series branch is used
 X_SWITCH = 0.05
 SERIES_TERMS = 12
+_ROOT_MAXITER = 100
 
 
 def _series_coefficients(n_terms: int) -> tuple[float, ...]:
@@ -115,6 +118,62 @@ def kernel_slope(r_tilde) -> np.ndarray | float:
                             -(15.0 * math.pi / 11.0) * 2.0 * math.pi)
 
 
+def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Step for step the algorithm of ``scipy.optimize.brentq``, which it
+    replaces so that importing the package does not load scipy.optimize:
+    ``f(a)`` and ``f(b)`` must differ in sign, an endpoint where ``f`` is
+    exactly 0 is returned as given, and the iterate ``b`` is accepted once
+    the bracket's half-width is below (xtol + rtol |b|)/2.  Raises
+    :class:`NumericsError` without a bracket or after ``_ROOT_MAXITER``
+    steps.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericsError(f"f({a:g}) and f({b:g}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # keep the best estimate in xcur, the contrapoint in xblk
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NumericsError(f"Brent root in [{a:g}, {b:g}] not converged "
+                        f"after {_ROOT_MAXITER} iterations")
+
+
 @dataclass(frozen=True)
 class InteractionParams:
     """Total beam intensity, wavelength and the derived coupling.
@@ -175,34 +234,21 @@ def near_zone_limit(r, coupling: float):
     return out if out.ndim else float(out)
 
 
-def oscillation_onset(coupling: float = 1.0, wavelength: float = 1.0,
-                      tol: float = 1e-6) -> float:
+def oscillation_onset(coupling: float = 1.0, tol: float = 1e-6) -> float:
     """Smallest r/lam where the pair interaction turns repulsive.
 
     Inside this radius the force is everywhere attractive (the potential
     climbs monotonically out of its -u/r well, through its first zero);
     beyond it the force alternates sign with the potential oscillation.  The
-    location is the first stationary point of the potential, found by
-    bracketing the slope's sign change and bisecting to ``tol``.  The sign
-    structure does not depend on the coupling, which only scales the
-    potential, so the result is a pure number near 0.35.
+    location is the first stationary point of the potential, the one sign
+    change of the slope on [0.05, 0.5], found by Brent's method to ``tol``.
+    The sign structure does not depend on the coupling, which only scales
+    the potential, so the result is a pure number near 0.35.
     """
     if coupling <= 0.0:
         raise ValueError("coupling must be positive")
-    lo = 0.05
-    step = 1e-3
-    hi = lo + step
-    while kernel_slope(hi) > 0.0:
-        lo, hi = hi, hi + step
-        if hi > 1.0:
-            raise RuntimeError("no repulsive turning point below r/lam = 1")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if kernel_slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _brent_root(kernel_slope, 0.05, 0.5, xtol=tol,
+                       rtol=4.0 * sys.float_info.epsilon)
 
 
 def beam_budget(intensity_total: float, geometry: str) -> list[float]:

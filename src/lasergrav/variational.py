@@ -7,48 +7,63 @@ units of the laser wavelength), density N |phi|^2 with per-axis variance
     kinetic       3 hbar^2 / (4 m (w lam)^2)        (dropped in the TF limit)
     trap          (3/4) m omega0^2 (w lam)^2
     s-wave        g N / (2 (2 pi)^(3/2) (w lam)^3)
-    attraction    (N/2) Int P(s; w) U(s) ds
+    attraction    (N u / 2 lam) g(w),   g(w) = <U lam/u> = Int P(s; w) U(s) ds lam/u
 
 where P(s; w) is the pair-separation density of two independent draws from
-the trial cloud: a Maxwell law with per-axis variance (w lam)^2.  The
-attraction integral has an oscillatory integrand beyond r ~ 0.36 lam and is
-integrated on half-period panels with an error-estimating Gauss rule; the
-s -> 0 end is regular because P ~ s^2 cancels the -u/s of the kernel (the
-series branch of the kernel keeps that product accurate).
+the trial cloud: a Maxwell law with per-axis variance (w lam)^2.  Averaging
+the kernel's Fourier transform over the Gaussian gives g in closed form
+through Dawson's integral F,
+
+    g(w) = -(20 sqrt(pi)/11) [3 (z^4 + 2 z^2 + 4) F(z) + 2 z^3 - 12 z] / z^6,
+
+with z = 2 sqrt(2) pi w.  The bracket cancels as w^-4 towards w -> 0, so
+below ``W_SWITCH`` the Maxwell moments of the kernel's near-zone series are
+summed instead.  For the -u/r kernel g = -sqrt(2/pi)/w.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 
 from .constants import CONSTANTS
 from .errors import NumericsError
-from .interaction import InteractionParams, kernel_shape
+from .interaction import _F_COEFFS, InteractionParams, _brent_root
 from .species import AtomSpecies
 
-# half-period of the kernel oscillation in units of the wavelength
-_PANEL_WIDTH = 0.25
-# Gaussian pair-separation weight drops below 1e-22 of its peak at 10 sigma
-_RANGE_SIGMAS = 10.0
-_GL_LO = leggauss(16)
-_GL_HI = leggauss(32)
-_QUAD_RTOL = 1e-9
+# w below which g is summed from the kernel's series (as X_SWITCH for U)
+W_SWITCH = 0.05
+# g = Sum_n _G_SERIES[n] w^(2n-1): the series coefficients F_n of the kernel
+# times (2 pi)^(2n-1) and the Maxwell moments <s^(2n-1)> = w^(2n-1)
+# 2^(n+1/2) n!/sqrt(pi)
+_G_SERIES = tuple(-(15.0 / 11.0) * math.sqrt(math.pi) * c
+                  * (2.0 * math.pi) ** (2 * n - 1) * 2.0 ** (n + 0.5)
+                  * math.factorial(n) for n, c in enumerate(_F_COEFFS))
 
-# The attraction slope g'(w) = d<U lam/u>/dw depends on the kernel alone, so
-# it is computed once per process at widths 10^(k/_SCAN_DENSITY), cached by
-# (kernel, k); a configuration only adds its closed-form terms.  The scan
-# spans _SCAN_DECADES and widens by decades up to the hard _WIDEN_LIMITS.
-_SCAN_DENSITY = 20
-_SCAN_DECADES = (-2, 2)
-_WIDEN_LIMITS = (-6, 3)
+# Dawson's integral: the positive Taylor series exp(-z^2) Sum z^(2n+1)/(n!
+# (2n+1)) below _DAWSON_SWITCH, with terms below 1e-17 of the sum at z = 6
+# after 100; above it the asymptotic series (1/2z) Sum (2n-1)!!/(2z^2)^n,
+# whose terms bottom out at 3e-16 near n = 36 for z = 6.
+_DAWSON_SWITCH = 6.0
+_DAWSON_TAYLOR = tuple(1.0 / (math.factorial(n) * (2 * n + 1))
+                       for n in range(100))
+_DAWSON_ASYMPTOTIC = tuple(float(math.prod(range(1, 2 * n, 2)))
+                           for n in range(1, 37))
+
+# 181 widths, 20 per decade over the hard limits [1e-6, 1e3] wavelengths
+_WIDTHS = np.array([10.0 ** (k / 20) for k in range(-120, 61)])
 _ROOT_RTOL = 1e-12
-_ROOT_MAXITER = 100
-_SLOPES: dict[tuple[str, int], float] = {}
+# At I = I0 exactly, S_c N u/lam and the contact coefficient s agree only to
+# the rounding of their two chains of products (the excess came out at up to
+# 4 eps of s over the catalog species at 400-1100 nm, N = 1..1e7), so an
+# excess below 16 eps of s is the threshold itself, where h < S_c leaves no
+# TF state bound.
+_THRESHOLD_ULPS = 16.0 * sys.float_info.epsilon
 
 # S_c: contact coefficient of the TF energy S_c/(r w^3) at I = I0 (r = I/I0,
 # units of N u/lam); also the w -> infinity limit, approached from below, of
@@ -115,66 +130,61 @@ class VariationalResult:
     bound_global: bool
 
 
-def _pair_density(s: np.ndarray, w: float) -> np.ndarray:
-    return (4.0 * math.pi * s * s * np.exp(-s * s / (2.0 * w * w))
-            / (2.0 * math.pi * w * w) ** 1.5)
+def _dawson(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dawson's integral F(z) and its derivative F'(z) = 1 - 2 z F."""
+    f, fp = np.empty_like(z), np.empty_like(z)
+    lo = z < _DAWSON_SWITCH
+    zl = z[lo]
+    f[lo] = zl * np.exp(-zl * zl) * polyval(zl * zl, _DAWSON_TAYLOR)
+    fp[lo] = 1.0 - 2.0 * zl * f[lo]
+    # 1 - 2zF cancels to F' ~ -1/(2z^2): sum F' = -Sum_{n>=1} (2n-1)!!/(2z^2)^n
+    # directly so that g' keeps its digits far out, where minimum roots sit
+    x = 0.5 / (z[~lo] * z[~lo])
+    fp[~lo] = -x * polyval(x, _DAWSON_ASYMPTOTIC)
+    f[~lo] = (1.0 - fp[~lo]) / (2.0 * z[~lo])
+    return f, fp
 
 
-def _kernel_values(s: np.ndarray, kernel: str) -> np.ndarray:
-    if kernel == "near_zone":
-        return -1.0 / s
-    return kernel_shape(s)
+def _g_series(w: np.ndarray, d_dw: bool) -> np.ndarray:
+    w2 = w * w
+    if d_dw:
+        return polyval(w2, [(2 * n - 1) * c for n, c in enumerate(_G_SERIES)]) / w2
+    return polyval(w2, _G_SERIES) / w
 
 
-def pair_interaction_integral(w: float, kernel: str = "full",
-                              d_dw: bool = False) -> float:
-    """Mean dimensionless pair energy <U lam / u> over P(s; w).
+def _g_dawson(w: np.ndarray, d_dw: bool) -> np.ndarray:
+    z = 2.0 * math.sqrt(2.0) * math.pi * w
+    z2 = z * z
+    f, fp = _dawson(z)
+    if d_dw:
+        return (-(120.0 * math.sqrt(2.0) * math.pi ** 1.5 / 11.0)
+                * (z * (z2 * z2 + 2.0 * z2 + 4.0) * fp
+                   - 2.0 * (z2 * z2 + 4.0 * z2 + 12.0) * f
+                   - 2.0 * z2 * z + 20.0 * z) / (z2 * z2 * z2 * z))
+    return (-(20.0 * math.sqrt(math.pi) / 11.0)
+            * (3.0 * (z2 * z2 + 2.0 * z2 + 4.0) * f + 2.0 * z2 * z - 12.0 * z)
+            / (z2 * z2 * z2))
 
-    With ``d_dw`` the integrand is differentiated under the integral sign
-    (dP/dw = P (s^2/w^3 - 3/w)), giving the width derivative of the mean.
-    Panels are refined once where the embedded 16/32-point Gauss pair
-    disagrees; persistent disagreement raises :class:`NumericsError`.
+
+def pair_energy(w, kernel: str = "full", d_dw: bool = False):
+    """Mean dimensionless pair energy g(w) = <U lam/u> over P(s; w), or with
+    ``d_dw`` its width derivative g'(w), in closed form (module docstring).
+
+    Accepts a width or an array of widths; the -u/r kernel gives
+    -sqrt(2/pi)/w.
     """
-    if w <= 0.0:
+    w_arr = np.asarray(w, dtype=float)
+    if np.any(w_arr <= 0.0):
         raise ValueError(f"width must be positive, got {w}")
-    s_max = _RANGE_SIGMAS * w
-    edges = np.arange(0.0, s_max, _PANEL_WIDTH)
-    edges = np.append(edges, s_max)
-
-    def integrand(s):
-        p = _pair_density(s, w)
-        if d_dw:
-            p = p * (s * s / w**3 - 3.0 / w)
-        return p * _kernel_values(s, kernel)
-
-    def panel_pair(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        lo = np.sum(half[:, None] * _GL_LO[1] * integrand(
-            (mid[:, None] + half[:, None] * _GL_LO[0]).ravel()).reshape(len(a), -1), axis=1)
-        hi = np.sum(half[:, None] * _GL_HI[1] * integrand(
-            (mid[:, None] + half[:, None] * _GL_HI[0]).ravel()).reshape(len(a), -1), axis=1)
-        return lo, hi
-
-    a, b = edges[:-1], edges[1:]
-    lo, hi = panel_pair(a, b)
-    err = np.abs(hi - lo)
-    scale = max(np.sum(np.abs(hi)), abs(np.sum(hi)), 1e-300)
-    bad = err > _QUAD_RTOL * scale / max(len(a), 1)
-    if np.any(bad):
-        # one refinement round: split offending panels in half
-        a2 = np.concatenate([a[bad], 0.5 * (a[bad] + b[bad])])
-        b2 = np.concatenate([0.5 * (a[bad] + b[bad]), b[bad]])
-        lo2, hi2 = panel_pair(a2, b2)
-        if np.sum(np.abs(hi2 - lo2)) > 10.0 * _QUAD_RTOL * scale:
-            raise NumericsError(
-                f"pair-energy quadrature did not converge at w={w:g} "
-                f"(residual {np.sum(np.abs(hi2 - lo2)):.3e})")
-        total = float(np.sum(hi[~bad]) + np.sum(hi2))
+    x = np.atleast_1d(w_arr)
+    if kernel == "near_zone":
+        out = math.sqrt(2.0 / math.pi) / (x * x if d_dw else -x)
     else:
-        total = float(np.sum(hi))
-    if not math.isfinite(total):
-        raise NumericsError(f"pair-energy quadrature returned {total} at w={w:g}")
-    return total
+        out = np.empty_like(x)
+        lo = x < W_SWITCH
+        out[lo] = _g_series(x[lo], d_dw)
+        out[~lo] = _g_dawson(x[~lo], d_dw)
+    return float(out[0]) if w_arr.ndim == 0 else out.reshape(w_arr.shape)
 
 
 def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
@@ -193,7 +203,7 @@ def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
                  / (2.0 * (2.0 * math.pi) ** 1.5 * b**3))
     grav = 0.0
     if cfg.interaction.coupling != 0.0:
-        grav = 0.5 * tf_energy_unit(cfg) * pair_interaction_integral(w, cfg.kernel)
+        grav = 0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel)
     return EnergyBreakdown.from_parts(kinetic, trap, swave, grav)
 
 
@@ -216,9 +226,9 @@ def _closed_gradient(w, cfg: AnsatzConfig):
 
 
 def energy_gradient_parts(w: float, cfg: AnsatzConfig) -> tuple[float, float]:
-    """(closed-form dE/dw of kinetic+trap+swave, quadrature dE/dw of the
-    attraction term), both per particle in J per unit w."""
-    grav = 0.5 * tf_energy_unit(cfg) * pair_interaction_integral(w, cfg.kernel, d_dw=True)
+    """(dE/dw of kinetic+trap+swave, dE/dw of the attraction term), both
+    closed form and per particle in J per unit w."""
+    grav = 0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel, d_dw=True)
     return float(_closed_gradient(w, cfg)), grav
 
 
@@ -231,102 +241,29 @@ def tf_energy_unit(cfg: AnsatzConfig) -> float:
     return cfg.n_atoms * cfg.interaction.coupling / cfg.interaction.wavelength
 
 
-def slope_scan(kernel: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Widths 10^(k/_SCAN_DENSITY) over the decades [10^lo, 10^hi] and the
-    attraction slope g'(w) there, each quadrature done once per process."""
-    ks = range(lo * _SCAN_DENSITY, hi * _SCAN_DENSITY + 1)
-    widths = [10.0 ** (k / _SCAN_DENSITY) for k in ks]
-    for k, w in zip(ks, widths):
-        if (kernel, k) not in _SLOPES:
-            _SLOPES[kernel, k] = pair_interaction_integral(w, kernel, d_dw=True)
-    return np.array(widths), np.array([_SLOPES[kernel, k] for k in ks])
-
-
-def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    Step for step the algorithm of ``scipy.optimize.brentq``, which it
-    replaces so that importing the package does not load scipy.optimize:
-    ``f(a)`` and ``f(b)`` must differ in sign, an endpoint where ``f`` is
-    exactly 0 is returned as given, and the iterate ``b`` is accepted once
-    the bracket's half-width is below (xtol + rtol |b|)/2.  Raises
-    :class:`NumericsError` without a bracket or after ``_ROOT_MAXITER``
-    steps.
-    """
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise NumericsError(f"f({a:g}) and f({b:g}) have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            # keep the best estimate in xcur, the contrapoint in xblk
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise NumericsError(f"Brent root in [{a:g}, {b:g}] not converged "
-                        f"after {_ROOT_MAXITER} iterations")
-
-
 def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
     """Locate the lowest finite-width local energy minimum.
 
-    Forms dE/dw on the cached slope scan, refines every - to + sign change
-    with Brent's method on :func:`energy_gradient_parts` and returns the
-    deepest minimum.  The scan widens by decades, up to hard limits
-    (:class:`NumericsError`), while a root can lie beyond it: downward while
-    dE/dw > 0 at the bottom and a kinetic or contact term will outgrow the
-    attraction; upward while dE/dw < 0 at the top, with a trap or the -u/r
-    kernel (its slope falls off only as 1/w^2) always, else only below
-    w = 3A/(2k): for the full kernel h(w) < S_c bounds dE/dw < -2k/w^3 +
-    3A/w^4 with A = S_c N u/lam - s.  Unbound (NaN width) means no minimum.
+    Forms dE/dw on a fixed log grid of widths over [1e-6, 1e3], refines every
+    - to + sign change with Brent's method on :func:`energy_gradient_parts`
+    and returns the deepest minimum.  Raises :class:`NumericsError` when a
+    root can lie outside the grid: below it while dE/dw > 0 at the bottom
+    and a kinetic or contact term will outgrow the attraction; above it
+    while dE/dw < 0 at the top, with a trap or the -u/r kernel (its slope
+    falls off only as 1/w^2) always, else only below w = 3A/(2k): for the
+    full kernel h(w) < S_c bounds dE/dw < -2k/w^3 + 3A/w^4 with
+    A = S_c N u/lam - s.  Unbound (NaN width) means no minimum.
     """
     k, t, s = _closed_coefficients(cfg)
+    w = _WIDTHS
+    slope = (_closed_gradient(w, cfg)
+             + 0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel, d_dw=True))
     far = CONTACT_AT_THRESHOLD * tf_energy_unit(cfg) - s
     rises = t > 0.0 or (cfg.kernel == "near_zone" and cfg.interaction.coupling > 0.0)
-    lo, hi = _SCAN_DECADES
-    while True:
-        w, slope = slope_scan(cfg.kernel, lo, hi)
-        slope = _closed_gradient(w, cfg) + 0.5 * tf_energy_unit(cfg) * slope
-        room = rises or (far > 0.0 and (k == 0.0 or w[-1] < 1.5 * far / k))
-        down = bool(slope[0] > 0.0 and (k > 0.0 or s > 0.0))
-        up = bool(slope[-1] < 0.0 and room)
-        if not (down or up):
-            break
-        lo, hi = lo - down, hi + up
-        if lo < _WIDEN_LIMITS[0] or hi > _WIDEN_LIMITS[1]:
-            raise NumericsError(f"width minimum outside [1e{_WIDEN_LIMITS[0]}, "
-                                f"1e{_WIDEN_LIMITS[1]}] wavelengths")
+    room = rises or (far > _THRESHOLD_ULPS * s
+                     and (k == 0.0 or w[-1] < 1.5 * far / k))
+    if (slope[0] > 0.0 and (k > 0.0 or s > 0.0)) or (slope[-1] < 0.0 and room):
+        raise NumericsError("width minimum outside [1e-6, 1e3] wavelengths")
     roots = [_brent_root(lambda x: sum(energy_gradient_parts(x, cfg)),
                          float(w[i]), float(w[i + 1]),
                          xtol=_ROOT_RTOL * float(w[i]), rtol=_ROOT_RTOL)
@@ -390,17 +327,16 @@ def width_vs_intensity(cfg: AnsatzConfig, ratios: Sequence[float]) -> list[dict]
 def critical_intensity_ratio(species: AtomSpecies, wavelength: float,
                              n_atoms: float = 1.0,
                              use_detuned: bool = False) -> float:
-    """I_c/I0 above which a TF cloud self-binds, from the shared slope scan.
+    """I_c/I0 above which a TF cloud self-binds.
 
     Without a trap, dE/dw = 3 (h(w) - S/r) / w^4 in units of N u/lam, with
     h(w) = w^4 g'(w)/6 and S the contact coefficient at I0; a minimum exists
-    iff r > S / max h.
+    iff r > S / sup h, and h rises to its supremum S_c as w -> infinity.
     """
     cfg = config_at_ratio(species, 1.0, wavelength, n_atoms, use_detuned,
                           tf_limit=True)
     contact = _closed_coefficients(cfg)[2] / tf_energy_unit(cfg)
-    w, slope = slope_scan("full", *_SCAN_DECADES)
-    return contact / float(np.max(w**4 * slope / 6.0))
+    return contact / CONTACT_AT_THRESHOLD
 
 
 def mfa_validity(rho_peak: float, species: AtomSpecies,

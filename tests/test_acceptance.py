@@ -19,7 +19,8 @@ from lasergrav import (CONSTANTS, border_atom_number, config_at_ratio,
                        threshold_intensity)
 from lasergrav.gpe import RadialGrid
 from lasergrav.regimes import atom_capacity
-from lasergrav.variational import pair_interaction_integral
+from lasergrav.variational import pair_energy
+from quadrature_oracle import pair_interaction_integral
 
 NA_LAM = 589e-9
 
@@ -211,8 +212,10 @@ def test_criterion_8_property_suite(na):
     _check(results, "8d Newtonian Hartree oracle", hartree_err < 1e-2,
            f"max relative error {hartree_err:.2e} (< 1e-2)")
 
-    # Monte-Carlo agreement of the pair-energy quadrature
+    # Monte-Carlo agreement of the closed-form pair energy and its
+    # quadrature oracle
     w = 0.3
+    closed = pair_energy(w)
     quad = pair_interaction_integral(w)
     rng = np.random.default_rng(7)
     s = np.linalg.norm(rng.normal(scale=w, size=(1_000_000, 3)), axis=1)
@@ -220,8 +223,9 @@ def test_criterion_8_property_suite(na):
     mc = float(np.mean(samples))
     sem = float(np.std(samples, ddof=1)) / math.sqrt(len(s))
     _check(results, "8e Monte-Carlo pair energy",
-           abs(quad - mc) < 3.0 * sem,
-           f"quadrature {quad:.6f} vs sampling {mc:.6f} +- {sem:.1e} (3 sigma)")
+           abs(closed - mc) < 3.0 * sem and abs(quad - mc) < 3.0 * sem,
+           f"closed form {closed:.6f}, quadrature {quad:.6f} vs sampling "
+           f"{mc:.6f} +- {sem:.1e} (3 sigma)")
 
     # the two Rayleigh forms are one identity
     worst = 0.0

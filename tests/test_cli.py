@@ -146,6 +146,17 @@ def test_fig1b_tags_unbound(tmp_path):
     assert first[2] == "false"
 
 
+def test_exact_threshold_reads_unbound(tmp_path):
+    # at I = I0 no TF state is bound; rounding must not make it an error
+    fig1b, sweep = tmp_path / "fig1b.csv", tmp_path / "sweep.csv"
+    assert run(["fig1b", "--ratios", "1,1.5", "--out", str(fig1b)]) == 0
+    assert run(["width-sweep", "--ratios", "1", "--out", str(sweep)]) == 0
+    rows = [line.split(",") for line in fig1b.read_text().splitlines()[1:]]
+    assert rows[0][1:] == ["nan", "false"] and rows[1][2] == "true"
+    row = sweep.read_text().splitlines()[1].split(",")
+    assert row[1] == "nan" and row[3] == "false"
+
+
 def test_fig1a_columns(tmp_path):
     out = tmp_path / "fig1a.csv"
     assert run(["fig1a", "--species", "Na", "--ratios", "0.5,1.5",

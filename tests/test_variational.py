@@ -12,9 +12,9 @@ from lasergrav import (CONSTANTS, AnsatzConfig, InteractionParams,
                        threshold_intensity, total_energy, width_vs_intensity)
 from lasergrav import variational
 from lasergrav.errors import NumericsError
-from lasergrav.variational import (CONTACT_AT_THRESHOLD, _brent_root,
-                                   pair_interaction_integral, slope_scan,
-                                   tf_energy_unit)
+from lasergrav.variational import (CONTACT_AT_THRESHOLD, W_SWITCH,
+                                   _brent_root, pair_energy, tf_energy_unit)
+from quadrature_oracle import pair_interaction_integral
 
 LAM = 589e-9
 
@@ -144,21 +144,21 @@ def test_critical_ratio_near_unity(na):
 
 
 def test_critical_ratio_is_unity_to_scan_accuracy(na):
-    # h(w) reaches S_c only as w -> infinity; the scan top at w = 100 leaves
-    # S_c / max h = 1 + 5e-6
+    # h(w) rises to its supremum S_c as w -> infinity, so I_c/I0 = S/S_c is
+    # 1 to the rounding of the contact and coupling products
     ratio = critical_intensity_ratio(na, LAM, use_detuned=True)
     assert abs(ratio - 1.0) < 1e-4
-    assert ratio > 1.0
+    assert abs(ratio - 1.0) < 1e-12
 
 
 def test_far_field_slope_rises_below_contact_coefficient():
     # h(w) = w^4 g'(w)/6 increases monotonically towards S_c from below:
     # the premise of the far-field stop rule in minimize_width
-    w, slope = slope_scan("full", -2, 2)
-    h = w**4 * slope / 6.0
+    w = np.logspace(-6.0, 3.0, 181)
+    h = w**4 * pair_energy(w, d_dw=True) / 6.0
     assert np.all(np.diff(h) > 0.0)
     assert np.all(h < CONTACT_AT_THRESHOLD)
-    assert h[-1] / CONTACT_AT_THRESHOLD == pytest.approx(1.0, abs=1e-5)
+    assert h[-1] / CONTACT_AT_THRESHOLD == pytest.approx(1.0, abs=1e-7)
 
 
 def test_tf_bound_beyond_the_default_scan(na):
@@ -183,50 +183,89 @@ def test_tf_tail_follows_inverse_sqrt_intensity(na):
     assert np.all(np.abs(local + 0.5) < 0.05)
 
 
-@pytest.fixture
-def quad_count(monkeypatch):
-    """Fresh slope cache; counts pair_interaction_integral calls."""
-    monkeypatch.setattr(variational, "_SLOPES", {})
-    calls = []
-    inner = variational.pair_interaction_integral
+def _mpmath_pair_energy(w):
+    """g(w) and g'(w) at 50 digits; F(z) = sqrt(pi)/2 e^(-z^2) erfi(z)."""
+    import mpmath as mp
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
+    def g(x):
+        # the form derived from the kernel's Fourier transform, in w
+        pi, r2 = mp.pi, mp.sqrt(2)
+        z = 2 * r2 * pi * x
+        f = mp.sqrt(pi) / 2 * mp.exp(-z * z) * mp.erfi(z)
+        return (-5 * ((48 * pi**4 * x**4 + 12 * pi**2 * x**2 + 3) * f
+                      + 8 * r2 * pi**3 * x**3 - 6 * r2 * pi * x)
+                / (352 * pi**(mp.mpf(11) / 2) * x**6))
 
-    monkeypatch.setattr(variational, "pair_interaction_integral", counted)
-    return calls
+    with mp.workdps(50):
+        x = mp.mpf(w)
+        return float(g(x)), float(mp.diff(g, x))
 
 
-def test_unbound_verdict_needs_no_widening(na, quad_count):
-    # TF below threshold: h < S_c <= S_c/r everywhere.  --no-tf at N = 100:
-    # no root beyond w = 3 S_c (1 - 1/r) / (2K) ~ 0.07, inside the scan
-    cfgs = [config_at_ratio(na, r, LAM, use_detuned=True, tf_limit=True)
-            for r in (0.5, 0.9)]
+def test_pair_energy_matches_mpmath():
+    # both sides of the series/Dawson switch in w and of z = 6 in Dawson's F
+    dawson_switch = 6.0 / (2.0 * math.sqrt(2.0) * math.pi)
+    widths = np.concatenate([np.logspace(-6.0, 4.0, 101),
+                             [W_SWITCH * (1 - 1e-9), W_SWITCH,
+                              dawson_switch * (1 - 1e-9),
+                              dawson_switch * (1 + 1e-9)]])
+    g, slope = pair_energy(widths), pair_energy(widths, d_dw=True)
+    for w, ours, ours_slope in zip(widths, g, slope):
+        exact, exact_slope = _mpmath_pair_energy(w)
+        assert abs(ours / exact - 1.0) < 1e-12, w
+        assert abs(ours_slope / exact_slope - 1.0) < 1e-12, w
+        # the scalar call that Brent's method makes gives the same bits
+        assert pair_energy(float(w), d_dw=True) == ours_slope
+
+
+def test_pair_energy_matches_quadrature_oracle():
+    for w in np.logspace(-2.0, math.log10(300.0), 25):
+        for d_dw in (False, True):
+            assert pair_energy(float(w), d_dw=d_dw) == pytest.approx(
+                pair_interaction_integral(float(w), d_dw=d_dw), rel=1e-10)
+
+
+def test_near_zone_pair_energy_is_exact():
+    for w in (1e-6, 0.05, 0.3, 2.0, 1e3):
+        assert pair_energy(w, kernel="near_zone") == \
+            -math.sqrt(2.0 / math.pi) / w
+        assert pair_energy(w, kernel="near_zone", d_dw=True) == \
+            math.sqrt(2.0 / math.pi) / w**2
+
+
+def test_unbound_at_and_below_threshold(na):
+    # TF at I = I0 exactly: h < S_c = S/r everywhere; the rounding of the
+    # two coefficients must not read as a root beyond the grid
+    cfgs = [config_at_ratio(species, 1.0, lam, n_atoms=n,
+                            use_detuned=detuned, tf_limit=True)
+            for species, lam, detuned in ((na, LAM, True), (na, LAM, False),
+                                          (na, 780e-9, False),
+                                          (na, 1.064e-6, True))
+            for n in (1.0, 1e5)]
+    cfgs += [config_at_ratio(na, r, LAM, use_detuned=True, tf_limit=True)
+             for r in (0.5, 0.9)]
+    # --no-tf at N = 100: no root beyond w = 3 S_c (1 - 1/r) / (2K) ~ 0.07
     cfgs.append(config_at_ratio(na, 1.2, LAM, n_atoms=100.0,
                                 use_detuned=True))
     for cfg in cfgs:
         result = minimize_width(cfg)
         assert not result.bound_local and math.isnan(result.w_star)
-    scan = len(slope_scan("full", -2, 2)[0])
-    assert len(quad_count) == scan == 81
 
 
-def test_minimizer_quadrature_budget(na, quad_count):
-    w, _ = slope_scan("full", -2, 2)
-    assert len(quad_count) == len(w)
-    cfgs = [config_at_ratio(na, r, LAM, use_detuned=True, tf_limit=True)
-            for r in (1.001, 1.5, 3.0, 50.0, 300.0)]
-    cfgs += [config_at_ratio(na, r, LAM, n_atoms=3.2e4, use_detuned=True)
-             for r in (1.5, 56.3)]
-    for cfg in cfgs:
-        quad_count.clear()
-        assert minimize_width(cfg).bound_local
-        assert len(quad_count) <= 20
-    quad_count.clear()
-    variational._SLOPES.clear()
-    critical_intensity_ratio(na, LAM, use_detuned=True)
-    assert len(quad_count) <= len(w)
+def test_near_threshold_width_law(na):
+    # h(w) = S_c - c2/w^2 + ... from the large-z Dawson series, with
+    # c2 = 25 sqrt2/(512 pi^(9/2)), so w* sqrt(r - 1) -> sqrt(c2/S_c)
+    law = math.sqrt(385.0) / (28.0 * math.pi)
+    for excess in (1e-4, 1e-6, 1e-7):
+        cfg = config_at_ratio(na, 1.0 + excess, LAM, use_detuned=True,
+                              tf_limit=True)
+        result = minimize_width(cfg)
+        assert result.bound_local and result.bound_global
+        assert abs(result.w_star * math.sqrt(excess) / law - 1.0) < excess
+    # at 1 + 1e-9 the root, w* ~ 7054, lies above the hard limit 1e3
+    cfg = config_at_ratio(na, 1.0 + 1e-9, LAM, use_detuned=True,
+                          tf_limit=True)
+    with pytest.raises(NumericsError, match="outside"):
+        minimize_width(cfg)
 
 
 def test_critical_ratio_independent_of_atom_number_and_wavelength(na):
