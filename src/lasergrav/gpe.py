@@ -7,11 +7,11 @@ reduces to a one-dimensional integral
     Phi(R) = (2 pi / R) Int_0^inf s rho(s) [ J(R+s) - J(|R-s|) ] ds,
 
 with J(t) = Int_0^t t' U(t') dt' finite at zero because t U(t) -> -u.  J is
-tabulated once per solve from a cubic-spline antiderivative of t U(t) (40
-samples per half-oscillation).  The integrand has a derivative kink at s = R,
-so the quadrature uses composite Simpson weights split at that node; the
-whole convolution is then a precomputed dense matrix applied per iteration,
-O(n^2) with small constants.
+tabulated once per solve on the nodes t_k = k h as a cumulative sum of one
+fixed Gauss-Legendre rule per cell [t_k, t_k+1].  The integrand has a
+derivative kink at s = R, so the quadrature uses composite Simpson weights
+split at that node; the whole convolution is then a precomputed dense matrix
+applied per iteration, O(n^2) with small constants.
 
 The solver relaxes v = R * Psi (which makes the radial Laplacian
 tridiagonal) by the normalized gradient flow with backward-Euler steps of
@@ -38,10 +38,13 @@ from .errors import CollapseError, ConvergenceError, NumericsError
 from .interaction import kernel_shape
 from .variational import AnsatzConfig, minimize_width
 
-# kernel sampling for the J table: 40 points per half-oscillation (lam/4)
-_J_SAMPLES_PER_HALF_OSC = 40
 # full kernel needs >= 20 grid points per lam/2 oscillation
 _MIN_POINTS_PER_HALF_WAVE = 20
+# Gauss-Legendre nodes per J-table cell.  The check above keeps a full-kernel
+# cell at most lam/40 wide, 1/20 of the lam/2 period of t U(t); there the
+# rule's truncation error is about 1e-17 of u lam (4 nodes: 5e-16), far
+# below the rounding of the kernel values it sums.
+_J_RULE_NODES = 6
 
 # stop when ||(H[rho] - mu) v|| / |mu| falls below this
 RESIDUAL_TOL = 1e-8
@@ -125,20 +128,13 @@ def _kink_split_weights(n: int, h: float) -> np.ndarray:
 
 def _j_table(n: int, h_dimless: float, kernel: str) -> np.ndarray:
     """J(t)/ (u lam) on t_k = k h, k = 0..2n, t in wavelength units."""
-    t_max = 2 * n * h_dimless
     if kernel == "near_zone":
         return -h_dimless * np.arange(0, 2 * n + 1)
-    # imported here so that importing the package does not load
-    # scipy.interpolate, which only the full-kernel Hartree table needs
-    from scipy.interpolate import CubicSpline
-
-    step = 0.25 / _J_SAMPLES_PER_HALF_OSC
-    t_fine = np.arange(0.0, t_max + step, step)
-    w = np.empty_like(t_fine)
-    w[0] = -1.0  # t U(t) -> -u
-    w[1:] = t_fine[1:] * kernel_shape(t_fine[1:])
-    spline = CubicSpline(t_fine, w).antiderivative()
-    return spline(h_dimless * np.arange(0, 2 * n + 1))
+    # the rule's nodes lie inside each cell, so t U(t) is never needed at 0
+    nodes, weights = np.polynomial.legendre.leggauss(_J_RULE_NODES)
+    t = h_dimless * (np.arange(2 * n)[:, None] + 0.5 * (nodes + 1.0))
+    cells = (t * kernel_shape(t)) @ (0.5 * h_dimless * weights)
+    return np.concatenate(([0.0], np.cumsum(cells)))
 
 
 class _HartreeOperator:
@@ -158,9 +154,6 @@ class _HartreeOperator:
                 f"grid too coarse for the oscillatory kernel: spacing "
                 f"{grid.spacing:.3e} m resolves fewer than "
                 f"{_MIN_POINTS_PER_HALF_WAVE} points per half-oscillation")
-        self.grid = grid
-        self.wavelength = wavelength
-        self.kernel = kernel
         self._x = grid.nodes / wavelength
         j_tab = _j_table(n, h, kernel)
         # entry (i, j), nodes 1..n: J(t_{i+j}) - J(t_{|i-j|}), from strided

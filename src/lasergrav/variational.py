@@ -191,20 +191,11 @@ def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
     """Per-particle energy terms of the Gaussian trial state at width ``w``."""
     if w <= 0.0:
         raise ValueError(f"width must be positive, got {w}")
-    lam = cfg.interaction.wavelength
-    b = w * lam
-    m = cfg.species.mass
-    hbar = CONSTANTS.hbar
-    kinetic = 0.0 if cfg.tf_limit else 3.0 * hbar**2 / (4.0 * m * b * b)
-    trap = 0.75 * m * cfg.trap_frequency**2 * b * b
-    swave = 0.0
-    if cfg.include_swave:
-        swave = (cfg.species.contact_coupling * cfg.n_atoms
-                 / (2.0 * (2.0 * math.pi) ** 1.5 * b**3))
+    k, t, s = _closed_coefficients(cfg)
     grav = 0.0
     if cfg.interaction.coupling != 0.0:
         grav = 0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel)
-    return EnergyBreakdown.from_parts(kinetic, trap, swave, grav)
+    return EnergyBreakdown.from_parts(k / w**2, t * w**2, s / w**3, grav)
 
 
 def _closed_coefficients(cfg: AnsatzConfig) -> tuple[float, float, float]:

@@ -23,30 +23,35 @@ def test_unknown_subcommand_is_usage_error():
     assert proc.returncode == 2
 
 
-def test_cli_import_does_not_load_scipy_interpolate():
-    # only the full-kernel Hartree table needs it, so commands that never
-    # solve the PDE must not pay for importing it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, lasergrav.cli; "
-         "print('scipy.interpolate' in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 _SCIPY_LOADED = ("sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.'))")
 
 
 def test_cli_import_does_not_load_scipy():
-    # only the PDE solve needs scipy (scipy.linalg, scipy.interpolate)
+    # only the PDE solve needs scipy, for scipy.linalg
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, lasergrav.cli; print({_SCIPY_LOADED})"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_gpe_loads_scipy_linalg_but_not_interpolate(tmp_path):
+    # the full-kernel solve imports scipy.linalg for solveh_banded; its
+    # Hartree table is built without scipy.interpolate
+    script = (
+        "import sys\n"
+        "from lasergrav.cli import run\n"
+        "code = run(['gpe', '--species', 'Na', '--ratio', '1.5', '--atoms',\n"
+        "            '1e4', '--n', '256', '--out', sys.argv[1]])\n"
+        "print(code, 'scipy.linalg' in sys.modules,\n"
+        "      'scipy.interpolate' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "gpe.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "False"]
 
 
 def test_commands_without_pde_do_not_load_scipy(tmp_path):

@@ -8,7 +8,8 @@ from scipy.special import erf
 from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        InteractionParams, RadialGrid, hartree_potential,
                        pair_potential, solve_ground, virial_report)
-from lasergrav.gpe import RESIDUAL_TOL
+from lasergrav.gpe import RESIDUAL_TOL, _j_table
+from lasergrav.interaction import X_SWITCH
 
 LAM = 589e-9
 
@@ -264,6 +265,30 @@ def test_hartree_full_kernel_against_double_integral(na):
         oracle = _field_point_quadrature(grid.nodes[i], b, coupling, n_atoms,
                                          LAM, y_max=8.0 * b)
         assert abs(phi[i] - oracle) / abs(oracle) < 1e-4
+
+
+def _mpmath_j(t):
+    """J(t)/(u lam) = -(15/(44 pi)) G(2 pi t) at 40 digits, with
+    G(x) = Si(2x) + sin(2x)/x^2 + 3 cos(2x)/(2x^3) - 3 sin(2x)/(4x^4)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = 2 * mp.pi * mp.mpf(t)
+        g = (mp.si(2 * x) + mp.sin(2 * x) / x**2
+             + 3 * mp.cos(2 * x) / (2 * x**3) - 3 * mp.sin(2 * x) / (4 * x**4))
+        return float(-15 * g / (44 * mp.pi))
+
+
+@pytest.mark.parametrize("n, h", [(512, 0.025), (2048, 0.004)])
+def test_j_table_matches_closed_form(n, h):
+    # the first 15 nodes hold the kernel's series switch x = 2 pi t = 0.05;
+    # then every 29th node out to the end of the table
+    assert X_SWITCH / (2.0 * math.pi) < 15 * h
+    nodes = np.concatenate([np.arange(1, 16), np.arange(16, 2 * n, 29), [2 * n]])
+    table = _j_table(n, h, "full")
+    assert table.shape == (2 * n + 1,) and table[0] == 0.0
+    exact = np.array([_mpmath_j(k * h) for k in nodes])
+    assert np.max(np.abs(table[nodes] - exact)) < 1e-12
 
 
 def test_hartree_zero_density_and_linearity(na):
