@@ -101,19 +101,17 @@ def _get_species(args):
 
 
 def _resolve_wavelength(args, species) -> float:
-    if getattr(args, "wavelength", None) is not None:
+    if args.wavelength is not None:
         return args.wavelength
-    if args.detuned and species.detuned is not None:
-        return species.detuned.transition_wavelength
-    raise LaserGravError(
-        "no wavelength given and the species has no transition wavelength; "
-        "pass --wavelength")
+    return species.laser_wavelength(args.detuned)
 
 
 def _resolve_intensity(args, species) -> tuple[float, float]:
     """(intensity W/m^2, ratio I/I0) from --ratio or --intensity/--unit."""
     if args.ratio is None and args.intensity is None:
         raise ValueError("exactly one of --ratio or --intensity is required")
+    if args.ratio == 0.0 or args.intensity == 0.0:
+        raise ValueError("intensity must be non-zero: without light nothing binds")
     i0 = variational.threshold_intensity(species, use_detuned=args.detuned)
     if args.ratio is not None:
         return args.ratio * i0, args.ratio
@@ -221,6 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wavelength", type=float, default=None,
                    help="laser wavelength in m (default: transition wavelength)")
     _add_common(p)
+    # the width-sweep of one trap-free TF atom, cut to three columns
+    p.set_defaults(atoms=1.0, trap=0.0, tf_limit=True)
 
     p = sub.add_parser("width-sweep", help="full variational sweep (CSV)")
     _add_species_options(p)
@@ -400,27 +400,15 @@ def _dispatch(args):
             rows.append(row)
         emit_csv(rows, args.out)
 
-    elif cmd == "fig1b":
+    elif cmd in ("fig1b", "width-sweep"):
         species = _get_species(args)
         lam = _resolve_wavelength(args, species)
-        cfg = variational.config_at_ratio(species, 1.0, lam, n_atoms=1.0,
-                                          use_detuned=args.detuned,
-                                          tf_limit=True)
-        table = variational.width_vs_intensity(cfg, _parse_ratio_spec(args.ratios))
-        rows = [{"ratio": r["ratio"], "w_star": r["w_star"],
-                 "bound": r["bound"]} for r in table]
-        emit_csv(rows, args.out)
-
-    elif cmd == "width-sweep":
-        species = _get_species(args)
-        lam = _resolve_wavelength(args, species)
+        ratios = _parse_ratio_spec(args.ratios)
+        cfg = variational.config_at_ratio(
+            species, 1.0, lam, n_atoms=args.atoms, use_detuned=args.detuned,
+            trap_frequency=args.trap, tf_limit=args.tf_limit)
         rows = []
-        for ratio in _parse_ratio_spec(args.ratios):
-            cfg = variational.config_at_ratio(
-                species, ratio, lam, n_atoms=args.atoms,
-                use_detuned=args.detuned, trap_frequency=args.trap,
-                tf_limit=getattr(args, "tf_limit", True))
-            res = variational.minimize_width(cfg)
+        for ratio, res in zip(ratios, variational.width_vs_intensity(cfg, ratios)):
             row = {"ratio": ratio, "w_star": res.w_star, "r_rms_m": res.r_rms,
                    "bound_local": res.bound_local,
                    "bound_global": res.bound_global}
@@ -428,6 +416,9 @@ def _dispatch(args):
             row.update({f"{k}_J": parts.get(k, math.nan) for k in (
                 "kinetic", "trap", "swave", "gravitational", "total")})
             rows.append(row)
+        if cmd == "fig1b":
+            rows = [{"ratio": r["ratio"], "w_star": r["w_star"],
+                     "bound": r["bound_local"]} for r in rows]
         emit_csv(rows, args.out)
 
     elif cmd == "phase-map":
@@ -461,7 +452,6 @@ def _dispatch(args):
         grid = gpe.RadialGrid(n_points=args.n, r_max=r_max)
         state = gpe.solve_ground(
             cfg, grid, w_init=trial.w_star if trial.bound_local else 1.0)
-        report = gpe.virial_report(state)
         rho_peak = float(state.density[0])
         summary = {
             "species": species.name,
@@ -475,18 +465,16 @@ def _dispatch(args):
             "iterations": state.iterations,
             "residual": state.residual,
             "rho_peak_m3": rho_peak,
-            "energies_J": report,
+            "energies_J": gpe.virial_report(state),
             "mfa_validity": variational.mfa_validity(rho_peak, species,
                                                      params.coupling),
         }
         emit_json(summary, args.out)
         if args.profile:
-            phi = gpe.hartree_potential(state.density, grid, params.coupling,
-                                        lam, kernel=cfg.kernel)
             rows = [{"R_m": float(r), "psi": float(p), "rho_m3": float(d),
                      "phi_J": float(ph)}
                     for r, p, d, ph in zip(grid.nodes, state.psi,
-                                           state.density, phi)]
+                                           state.density, state.potential)]
             emit_csv(rows, args.profile)
 
     elif cmd == "losses":

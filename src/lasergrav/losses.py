@@ -160,10 +160,7 @@ def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
     defaults to the scaled plasma frequency.  Raises :class:`UnboundError`
     when no bound TF cloud exists at ``ratio``."""
     if wavelength is None:
-        if use_detuned and species.detuned is not None:
-            wavelength = species.detuned.transition_wavelength
-        else:
-            raise ValueError("wavelength required without a detuned context")
+        wavelength = species.laser_wavelength(use_detuned)
     intensity = ratio * threshold_intensity(species, use_detuned)
     gamma_ray = rayleigh_rate(intensity, species, wavelength, use_detuned)
     e_r = recoil_energy(species, wavelength)

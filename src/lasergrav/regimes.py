@@ -145,22 +145,24 @@ def capacity_band(wavelengths, rho_low: float, rho_high: float, ratio: float,
     return rows
 
 
-def phase_map(species: AtomSpecies, x_range=(-2.0, 3.0), y_range=(-1.0, 3.0),
-              nx: int = 51, ny: int = 41,
+def phase_map(species: AtomSpecies, nx: int = 51, ny: int = 41,
               use_detuned: bool = False) -> list[dict]:
-    """Grid of regime labels over the (x, y) portrait plane.
+    """Grid of regime labels over the portrait plane, ``nx`` points of x
+    over [-2, 3] by ``ny`` points of y over [-1, 3], ends included.
 
     The labels depend only on the two coordinates, so each (x, y) pair is
     realized at a fixed atom number with the wavelength solved from x.
     """
+    if nx < 2 or ny < 2:
+        raise ValueError(f"need at least 2 points per axis, got {nx} x {ny}")
     i0 = threshold_intensity(species, use_detuned)
     n_atoms = 10.0
     rows = []
     for ix in range(nx):
-        x = x_range[0] + (x_range[1] - x_range[0]) * ix / (nx - 1)
+        x = -2.0 + 5.0 * ix / (nx - 1)
         wavelength = 10.0**x * n_atoms * species.scattering_length
         for iy in range(ny):
-            y = y_range[0] + (y_range[1] - y_range[0]) * iy / (ny - 1)
+            y = -1.0 + 4.0 * iy / (ny - 1)
             point = classify(n_atoms, 10.0**y * i0, species, wavelength,
                              use_detuned)
             rows.append({"x": x, "y": y, "label": point.label})

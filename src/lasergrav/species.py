@@ -32,9 +32,9 @@ class DetunedContext:
     dipole_moment: float
     polarizability_volume: float
 
-    def far_detuned(self, margin: float = 10.0) -> bool:
-        """True when |detuning| exceeds ``margin`` linewidths."""
-        return abs(self.detuning) > margin * self.linewidth
+    def far_detuned(self) -> bool:
+        """True when |detuning| exceeds ten linewidths."""
+        return abs(self.detuning) > 10.0 * self.linewidth
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,15 @@ class AtomSpecies:
                 raise ValueError(f"species {self.name!r} has no detuned context")
             return polarizability_si(self.detuned.polarizability_volume)
         return polarizability_si(self.polarizability_volume)
+
+    def laser_wavelength(self, use_detuned: bool) -> float:
+        """Default laser wavelength (m): the transition wavelength, on the
+        detuned route of a species that has one (else ``ValueError``)."""
+        if use_detuned and self.detuned is not None:
+            return self.detuned.transition_wavelength
+        why = "has no detuned context" if use_detuned else "is on the static route"
+        raise ValueError(f"no wavelength given and {self.name} {why}: only the detuned "
+                         "route defaults to the transition wavelength; pass --wavelength")
 
 
 _CATALOG = {

@@ -76,8 +76,9 @@ class AnsatzConfig:
     """Inputs of the variational problem.
 
     ``kernel`` selects the full oscillatory pair potential or its -u/r
-    near-zone limit (the latter mainly serves as an analytic oracle);
-    ``include_swave`` switches the contact term for the same purpose.
+    near-zone limit (the latter mainly serves as an analytic oracle).  The
+    contact term follows the species: a zero scattering length switches it
+    off exactly.
     """
 
     n_atoms: float
@@ -86,7 +87,6 @@ class AnsatzConfig:
     trap_frequency: float = 0.0
     tf_limit: bool = False
     kernel: str = "full"
-    include_swave: bool = True
 
     def __post_init__(self):
         if self.n_atoms < 1.0:
@@ -204,10 +204,8 @@ def _closed_coefficients(cfg: AnsatzConfig) -> tuple[float, float, float]:
     m = cfg.species.mass
     k = 0.0 if cfg.tf_limit else 3.0 * CONSTANTS.hbar**2 / (4.0 * m * lam * lam)
     t = 0.75 * m * cfg.trap_frequency**2 * lam * lam
-    s = 0.0
-    if cfg.include_swave:
-        s = (cfg.species.contact_coupling * cfg.n_atoms
-             / (2.0 * (2.0 * math.pi) ** 1.5 * lam**3))
+    s = (cfg.species.contact_coupling * cfg.n_atoms
+         / (2.0 * (2.0 * math.pi) ** 1.5 * lam**3))
     return k, t, s
 
 
@@ -285,34 +283,27 @@ def _threshold_at(species: AtomSpecies, alpha: float) -> float:
 
 def config_at_ratio(species: AtomSpecies, ratio: float, wavelength: float,
                     n_atoms: float = 1.0, use_detuned: bool = False,
-                    trap_frequency: float = 0.0, tf_limit: bool = False,
-                    kernel: str = "full") -> AnsatzConfig:
+                    trap_frequency: float = 0.0, tf_limit: bool = False) -> AnsatzConfig:
     """AnsatzConfig with total intensity ``ratio`` times the species threshold."""
     intensity = ratio * threshold_intensity(species, use_detuned)
     params = InteractionParams.from_intensity(species, intensity, wavelength,
                                               use_detuned)
     return AnsatzConfig(n_atoms=n_atoms, species=species, interaction=params,
-                        trap_frequency=trap_frequency, tf_limit=tf_limit,
-                        kernel=kernel)
+                        trap_frequency=trap_frequency, tf_limit=tf_limit)
 
 
-def width_vs_intensity(cfg: AnsatzConfig, ratios: Sequence[float]) -> list[dict]:
-    """Equilibrium width for each intensity ratio I/I0.
-
-    The intensity of ``cfg`` is rescaled per entry (same polarizability
-    route); unbound entries are tagged with ``bound=False`` and NaN width.
-    """
-    if any(r <= 0.0 for r in ratios):
-        raise ValueError("intensity ratios must be positive")
+def width_vs_intensity(cfg: AnsatzConfig,
+                       ratios: Sequence[float]) -> list[VariationalResult]:
+    """:func:`minimize_width` at each I/I0 in ``ratios``, changing only the
+    intensity of ``cfg``.  A negative ratio raises ``ValueError``; I/I0 = 0
+    reads unbound."""
+    if any(r < 0.0 for r in ratios):
+        raise ValueError("intensity ratios must be non-negative")
     alpha, lam = cfg.interaction.alpha_si, cfg.interaction.wavelength
     i0 = _threshold_at(cfg.species, alpha)
-    rows = []
-    for ratio in ratios:
-        params = InteractionParams.from_alpha(ratio * i0, lam, alpha)
-        result = minimize_width(replace(cfg, interaction=params))
-        rows.append({"ratio": ratio, "w_star": result.w_star,
-                     "r_rms": result.r_rms, "bound": result.bound_local})
-    return rows
+    return [minimize_width(replace(
+                cfg, interaction=InteractionParams.from_alpha(r * i0, lam, alpha)))
+            for r in ratios]
 
 
 def critical_intensity_ratio(species: AtomSpecies, wavelength: float,

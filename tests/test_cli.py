@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from lasergrav import gpe
+from lasergrav import gpe, regimes
 from lasergrav.cli import _parse_ratio_spec, _resolve_intensity, emit_csv, run
 
 def _run_cli(*argv):
@@ -227,6 +227,55 @@ def test_gpe_missing_intensity_is_usage_error():
     assert "--ratio or --intensity" in proc.stderr
 
 
+@pytest.mark.parametrize("route", [["--static"], ["--species", "Rb87"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("command", [["fig1a"], ["fig1b"], ["width-sweep"],
+                                     ["gpe", "--ratio", "1.5"], ["losses"]],
+                         ids=lambda argv: argv[0])
+def test_missing_wavelength_is_usage_error(command, route, capsys):
+    # only the detuned route of a species with a transition wavelength has a
+    # default wavelength; every command reports the gap the same way
+    assert run([*command, *route]) == 2
+    assert "--wavelength" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started on a rejected input")
+
+
+@pytest.mark.parametrize("argv", [["gpe", "--ratio", "0"],
+                                  ["gpe", "--intensity", "0"],
+                                  ["phase-map", "--nx", "1"],
+                                  ["phase-map", "--ny", "1"]], ids=" ".join)
+def test_degenerate_inputs_are_usage_errors(argv, capsys, monkeypatch):
+    # rejected before the solve or the first classification starts
+    monkeypatch.setattr(gpe, "solve_ground", _must_not_run)
+    monkeypatch.setattr(regimes, "classify", _must_not_run)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lasergrav: ") and "Traceback" not in err
+
+
+def test_fig1b_is_a_projection_of_width_sweep(tmp_path):
+    ratios = "0,1,1.0001,1.5,1000"
+    fig1b, sweep = tmp_path / "fig1b.csv", tmp_path / "sweep.csv"
+    assert run(["fig1b", "--ratios", ratios, "--out", str(fig1b)]) == 0
+    assert run(["width-sweep", "--atoms", "1", "--ratios", ratios,
+                "--out", str(sweep)]) == 0
+    rows = [line.split(",") for line in sweep.read_text().splitlines()]
+    cols = [rows[0].index(k) for k in ("ratio", "w_star", "bound_local")]
+    projected = [",".join(row[i] for i in cols) for row in rows[1:]]
+    assert fig1b.read_text().splitlines()[1:] == projected
+    assert [row.split(",")[2] for row in projected] == \
+        ["false", "false", "true", "true", "true"]
+
+    zero = tmp_path / "zero.csv"
+    assert run(["fig1b", "--ratios", "0", "--out", str(zero)]) == 0
+    assert zero.read_text().splitlines()[1] == "0.000000000000e+00,nan,false"
+    for command in ("fig1b", "width-sweep"):
+        assert run([command, "--ratios", "1.5,-1"]) == 2
+
+
 def test_config_file_preloads_flags(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("species = Na\nstatic = true\n")
@@ -293,12 +342,10 @@ def test_gpe_profile_builds_one_hartree_operator(tmp_path, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(gpe, "_HartreeOperator", Counted)
-    gpe._hartree_operator.cache_clear()
     assert run(["gpe", "--species", "Na", "--ratio", "1.5", "--atoms", "1e4",
                 "--n", "256", "--out", str(tmp_path / "gpe.json"),
                 "--profile", str(tmp_path / "profile.csv")]) == 0
     assert len(built) == 1
-    gpe._hartree_operator.cache_clear()
 
 
 def test_emit_csv_empty_dataset(tmp_path):

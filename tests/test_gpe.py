@@ -6,8 +6,9 @@ import pytest
 from scipy.special import erf
 
 from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
-                       InteractionParams, RadialGrid, hartree_potential,
-                       pair_potential, solve_ground, virial_report)
+                       InteractionParams, RadialGrid, config_at_ratio,
+                       hartree_potential, pair_potential, solve_ground,
+                       virial_report)
 from lasergrav.gpe import RESIDUAL_TOL, _j_table
 from lasergrav.interaction import X_SWITCH
 
@@ -147,7 +148,7 @@ def test_near_zone_solution_matches_calculus_oracle(no_contact):
     coupling = gamma * CONSTANTS.hbar**2 / (n_atoms * no_contact.mass * LAM)
     cfg = AnsatzConfig(n_atoms=n_atoms, species=no_contact,
                        interaction=_interaction(no_contact, coupling),
-                       kernel="near_zone", include_swave=False)
+                       kernel="near_zone")
     b_star = 3 * math.sqrt(2 * math.pi) * CONSTANTS.hbar**2 / (
         2 * no_contact.mass * coupling * n_atoms)
     grid = RadialGrid(n_points=512, r_max=8.0 * math.sqrt(1.5) * b_star)
@@ -168,7 +169,7 @@ def test_near_zone_energy_scaling_with_atom_number(no_contact):
         coupling = gamma * CONSTANTS.hbar**2 / (n_atoms * no_contact.mass * LAM)
         cfg = AnsatzConfig(n_atoms=n_atoms, species=no_contact,
                            interaction=_interaction(no_contact, coupling),
-                           kernel="near_zone", include_swave=False)
+                           kernel="near_zone")
         b_star = 3 * math.sqrt(2 * math.pi) * CONSTANTS.hbar**2 / (
             2 * no_contact.mass * coupling * n_atoms)
         grid = RadialGrid(n_points=512, r_max=8.0 * math.sqrt(1.5) * b_star)
@@ -185,10 +186,36 @@ def test_collapse_detection(no_contact):
     coupling = gamma * CONSTANTS.hbar**2 / (n_atoms * no_contact.mass * LAM)
     cfg = AnsatzConfig(n_atoms=n_atoms, species=no_contact,
                        interaction=_interaction(no_contact, coupling),
-                       kernel="near_zone", include_swave=False)
+                       kernel="near_zone")
     grid = RadialGrid(n_points=256, r_max=2.0 * LAM)
     with pytest.raises(CollapseError):
         solve_ground(cfg, grid, w_init=0.3)
+
+
+def test_ground_state_potential_is_hartree_of_its_density(na, no_contact,
+                                                          gpe_full_512):
+    full, _ = gpe_full_512
+    coupling = config_at_ratio(na, 1.5, LAM, n_atoms=1e4,
+                               use_detuned=True).interaction.coupling
+    assert np.array_equal(full.potential, hartree_potential(
+        full.density, full.grid, coupling, LAM, kernel="full"))
+
+    coupling = 30.0 * CONSTANTS.hbar**2 / (1000.0 * no_contact.mass * LAM)
+    cfg = AnsatzConfig(n_atoms=1000.0, species=no_contact,
+                       interaction=_interaction(no_contact, coupling),
+                       kernel="near_zone")
+    near = solve_ground(cfg, RadialGrid(n_points=256, r_max=2.0 * LAM))
+    assert np.array_equal(near.potential, hartree_potential(
+        near.density, near.grid, coupling, LAM, kernel="near_zone"))
+
+    # u = 0: no Hartree term at all
+    omega0 = 2 * math.pi * 100.0
+    cfg = AnsatzConfig(n_atoms=1000.0, species=no_contact,
+                       interaction=_interaction(no_contact, 0.0, 0.0),
+                       trap_frequency=omega0)
+    l0 = math.sqrt(CONSTANTS.hbar / (no_contact.mass * omega0))
+    still = solve_ground(cfg, RadialGrid(n_points=256, r_max=10.0 * l0))
+    assert still.potential.shape == (256,) and not still.potential.any()
 
 
 def _gaussian_density(grid, n_atoms, b):

@@ -96,8 +96,8 @@ def test_pure_gravity_minimizer_matches_calculus_oracle(na):
     intensity = threshold_intensity(na, use_detuned=True)
     params = InteractionParams.from_intensity(na, intensity, LAM,
                                               use_detuned=True)
-    cfg = AnsatzConfig(n_atoms=n_atoms, species=na, interaction=params,
-                       kernel="near_zone", include_swave=False)
+    cfg = AnsatzConfig(n_atoms=n_atoms, species=replace(na, scattering_length=0.0),
+                       interaction=params, kernel="near_zone")
     result = minimize_width(cfg)
     b_star = 3.0 * math.sqrt(2 * math.pi) * CONSTANTS.hbar**2 / (
         2.0 * na.mass * params.coupling * n_atoms)
@@ -125,17 +125,17 @@ def test_unbound_below_threshold(na):
 def test_width_decreases_with_intensity(na):
     cfg = config_at_ratio(na, 1.0, LAM, use_detuned=True, tf_limit=True)
     rows = width_vs_intensity(cfg, [1.1, 1.5, 3.0, 10.0])
-    widths = [row["w_star"] for row in rows]
-    assert all(row["bound"] for row in rows)
+    widths = [row.w_star for row in rows]
+    assert all(row.bound_local for row in rows)
     assert all(w2 < w1 for w1, w2 in zip(widths, widths[1:]))
 
 
 def test_width_sweep_tags_unbound_entries(na):
     cfg = config_at_ratio(na, 1.0, LAM, use_detuned=True, tf_limit=True)
     rows = width_vs_intensity(cfg, [0.9, 1.5])
-    assert rows[0]["bound"] is False
-    assert math.isnan(rows[0]["w_star"])
-    assert rows[1]["bound"] is True
+    assert rows[0].bound_local is False
+    assert math.isnan(rows[0].w_star)
+    assert rows[1].bound_local is True
 
 
 def test_critical_ratio_near_unity(na):
