@@ -62,7 +62,8 @@ def _fmt(value) -> str:
 
 
 def emit_csv(rows: list[dict], path: str | None, header: list[str] | None = None):
-    """Write dict rows as CSV (header always, even for empty data)."""
+    """Write dict rows as CSV under ``header``, by default the first row's
+    keys; empty ``rows`` without a ``header`` give a lone newline."""
     if header is None:
         header = list(rows[0].keys()) if rows else []
     lines = [",".join(header)]
@@ -126,8 +127,18 @@ def _parse_ratio_spec(text: str) -> list[float]:
         if step <= 0.0:
             raise ValueError("ratio step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        if count < 1:
+            raise ValueError(f"ratio range {text!r} holds no value")
         return [start + i * step for i in range(count)]
     return [float(p) for p in text.split(",")]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for sample counts: an empty sweep is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_species_options(p, default="Na"):
@@ -189,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potential", help="pair potential samples (CSV)")
     p.add_argument("--rmin", type=float, default=1e-3)
     p.add_argument("--rmax", type=float, default=3.0)
-    p.add_argument("--samples", type=int, default=600)
+    p.add_argument("--samples", type=_positive_int, default=600)
     p.add_argument("--linear", action="store_true",
                    help="linear instead of log spacing in r/lam")
     _add_common(p)
@@ -206,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smallest trial width w")
     p.add_argument("--wmax", type=float, default=2.0,
                    help="largest trial width w")
-    p.add_argument("--samples", type=int, default=200,
+    p.add_argument("--samples", type=_positive_int, default=200,
                    help="number of width samples")
     p.add_argument("--wavelength", type=float, default=None,
                    help="laser wavelength in m (default: transition wavelength)")
@@ -251,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upper peak density (m^-3)")
     p.add_argument("--lambda-min", type=float, default=0.4e-6)
     p.add_argument("--lambda-max", type=float, default=20e-6)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=_positive_int, default=20)
     _add_common(p)
 
     p = sub.add_parser("gpe", help="mean-field ground state (JSON + CSV profile)")

@@ -17,7 +17,7 @@ The solver relaxes v = R * Psi (which makes the radial Laplacian
 tridiagonal) by the normalized gradient flow with backward-Euler steps of
 Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004): kinetic term, trap, contact
 and the Hartree potential of the current state are all taken implicitly, so
-each step is one banded Cholesky solve, followed by renormalization to N,
+each step is one tridiagonal elimination, followed by renormalization to N,
 with Dirichlet boundaries v(0) = v(R_max) = 0.  The step grows while the
 eigen-residual ||(H[rho] - mu) v|| / |mu| falls, and the solve stops when
 that residual is small, so the iteration count does not grow with the grid
@@ -171,6 +171,30 @@ class _HartreeOperator:
         return (2.0 * math.pi / self._x) * (self._matrix @ (self._x * rho_dimless))
 
 
+def _solve_tridiagonal(off: float, diag: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal system with diagonal ``diag`` and the
+    constant off-diagonal ``off`` by Thomas elimination.
+
+    Two plain-Python loops over list copies, since indexing Python floats
+    costs several times less than indexing numpy elements one at a time.
+    """
+    pivots = diag.tolist()
+    y = rhs.tolist()
+    pivot, y_i = pivots[0], y[0]
+    for i in range(1, len(y)):
+        ratio = off / pivot
+        pivot = pivots[i] - ratio * off
+        y_i = y[i] - ratio * y_i
+        pivots[i] = pivot
+        y[i] = y_i
+    x_i = 0.0
+    for i in range(len(y) - 1, -1, -1):
+        x_i = (y[i] - off * x_i) / pivots[i]
+        y[i] = x_i
+    return np.array(y)
+
+
 def hartree_potential(rho: np.ndarray, grid: RadialGrid, coupling: float,
                       wavelength: float, kernel: str = "full") -> np.ndarray:
     """Mean-field potential (J) of an isotropic density (m^-3) on the grid."""
@@ -206,10 +230,6 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     ``on_step(iteration, energy_J, mu_J)`` is invoked after every accepted
     step.  ``potential`` is :func:`hartree_potential` of the final density.
     """
-    # imported here so that importing the package does not load
-    # scipy.linalg, which only the PDE solve needs
-    from scipy.linalg import solveh_banded
-
     lam = cfg.interaction.wavelength
     m = cfg.species.mass
     hbar = CONSTANTS.hbar
@@ -237,7 +257,6 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     # v = x Psi: kinetic operator is -(1/2) d^2/dx^2, Dirichlet at both ends
     dtau_floor = 0.1 * h * h
     dtau = dtau_floor
-    banded = np.empty((2, n))  # upper form: superdiagonal (first unused), diagonal
 
     def apply_kinetic(vec):
         out = 2.0 * vec.copy()
@@ -270,9 +289,10 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
                 f"no convergence after {MAX_ITERATIONS} iterations "
                 f"(eigen-residual {residual:.3e}, target {RESIDUAL_TOL:g})")
         iterations += 1
-        banded[0] = -0.5 * dtau / h**2
-        banded[1] = 1.0 + dtau * (1.0 / h**2 + local - local.min())
-        v_new = solveh_banded(banded, v)
+        # diag >= 1 + 2|off| since V >= min V: strictly diagonally dominant,
+        # every pivot is at least 1 + |off|, so no pivoting is needed
+        v_new = _solve_tridiagonal(
+            -0.5 * dtau / h**2, 1.0 + dtau * (1.0 / h**2 + local - local.min()), v)
         norm = 4.0 * math.pi * h * float(v_new @ v_new)
         if not math.isfinite(norm) or norm <= 0.0:
             raise NumericsError("relaxation produced a non-normalizable state")

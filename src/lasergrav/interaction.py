@@ -121,8 +121,8 @@ def kernel_slope(r_tilde) -> np.ndarray | float:
 def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
 
-    Step for step the algorithm of ``scipy.optimize.brentq``, which it
-    replaces so that importing the package does not load scipy.optimize:
+    Step for step the algorithm of SciPy's ``brentq``, which it replaces
+    so that the package needs only numpy:
     ``f(a)`` and ``f(b)`` must differ in sign, an endpoint where ``f`` is
     exactly 0 is returned as given, and the iterate ``b`` is accepted once
     the bracket's half-width is below (xtol + rtol |b|)/2.  Raises

@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 from scipy.special import erf
 
 from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        InteractionParams, RadialGrid, config_at_ratio,
                        hartree_potential, pair_potential, solve_ground,
                        virial_report)
-from lasergrav.gpe import RESIDUAL_TOL, _j_table
+from lasergrav.gpe import RESIDUAL_TOL, _j_table, _solve_tridiagonal
 from lasergrav.interaction import X_SWITCH
 
 LAM = 589e-9
@@ -115,6 +116,59 @@ def test_iteration_count_independent_of_grid(gpe_full_512, gpe_full_1024):
     it1024 = gpe_full_1024[0].iterations
     assert it1024 <= 1000
     assert it1024 <= 1.5 * it512
+
+
+# Iterations, r_rms (m) and mu (J) of the two full-kernel solves below, as
+# recorded when each step still called scipy.linalg.solveh_banded (LAPACK
+# banded Cholesky); the in-module elimination must reproduce them.
+_BANDED_CHOLESKY_REFERENCE = {
+    512: (191, 2.3170018980418935e-07, -1.4381607211513371e-28),
+    1024: (198, 2.3170183664198944e-07, -1.4381497431114609e-28),
+}
+
+
+def test_solve_reproduces_banded_cholesky_reference(gpe_full_512,
+                                                    gpe_full_1024):
+    for state, _ in (gpe_full_512, gpe_full_1024):
+        iterations, r_rms, mu = \
+            _BANDED_CHOLESKY_REFERENCE[state.grid.n_points]
+        assert state.iterations == iterations
+        assert state.r_rms == pytest.approx(r_rms, rel=1e-12)
+        assert state.mu == pytest.approx(mu, rel=1e-12)
+
+
+def _solver_system(n, dtau_over_h2):
+    """Off-diagonal, diagonal and a right-hand side in the solver's form
+    ``1 + dtau (1/h^2 + V - min V)``, with a trap plus a rough potential."""
+    rng = np.random.default_rng(n)
+    h = 3.5 / n
+    local = 50.0 * (h * np.arange(1, n + 1)) ** 2 + 1e3 * rng.random(n)
+    off = -0.5 * dtau_over_h2
+    diag = 1.0 + dtau_over_h2 * h * h * (1.0 / h**2 + local - local.min())
+    return off, diag, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("dtau_over_h2", [0.1, 1.0, 10.0, 1e2, 1e3, 1e4])
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_solve_tridiagonal_matches_dense_and_banded(n, dtau_over_h2):
+    off, diag, rhs = _solver_system(n, dtau_over_h2)
+    x = _solve_tridiagonal(off, diag, rhs)
+    dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    banded = np.vstack((np.full(n, off), diag))
+    for reference in (np.linalg.solve(dense, rhs), solveh_banded(banded, rhs)):
+        assert np.max(np.abs(x - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("dtau_over_h2", [0.1, 1.0, 1e2, 1e4])
+def test_solve_tridiagonal_pivots_stay_above_one_plus_off(dtau_over_h2):
+    # strict diagonal dominance, diag >= 1 + 2|off|, keeps every pivot at
+    # or above 1 + |off|.  The leading k x k system with right-hand side e_k has
+    # last component exactly 1/pivot_k, so the pivots are read off the
+    # elimination itself.
+    off, diag, _ = _solver_system(256, dtau_over_h2)
+    pivots = [1.0 / _solve_tridiagonal(off, diag[:k], np.eye(k)[-1])[-1]
+              for k in range(1, len(diag) + 1)]
+    assert min(pivots) >= 1.0 + abs(off)
 
 
 def test_bound_state_has_negative_attraction_energy(gpe_full_512):
