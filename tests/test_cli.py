@@ -36,8 +36,27 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_gpe_loads_no_scipy(tmp_path):
-    # no subcommand loads scipy: the PDE solves, full kernel and -u/r, were
-    # the last users; the tests keep scipy only as an oracle
+    # the PDE solves, full kernel and -u/r, were the last users of scipy;
+    # the tests keep it only as an oracle
+    script = (
+        "import sys\n"
+        "from lasergrav.cli import run\n"
+        "out = sys.argv[1]\n"
+        "codes = [run(['gpe', '--species', 'Na', '--ratio', '1.5', '--atoms',\n"
+        "              '1e4', '--n', '256', '--out', f'{out}/full.json',\n"
+        "              '--profile', f'{out}/profile.csv']),\n"
+        "         run(['gpe', '--species', 'Na', '--ratio', '1.5', '--atoms',\n"
+        "              '1e4', '--n', '256', '--kernel', 'newton',\n"
+        "              '--out', f'{out}/newton.json'])]\n"
+        f"print(codes, {_SCIPY_LOADED})\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
+def test_commands_without_pde_do_not_load_scipy(tmp_path):
     commands = [
         ["catalog"],
         ["potential", "--samples", "8"],
@@ -49,9 +68,6 @@ def test_gpe_loads_no_scipy(tmp_path):
         ["fig2", "--points", "2"],
         ["losses"],
         ["atom-count", "--wavelength", "589e-9", "--rho-peak", "1e21"],
-        ["gpe", "--ratio", "1.5", "--n", "256",
-         "--profile", f"{tmp_path}/profile.csv"],
-        ["gpe", "--ratio", "1.5", "--n", "256", "--kernel", "newton"],
     ]
     script = (
         "import json, sys\n"
