@@ -10,8 +10,6 @@ from .constants import (CONSTANTS, PhysicalConstants, intensity_in,
                         intensity_si, polarizability_si, polarizability_volume)
 from .errors import (CollapseError, ConvergenceError, LaserGravError,
                      NumericsError, SpeciesFileError, UnboundError)
-from .gpe import (GroundState, RadialGrid, hartree_potential, solve_ground,
-                  virial_report)
 from .interaction import (InteractionParams, beam_budget, coupling_strength,
                           kernel_shape, kernel_slope, near_zone_limit,
                           oscillation_onset, pair_potential)
@@ -34,3 +32,15 @@ from .variational import (AnsatzConfig, EnergyBreakdown, VariationalResult,
                           width_vs_intensity)
 
 __version__ = "0.1.0"
+
+_GPE_NAMES = ("GroundState", "RadialGrid", "hartree_potential", "solve_ground",
+              "virial_report")
+
+
+def __getattr__(name):
+    # the PDE solver is the one layer built on numpy arrays: load it on first
+    # use so that the scalar commands start without numpy
+    if name in _GPE_NAMES:
+        from . import gpe
+        return getattr(gpe, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,15 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
-from . import gpe, losses, regimes, variational
+from . import losses, regimes, variational
 from .constants import intensity_in, intensity_si
-from .errors import LaserGravError, NumericsError
+from .errors import LaserGravError, NumericsError, UnboundError
 from .interaction import InteractionParams, kernel_shape
 from .species import catalog_lookup, catalog_names, load_species_file
 
@@ -56,7 +55,7 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return _FLOAT_FORMAT.format(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return str(value)
 
@@ -75,10 +74,9 @@ def emit_csv(rows: list[dict], path: str | None, header: list[str] | None = None
 
 def emit_json(obj, path: str | None):
     def default(o):
-        if isinstance(o, np.ndarray):
+        # numpy arrays and scalars
+        if hasattr(o, "tolist"):
             return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
         raise TypeError(f"cannot serialize {type(o)}")
 
     _write(json.dumps(obj, indent=2, default=default) + "\n", path)
@@ -373,6 +371,7 @@ def _dispatch(args):
         emit_json(table, args.out)
 
     elif cmd == "potential":
+        import numpy as np
         if args.linear:
             r = np.linspace(args.rmin, args.rmax, args.samples)
         else:
@@ -397,15 +396,19 @@ def _dispatch(args):
         species = _get_species(args)
         lam = _resolve_wavelength(args, species)
         ratios = _parse_ratio_spec(args.ratios)
-        widths = np.linspace(args.wmin, args.wmax, args.samples)
+        # numpy's linspace arithmetic: i * step + wmin, ending on wmax itself
+        last = args.samples - 1
+        step = (args.wmax - args.wmin) / max(last, 1)
+        widths = [i * step + args.wmin for i in range(last)] + [
+            args.wmax if last else args.wmin]
         rows = []
         for w in widths:
-            row = {"w": float(w)}
+            row = {"w": w}
             for ratio in ratios:
                 cfg = variational.config_at_ratio(
                     species, ratio, lam, n_atoms=1.0,
                     use_detuned=args.detuned, tf_limit=True)
-                e = variational.total_energy(float(w), cfg)
+                e = variational.total_energy(w, cfg)
                 row[f"E_over_N_tf_units_ratio_{ratio:g}"] = \
                     e / variational.tf_energy_unit(cfg)
             rows.append(row)
@@ -439,6 +442,7 @@ def _dispatch(args):
         emit_csv(rows, args.out)
 
     elif cmd == "fig2":
+        import numpy as np
         species = _get_species(args)
         lams = np.logspace(math.log10(args.lambda_min),
                            math.log10(args.lambda_max), args.points)
@@ -448,6 +452,7 @@ def _dispatch(args):
         emit_csv(rows, args.out)
 
     elif cmd == "gpe":
+        from . import gpe
         species = _get_species(args)
         lam = _resolve_wavelength(args, species)
         intensity, ratio = _resolve_intensity(args, species)
@@ -458,8 +463,10 @@ def _dispatch(args):
             trap_frequency=args.trap,
             kernel="full" if args.kernel == "full" else "near_zone")
         trial = variational.minimize_width(cfg)
-        expected = trial.r_rms if trial.bound_local else lam
-        r_max = args.rmax if args.rmax is not None else 8.0 * expected
+        if not trial.bound_local and args.rmax is None:
+            raise UnboundError(f"no bound state at I/I0 = {ratio:g}; pass "
+                               "--rmax to solve in an explicit box")
+        r_max = args.rmax if args.rmax is not None else 8.0 * trial.r_rms
         grid = gpe.RadialGrid(n_points=args.n, r_max=r_max)
         state = gpe.solve_ground(
             cfg, grid, w_init=trial.w_star if trial.bound_local else 1.0)

@@ -21,8 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CONSTANTS
 from .errors import NumericsError
 from .species import AtomSpecies
@@ -52,7 +50,8 @@ def _series_coefficients(n_terms: int) -> tuple[float, ...]:
 _F_COEFFS = _series_coefficients(SERIES_TERMS)
 
 
-def _f_direct(x: np.ndarray) -> np.ndarray:
+def _f_direct(x):
+    import numpy as np
     s, c = np.sin(2.0 * x), np.cos(2.0 * x)
     x2 = x * x
     x3 = x2 * x
@@ -60,16 +59,17 @@ def _f_direct(x: np.ndarray) -> np.ndarray:
             - 6.0 * c / (x2 * x3) + 3.0 * s / (x3 * x3))
 
 
-def _f_series(x: np.ndarray) -> np.ndarray:
+def _f_series(x):
     x2 = x * x
     # Horner in x^2 on the coefficients of x^1, x^3, ... then add the 1/x term
-    acc = np.full_like(x, _F_COEFFS[-1])
+    acc = _F_COEFFS[-1]
     for coeff in _F_COEFFS[-2:0:-1]:
         acc = acc * x2 + coeff
     return _F_COEFFS[0] / x + acc * x
 
 
-def _fprime_direct(x: np.ndarray) -> np.ndarray:
+def _fprime_direct(x):
+    import numpy as np
     s, c = np.sin(2.0 * x), np.cos(2.0 * x)
     x2 = x * x
     x3 = x2 * x
@@ -78,15 +78,16 @@ def _fprime_direct(x: np.ndarray) -> np.ndarray:
             - 18.0 * s / (x3 * x3 * x))
 
 
-def _fprime_series(x: np.ndarray) -> np.ndarray:
+def _fprime_series(x):
     x2 = x * x
-    acc = np.full_like(x, (2 * SERIES_TERMS - 3) * _F_COEFFS[-1])
+    acc = (2 * SERIES_TERMS - 3) * _F_COEFFS[-1]
     for n in range(SERIES_TERMS - 2, 0, -1):
         acc = acc * x2 + (2 * n - 1) * _F_COEFFS[n]
     return -_F_COEFFS[0] / x2 + acc
 
 
 def _kernel_branches(r_tilde, series, direct, scale):
+    import numpy as np
     r = np.asarray(r_tilde, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("separation must be positive")
@@ -99,7 +100,7 @@ def _kernel_branches(r_tilde, series, direct, scale):
     return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
-def kernel_shape(r_tilde) -> np.ndarray | float:
+def kernel_shape(r_tilde):
     """Pair potential in units of u/lam as a function of r/lam.
 
     Uses the series branch below ``X_SWITCH`` (in x = 2 pi r/lam) and the
@@ -111,7 +112,7 @@ def kernel_shape(r_tilde) -> np.ndarray | float:
                             -(15.0 * math.pi / 11.0))
 
 
-def kernel_slope(r_tilde) -> np.ndarray | float:
+def kernel_slope(r_tilde):
     """d/d(r/lam) of :func:`kernel_shape`; positive slope means the pair
     force is still attractive."""
     return _kernel_branches(r_tilde, _fprime_series, _fprime_direct,
@@ -122,7 +123,7 @@ def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
     """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     Step for step the algorithm of SciPy's ``brentq``, which it replaces
-    so that the package needs only numpy:
+    so that the package needs no scipy:
     ``f(a)`` and ``f(b)`` must differ in sign, an endpoint where ``f`` is
     exactly 0 is returned as given, and the iterate ``b`` is accepted once
     the bracket's half-width is below (xtol + rtol |b|)/2.  Raises
@@ -227,6 +228,7 @@ def pair_potential(r_tilde, coupling: float, wavelength: float):
 
 def near_zone_limit(r, coupling: float):
     """The -u/r reference kernel (J); oracle for the near-zone behaviour."""
+    import numpy as np
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("separation must be positive")

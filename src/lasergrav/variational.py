@@ -28,9 +28,6 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-import numpy as np
-from numpy.polynomial.polynomial import polyval
-
 from .constants import CONSTANTS
 from .errors import NumericsError
 from .interaction import _F_COEFFS, InteractionParams, _brent_root
@@ -56,7 +53,7 @@ _DAWSON_ASYMPTOTIC = tuple(float(math.prod(range(1, 2 * n, 2)))
                            for n in range(1, 37))
 
 # 181 widths, 20 per decade over the hard limits [1e-6, 1e3] wavelengths
-_WIDTHS = np.array([10.0 ** (k / 20) for k in range(-120, 61)])
+_WIDTHS = tuple(10.0 ** (k / 20) for k in range(-120, 61))
 _ROOT_RTOL = 1e-12
 # At I = I0 exactly, S_c N u/lam and the contact coefficient s agree only to
 # the rounding of their two chains of products (the excess came out at up to
@@ -130,29 +127,34 @@ class VariationalResult:
     bound_global: bool
 
 
-def _dawson(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _horner(x: float, coeffs: Sequence[float]) -> float:
+    """Sum coeffs[n] x^n, in the order of numpy's ``polyval``."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _dawson(z: float) -> tuple[float, float]:
     """Dawson's integral F(z) and its derivative F'(z) = 1 - 2 z F."""
-    f, fp = np.empty_like(z), np.empty_like(z)
-    lo = z < _DAWSON_SWITCH
-    zl = z[lo]
-    f[lo] = zl * np.exp(-zl * zl) * polyval(zl * zl, _DAWSON_TAYLOR)
-    fp[lo] = 1.0 - 2.0 * zl * f[lo]
+    if z < _DAWSON_SWITCH:
+        f = z * math.exp(-z * z) * _horner(z * z, _DAWSON_TAYLOR)
+        return f, 1.0 - 2.0 * z * f
     # 1 - 2zF cancels to F' ~ -1/(2z^2): sum F' = -Sum_{n>=1} (2n-1)!!/(2z^2)^n
     # directly so that g' keeps its digits far out, where minimum roots sit
-    x = 0.5 / (z[~lo] * z[~lo])
-    fp[~lo] = -x * polyval(x, _DAWSON_ASYMPTOTIC)
-    f[~lo] = (1.0 - fp[~lo]) / (2.0 * z[~lo])
-    return f, fp
+    x = 0.5 / (z * z)
+    fp = -x * _horner(x, _DAWSON_ASYMPTOTIC)
+    return (1.0 - fp) / (2.0 * z), fp
 
 
-def _g_series(w: np.ndarray, d_dw: bool) -> np.ndarray:
+def _g_series(w: float, d_dw: bool) -> float:
     w2 = w * w
     if d_dw:
-        return polyval(w2, [(2 * n - 1) * c for n, c in enumerate(_G_SERIES)]) / w2
-    return polyval(w2, _G_SERIES) / w
+        return _horner(w2, [(2 * n - 1) * c for n, c in enumerate(_G_SERIES)]) / w2
+    return _horner(w2, _G_SERIES) / w
 
 
-def _g_dawson(w: np.ndarray, d_dw: bool) -> np.ndarray:
+def _g_dawson(w: float, d_dw: bool) -> float:
     z = 2.0 * math.sqrt(2.0) * math.pi * w
     z2 = z * z
     f, fp = _dawson(z)
@@ -166,25 +168,17 @@ def _g_dawson(w: np.ndarray, d_dw: bool) -> np.ndarray:
             / (z2 * z2 * z2))
 
 
-def pair_energy(w, kernel: str = "full", d_dw: bool = False):
+def pair_energy(w: float, kernel: str = "full", d_dw: bool = False) -> float:
     """Mean dimensionless pair energy g(w) = <U lam/u> over P(s; w), or with
     ``d_dw`` its width derivative g'(w), in closed form (module docstring).
 
-    Accepts a width or an array of widths; the -u/r kernel gives
-    -sqrt(2/pi)/w.
+    Takes one width; the -u/r kernel gives -sqrt(2/pi)/w.
     """
-    w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr <= 0.0):
+    if w <= 0.0:
         raise ValueError(f"width must be positive, got {w}")
-    x = np.atleast_1d(w_arr)
     if kernel == "near_zone":
-        out = math.sqrt(2.0 / math.pi) / (x * x if d_dw else -x)
-    else:
-        out = np.empty_like(x)
-        lo = x < W_SWITCH
-        out[lo] = _g_series(x[lo], d_dw)
-        out[~lo] = _g_dawson(x[~lo], d_dw)
-    return float(out[0]) if w_arr.ndim == 0 else out.reshape(w_arr.shape)
+        return math.sqrt(2.0 / math.pi) / (w * w if d_dw else -w)
+    return _g_series(w, d_dw) if w < W_SWITCH else _g_dawson(w, d_dw)
 
 
 def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
@@ -209,16 +203,12 @@ def _closed_coefficients(cfg: AnsatzConfig) -> tuple[float, float, float]:
     return k, t, s
 
 
-def _closed_gradient(w, cfg: AnsatzConfig):
-    k, t, s = _closed_coefficients(cfg)
-    return -2.0 * k / w**3 + 2.0 * t * w - 3.0 * s / w**4
-
-
 def energy_gradient_parts(w: float, cfg: AnsatzConfig) -> tuple[float, float]:
     """(dE/dw of kinetic+trap+swave, dE/dw of the attraction term), both
     closed form and per particle in J per unit w."""
+    k, t, s = _closed_coefficients(cfg)
     grav = 0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel, d_dw=True)
-    return float(_closed_gradient(w, cfg)), grav
+    return -2.0 * k / w**3 + 2.0 * t * w - 3.0 * s / w**4, grav
 
 
 def total_energy(w: float, cfg: AnsatzConfig) -> float:
@@ -245,8 +235,7 @@ def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
     """
     k, t, s = _closed_coefficients(cfg)
     w = _WIDTHS
-    slope = (_closed_gradient(w, cfg)
-             + 0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel, d_dw=True))
+    slope = [sum(energy_gradient_parts(x, cfg)) for x in w]
     far = CONTACT_AT_THRESHOLD * tf_energy_unit(cfg) - s
     rises = t > 0.0 or (cfg.kernel == "near_zone" and cfg.interaction.coupling > 0.0)
     room = rises or (far > _THRESHOLD_ULPS * s
@@ -254,9 +243,8 @@ def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
     if (slope[0] > 0.0 and (k > 0.0 or s > 0.0)) or (slope[-1] < 0.0 and room):
         raise NumericsError("width minimum outside [1e-6, 1e3] wavelengths")
     roots = [_brent_root(lambda x: sum(energy_gradient_parts(x, cfg)),
-                         float(w[i]), float(w[i + 1]),
-                         xtol=_ROOT_RTOL * float(w[i]), rtol=_ROOT_RTOL)
-             for i in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] >= 0.0))]
+                         w[i], w[i + 1], xtol=_ROOT_RTOL * w[i], rtol=_ROOT_RTOL)
+             for i in range(len(w) - 1) if slope[i] < 0.0 <= slope[i + 1]]
     if not roots:
         return VariationalResult(math.nan, math.nan, None, False, False)
     best, w_star = min(((energy_breakdown(x, cfg), x) for x in roots),

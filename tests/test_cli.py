@@ -56,6 +56,28 @@ def test_gpe_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[0, 0] []"
 
 
+def _modules_after(commands, prefix, tmp_path):
+    """Exit codes of ``commands`` and of the critical ratio, all run in one
+    fresh process, and the modules named ``prefix*`` loaded after them."""
+    script = (
+        "import json, sys\n"
+        "from lasergrav.cli import run\n"
+        "from lasergrav.species import catalog_lookup\n"
+        "from lasergrav.variational import critical_intensity_ratio\n"
+        "codes = [run(argv + ['--out', f'{sys.argv[1]}/{i}.out'])\n"
+        "         for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
+        "critical_intensity_ratio(catalog_lookup('Na'), 589e-9)\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.startswith(sys.argv[3]))]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(commands),
+         prefix], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(commands)
+    return loaded
+
+
 def test_commands_without_pde_do_not_load_scipy(tmp_path):
     commands = [
         ["catalog"],
@@ -69,22 +91,39 @@ def test_commands_without_pde_do_not_load_scipy(tmp_path):
         ["losses"],
         ["atom-count", "--wavelength", "589e-9", "--rho-peak", "1e21"],
     ]
-    script = (
-        "import json, sys\n"
-        "from lasergrav.cli import run\n"
-        "from lasergrav.species import catalog_lookup\n"
-        "from lasergrav.variational import critical_intensity_ratio\n"
-        "codes = [run(argv + ['--out', f'{sys.argv[1]}/{i}.out'])\n"
-        "         for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
-        "critical_intensity_ratio(catalog_lookup('Na'), 589e-9)\n"
-        f"print(json.dumps([codes, {_SCIPY_LOADED}]))\n")
+    assert _modules_after(commands, "scipy", tmp_path) == []
+
+
+def test_scalar_commands_do_not_load_numpy(tmp_path):
+    # only the array commands (potential, fig2, gpe) need numpy; the rest,
+    # the import of lasergrav.cli included, run on Python floats
+    commands = [
+        ["catalog"],
+        ["threshold"],
+        ["fig1a", "--ratios", "0.5,1.5", "--samples", "4"],
+        ["fig1b", "--ratios", "0.9,1.5"],
+        ["width-sweep", "--ratios", "1.5"],
+        ["width-sweep", "--ratios", "1.5", "--no-tf"],
+        ["phase-map", "--nx", "3", "--ny", "3"],
+        ["losses"],
+        ["atom-count", "--wavelength", "589e-9", "--rho-peak", "1e21"],
+    ]
+    assert _modules_after(commands, "numpy", tmp_path) == []
+
+
+def test_package_still_exports_the_pde_names():
+    # the gpe names resolve on first access, loading numpy only then
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path), json.dumps(commands)],
+        [sys.executable, "-c",
+         "import sys, lasergrav\n"
+         "assert 'numpy' not in sys.modules\n"
+         "from lasergrav import solve_ground, RadialGrid\n"
+         "from lasergrav.gpe import solve_ground as direct\n"
+         "assert solve_ground is direct and 'numpy' in sys.modules\n"
+         "print(RadialGrid.__name__)\n"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout)
-    assert codes == [0] * len(commands)
-    assert loaded == []
+    assert proc.stdout.strip() == "RadialGrid"
 
 
 def test_threshold_static_sodium(tmp_path):
@@ -243,6 +282,16 @@ def test_missing_wavelength_is_usage_error(command, route, capsys):
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("work started on a rejected input")
+
+
+def test_gpe_below_threshold_without_box_is_numerical_failure(capsys,
+                                                              monkeypatch):
+    # no bound variational state gives no radius to size the grid by; the
+    # solve would only find the cloud the Dirichlet wall holds
+    monkeypatch.setattr(gpe, "solve_ground", _must_not_run)
+    assert run(["gpe", "--species", "Na", "--ratio", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert "no bound" in err and "--rmax" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["gpe", "--ratio", "0"],

@@ -154,8 +154,8 @@ def test_critical_ratio_is_unity_to_scan_accuracy(na):
 def test_far_field_slope_rises_below_contact_coefficient():
     # h(w) = w^4 g'(w)/6 increases monotonically towards S_c from below:
     # the premise of the far-field stop rule in minimize_width
-    w = np.logspace(-6.0, 3.0, 181)
-    h = w**4 * pair_energy(w, d_dw=True) / 6.0
+    h = np.array([w**4 * pair_energy(w, d_dw=True) / 6.0
+                  for w in np.logspace(-6.0, 3.0, 181).tolist()])
     assert np.all(np.diff(h) > 0.0)
     assert np.all(h < CONTACT_AT_THRESHOLD)
     assert h[-1] / CONTACT_AT_THRESHOLD == pytest.approx(1.0, abs=1e-7)
@@ -208,13 +208,10 @@ def test_pair_energy_matches_mpmath():
                              [W_SWITCH * (1 - 1e-9), W_SWITCH,
                               dawson_switch * (1 - 1e-9),
                               dawson_switch * (1 + 1e-9)]])
-    g, slope = pair_energy(widths), pair_energy(widths, d_dw=True)
-    for w, ours, ours_slope in zip(widths, g, slope):
+    for w in widths.tolist():
         exact, exact_slope = _mpmath_pair_energy(w)
-        assert abs(ours / exact - 1.0) < 1e-12, w
-        assert abs(ours_slope / exact_slope - 1.0) < 1e-12, w
-        # the scalar call that Brent's method makes gives the same bits
-        assert pair_energy(float(w), d_dw=True) == ours_slope
+        assert abs(pair_energy(w) / exact - 1.0) < 1e-12, w
+        assert abs(pair_energy(w, d_dw=True) / exact_slope - 1.0) < 1e-12, w
 
 
 def test_pair_energy_matches_quadrature_oracle():
