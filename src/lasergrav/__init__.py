@@ -28,7 +28,7 @@ from .variational import (AnsatzConfig, EnergyBreakdown, VariationalResult,
                           config_at_ratio, critical_intensity_ratio,
                           energy_breakdown, energy_gradient_parts,
                           mfa_validity, minimize_width, peak_density,
-                          threshold_intensity, total_energy,
+                          tf_width, threshold_intensity, total_energy,
                           width_vs_intensity)
 
 __version__ = "0.1.0"

@@ -343,7 +343,7 @@ def run(argv: list[str]) -> int:
 
     try:
         _dispatch(args)
-    except NumericsError as exc:
+    except (NumericsError, ArithmeticError) as exc:
         print(f"lasergrav: numerical failure: {exc}", file=sys.stderr)
         return 1
     except LaserGravError as exc:

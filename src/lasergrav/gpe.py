@@ -118,11 +118,12 @@ def _simpson_weights(m: int, h: float) -> np.ndarray:
 
 
 def _kink_split_weights(n: int, h: float) -> np.ndarray:
-    """Row i: s-quadrature weights over nodes 0..n, split at the kink s = R_i."""
-    w = np.zeros((n, n + 1))
+    """Row i: s-quadrature weights over nodes 1..n, split at the kink s = R_i;
+    node 0 is left out, as the integrand vanishes at s = 0."""
+    w = np.zeros((n, n))
     for i in range(1, n + 1):
-        w[i - 1, : i + 1] += _simpson_weights(i, h)
-        w[i - 1, i:] += _simpson_weights(n - i, h)
+        w[i - 1, :i] += _simpson_weights(i, h)[1:]
+        w[i - 1, i - 1:] += _simpson_weights(n - i, h)
     return w
 
 
@@ -161,9 +162,7 @@ class _HartreeOperator:
         windows = np.lib.stride_tricks.sliding_window_view
         sym = np.concatenate((j_tab[n - 1:0:-1], j_tab[:n]))  # J(t_|k|), |k| < n
         matrix = windows(j_tab[2:], n) - windows(sym, n)[:, ::-1]
-        # the s = 0 node of the split-Simpson rule multiplies an integrand
-        # that vanishes there, so only columns j >= 1 are kept
-        matrix *= _kink_split_weights(n, h)[:, 1:]
+        matrix *= _kink_split_weights(n, h)
         self._matrix = matrix
 
     def __call__(self, rho_dimless: np.ndarray) -> np.ndarray:

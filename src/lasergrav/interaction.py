@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 from .constants import CONSTANTS
 from .errors import NumericsError
@@ -48,6 +49,7 @@ def _series_coefficients(n_terms: int) -> tuple[float, ...]:
 
 # leading coefficient is 22/15; the full prefactor then reduces to -u/r
 _F_COEFFS = _series_coefficients(SERIES_TERMS)
+_FPRIME_COEFFS = tuple((2 * n - 1) * c for n, c in enumerate(_F_COEFFS))[1:]
 
 
 def _f_direct(x):
@@ -59,13 +61,17 @@ def _f_direct(x):
             - 6.0 * c / (x2 * x3) + 3.0 * s / (x3 * x3))
 
 
+def _horner(x, coeffs: Sequence[float]):
+    """Sum coeffs[n] x^n, in the order of numpy's ``polyval``."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
 def _f_series(x):
-    x2 = x * x
     # Horner in x^2 on the coefficients of x^1, x^3, ... then add the 1/x term
-    acc = _F_COEFFS[-1]
-    for coeff in _F_COEFFS[-2:0:-1]:
-        acc = acc * x2 + coeff
-    return _F_COEFFS[0] / x + acc * x
+    return _F_COEFFS[0] / x + _horner(x * x, _F_COEFFS[1:]) * x
 
 
 def _fprime_direct(x):
@@ -80,10 +86,7 @@ def _fprime_direct(x):
 
 def _fprime_series(x):
     x2 = x * x
-    acc = (2 * SERIES_TERMS - 3) * _F_COEFFS[-1]
-    for n in range(SERIES_TERMS - 2, 0, -1):
-        acc = acc * x2 + (2 * n - 1) * _F_COEFFS[n]
-    return -_F_COEFFS[0] / x2 + acc
+    return -_F_COEFFS[0] / x2 + _horner(x2, _FPRIME_COEFFS)
 
 
 def _kernel_branches(r_tilde, series, direct, scale):

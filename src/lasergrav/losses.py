@@ -13,8 +13,8 @@ from .constants import CONSTANTS
 from .errors import UnboundError
 from .regimes import border_atom_number, f_factor
 from .species import AtomSpecies
-from .variational import (config_at_ratio, minimize_width, peak_density,
-                          threshold_intensity)
+from .variational import (config_at_ratio, peak_density, threshold_intensity,
+                          width_vs_intensity)
 
 # K/u below this counts as a negligible repulsive correction
 REPULSION_NEGLIGIBLE = 1e-2
@@ -156,7 +156,7 @@ def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
     """Full loss budget at intensity ``ratio`` times the threshold.
 
     The peak density entering the direct plasma frequency comes from the
-    TF-limit variational cloud at the same intensity; ``omega_triad``
+    TF-limit variational cloud at ``ratio`` as given; ``omega_triad``
     defaults to the scaled plasma frequency.  Raises :class:`UnboundError`
     when no bound TF cloud exists at ``ratio``."""
     if wavelength is None:
@@ -168,7 +168,7 @@ def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
 
     cfg = config_at_ratio(species, ratio, wavelength, n_atoms=n_atoms,
                           use_detuned=use_detuned, tf_limit=True)
-    trial = minimize_width(cfg)
+    trial, = width_vs_intensity(cfg, [ratio])
     if not trial.bound_local:
         raise UnboundError(f"no bound TF solution at I/I0 = {ratio}")
     rho_peak = peak_density(n_atoms, trial.w_star, wavelength)

@@ -14,7 +14,8 @@ from .constants import CONSTANTS
 from .errors import UnboundError
 from .interaction import coupling_strength
 from .species import AtomSpecies
-from .variational import config_at_ratio, minimize_width, threshold_intensity
+from .variational import (config_at_ratio, minimize_width, threshold_intensity,
+                          width_vs_intensity)
 
 # reading of the "much greater than one" trap-irrelevance condition
 TRAP_NEGLIGIBLE_CUTOFF = 10.0
@@ -100,8 +101,8 @@ def atom_capacity(wavelength: float, rho_peak: float, ratio: float,
     """Atom number at which the cloud at I/I0 = ``ratio`` reaches
     ``rho_peak`` (m^-3) central density.
 
-    Solves rho_peak = N / (pi^(3/2) (w* lam)^3) with the TF-limit
-    equilibrium width (which is N-independent).  With ``self_consistent``
+    Solves rho_peak = N / (pi^(3/2) (w* lam)^3) with the TF-limit width
+    :func:`tf_width` of ``ratio`` (N-independent).  With ``self_consistent``
     the kinetic term is retained and the equation is iterated to a fixed
     point over N; that variant raises :class:`UnboundError` when the
     kinetic pressure unbinds the cloud along the way (small capacities), so
@@ -109,9 +110,9 @@ def atom_capacity(wavelength: float, rho_peak: float, ratio: float,
     """
     if rho_peak <= 0.0:
         raise ValueError("peak density must be positive")
-    cfg = config_at_ratio(species, ratio, wavelength, n_atoms=1.0,
+    cfg = config_at_ratio(species, 1.0, wavelength, n_atoms=1.0,
                           use_detuned=use_detuned, tf_limit=True)
-    trial = minimize_width(cfg)
+    trial, = width_vs_intensity(cfg, [ratio])
     if not trial.bound_local:
         raise UnboundError(f"no bound TF solution at I/I0 = {ratio}")
     n = rho_peak * math.pi**1.5 * (trial.w_star * wavelength) ** 3
@@ -135,14 +136,10 @@ def atom_capacity(wavelength: float, rho_peak: float, ratio: float,
 def capacity_band(wavelengths, rho_low: float, rho_high: float, ratio: float,
                   species: AtomSpecies, use_detuned: bool = False) -> list[dict]:
     """Capacity range (N at rho_low .. N at rho_high) per wavelength."""
-    rows = []
-    for lam in wavelengths:
-        rows.append({
-            "lambda_m": lam,
-            "N_low": atom_capacity(lam, rho_low, ratio, species, use_detuned),
-            "N_high": atom_capacity(lam, rho_high, ratio, species, use_detuned),
-        })
-    return rows
+    return [{"lambda_m": lam,
+             "N_low": atom_capacity(lam, rho_low, ratio, species, use_detuned),
+             "N_high": atom_capacity(lam, rho_high, ratio, species, use_detuned)}
+            for lam in wavelengths]
 
 
 def phase_map(species: AtomSpecies, nx: int = 51, ny: int = 41,

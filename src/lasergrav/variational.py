@@ -24,13 +24,12 @@ summed instead.  For the -u/r kernel g = -sqrt(2/pi)/w.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .constants import CONSTANTS
 from .errors import NumericsError
-from .interaction import _F_COEFFS, InteractionParams, _brent_root
+from .interaction import _F_COEFFS, InteractionParams, _brent_root, _horner
 from .species import AtomSpecies
 
 # w below which g is summed from the kernel's series (as X_SWITCH for U)
@@ -55,12 +54,6 @@ _DAWSON_ASYMPTOTIC = tuple(float(math.prod(range(1, 2 * n, 2)))
 # 181 widths, 20 per decade over the hard limits [1e-6, 1e3] wavelengths
 _WIDTHS = tuple(10.0 ** (k / 20) for k in range(-120, 61))
 _ROOT_RTOL = 1e-12
-# At I = I0 exactly, S_c N u/lam and the contact coefficient s agree only to
-# the rounding of their two chains of products (the excess came out at up to
-# 4 eps of s over the catalog species at 400-1100 nm, N = 1..1e7), so an
-# excess below 16 eps of s is the threshold itself, where h < S_c leaves no
-# TF state bound.
-_THRESHOLD_ULPS = 16.0 * sys.float_info.epsilon
 
 # S_c: contact coefficient of the TF energy S_c/(r w^3) at I = I0 (r = I/I0,
 # units of N u/lam); also the w -> infinity limit, approached from below, of
@@ -125,14 +118,6 @@ class VariationalResult:
     breakdown: Optional[EnergyBreakdown]
     bound_local: bool
     bound_global: bool
-
-
-def _horner(x: float, coeffs: Sequence[float]) -> float:
-    """Sum coeffs[n] x^n, in the order of numpy's ``polyval``."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
-    return acc
 
 
 def _dawson(z: float) -> tuple[float, float]:
@@ -220,31 +205,67 @@ def tf_energy_unit(cfg: AnsatzConfig) -> float:
     return cfg.n_atoms * cfg.interaction.coupling / cfg.interaction.wavelength
 
 
+def tf_width(ratio: float) -> float:
+    """Width w* of the trap-free TF cloud at I/I0 = ``ratio`` for any species,
+    wavelength and N: the one root of the rising h(w) = S_c/r.  NaN (no
+    minimum) for r <= 1; :class:`NumericsError` past r = 1e150.  Above z = 6
+    it solves S_c (r - 1)/r = S_c - h, the deficit summed from the asymptotic
+    F and F' so that the root keeps its digits as r -> 1.
+    """
+    if ratio > 1e150:
+        raise NumericsError(f"I/I0 = {ratio:g} puts w* below 1e-75 wavelengths")
+    if not ratio > 1.0:
+        return math.nan
+
+    def slope(w):  # h(w) - S_c/r
+        x = 1.0 / (16.0 * (math.pi * w) ** 2)  # 1/(2 z^2)
+        if x > 0.5 / _DAWSON_SWITCH**2:
+            return w**4 * pair_energy(w, d_dw=True) / 6.0 - CONTACT_AT_THRESHOLD / ratio
+        tail = _horner(x, _DAWSON_ASYMPTOTIC[1:])  # Sum_(n>1) (2n-1)!! x^(n-2)
+        lead = (3.0 + 16.0 * x + 48.0 * x * x) * (1.0 + x * tail)
+        return CONTACT_AT_THRESHOLD * ((ratio - 1.0) / ratio
+                                       - x / 3.5 * (32.0 - 48.0 * x - tail / 2 - lead))
+
+    # w* is within 12% of the larger root of h's two asymptotes
+    guess = max(0.2459 / math.sqrt(ratio), 0.22306 / math.sqrt(ratio - 1.0))
+    return _brent_root(slope, 0.8 * guess, 1.25 * guess, 1e-15 * guess, 1e-15)
+
+
 def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
     """Locate the lowest finite-width local energy minimum.
 
-    Forms dE/dw on a fixed log grid of widths over [1e-6, 1e3], refines every
-    - to + sign change with Brent's method on :func:`energy_gradient_parts`
-    and returns the deepest minimum.  Raises :class:`NumericsError` when a
-    root can lie outside the grid: below it while dE/dw > 0 at the bottom
-    and a kinetic or contact term will outgrow the attraction; above it
-    while dE/dw < 0 at the top, with a trap or the -u/r kernel (its slope
-    falls off only as 1/w^2) always, else only below w = 3A/(2k): for the
-    full kernel h(w) < S_c bounds dE/dw < -2k/w^3 + 3A/w^4 with
+    Trap-free TF with the full kernel and contact repulsion: :func:`tf_width`
+    at r = I/I0.  Else dE/dw on a log grid of widths over [1e-6, 1e3], every
+    - to + sign change refined with Brent's method on
+    :func:`energy_gradient_parts`, and the deepest minimum.  Raises
+    :class:`NumericsError` when a root can lie outside the grid: below it
+    while dE/dw > 0 at the bottom and a kinetic or contact term will outgrow
+    the attraction; above it while dE/dw < 0 at the top, with a trap or the
+    -u/r kernel (its slope falls off only as 1/w^2) always, else only below
+    w = 3A/(2k): h(w) < S_c bounds dE/dw < -2k/w^3 + 3A/w^4 with
     A = S_c N u/lam - s.  Unbound (NaN width) means no minimum.
     """
+    return _minimum(cfg, None)
+
+
+def _minimum(cfg: AnsatzConfig, ratio: Optional[float]) -> VariationalResult:
     k, t, s = _closed_coefficients(cfg)
-    w = _WIDTHS
-    slope = [sum(energy_gradient_parts(x, cfg)) for x in w]
-    far = CONTACT_AT_THRESHOLD * tf_energy_unit(cfg) - s
-    rises = t > 0.0 or (cfg.kernel == "near_zone" and cfg.interaction.coupling > 0.0)
-    room = rises or (far > _THRESHOLD_ULPS * s
-                     and (k == 0.0 or w[-1] < 1.5 * far / k))
-    if (slope[0] > 0.0 and (k > 0.0 or s > 0.0)) or (slope[-1] < 0.0 and room):
-        raise NumericsError("width minimum outside [1e-6, 1e3] wavelengths")
-    roots = [_brent_root(lambda x: sum(energy_gradient_parts(x, cfg)),
-                         w[i], w[i + 1], xtol=_ROOT_RTOL * w[i], rtol=_ROOT_RTOL)
-             for i in range(len(w) - 1) if slope[i] < 0.0 <= slope[i + 1]]
+    if k == t == 0.0 and s > 0.0 and cfg.kernel == "full":
+        p = cfg.interaction
+        w_star = tf_width(p.intensity / _threshold_at(cfg.species, p.alpha_si)
+                          if ratio is None else ratio)
+        roots = [] if math.isnan(w_star) else [w_star]
+    else:
+        w = _WIDTHS
+        slope = [sum(energy_gradient_parts(x, cfg)) for x in w]
+        far = CONTACT_AT_THRESHOLD * tf_energy_unit(cfg) - s
+        rises = t > 0.0 or (cfg.kernel == "near_zone" and cfg.interaction.coupling > 0.0)
+        room = rises or (far > 0.0 and w[-1] < 1.5 * far / k)
+        if (slope[0] > 0.0 and (k > 0.0 or s > 0.0)) or (slope[-1] < 0.0 and room):
+            raise NumericsError("width minimum outside [1e-6, 1e3] wavelengths")
+        roots = [_brent_root(lambda x: sum(energy_gradient_parts(x, cfg)),
+                             w[i], w[i + 1], xtol=_ROOT_RTOL * w[i], rtol=_ROOT_RTOL)
+                 for i in range(len(w) - 1) if slope[i] < 0.0 <= slope[i + 1]]
     if not roots:
         return VariationalResult(math.nan, math.nan, None, False, False)
     best, w_star = min(((energy_breakdown(x, cfg), x) for x in roots),
@@ -282,31 +303,30 @@ def config_at_ratio(species: AtomSpecies, ratio: float, wavelength: float,
 
 def width_vs_intensity(cfg: AnsatzConfig,
                        ratios: Sequence[float]) -> list[VariationalResult]:
-    """:func:`minimize_width` at each I/I0 in ``ratios``, changing only the
-    intensity of ``cfg``.  A negative ratio raises ``ValueError``; I/I0 = 0
-    reads unbound."""
+    """:func:`minimize_width` at each I/I0 in ``ratios`` (trap-free TF: its
+    :func:`tf_width` as given), changing only the intensity of ``cfg``.
+    A negative ratio raises ``ValueError``; I/I0 = 0 reads unbound."""
     if any(r < 0.0 for r in ratios):
         raise ValueError("intensity ratios must be non-negative")
     alpha, lam = cfg.interaction.alpha_si, cfg.interaction.wavelength
     i0 = _threshold_at(cfg.species, alpha)
-    return [minimize_width(replace(
-                cfg, interaction=InteractionParams.from_alpha(r * i0, lam, alpha)))
+    return [_minimum(replace(
+                cfg, interaction=InteractionParams.from_alpha(r * i0, lam, alpha)), r)
             for r in ratios]
 
 
 def critical_intensity_ratio(species: AtomSpecies, wavelength: float,
                              n_atoms: float = 1.0,
                              use_detuned: bool = False) -> float:
-    """I_c/I0 above which a TF cloud self-binds.
+    """I_c/I0 = S/S_c above which a TF cloud self-binds: 1 to rounding.
 
-    Without a trap, dE/dw = 3 (h(w) - S/r) / w^4 in units of N u/lam, with
-    h(w) = w^4 g'(w)/6 and S the contact coefficient at I0; a minimum exists
-    iff r > S / sup h, and h rises to its supremum S_c as w -> infinity.
+    Without a trap dE/dw = 3 (h(w) - S/r)/w^4 in units of N u/lam, with
+    h = w^4 g'/6 rising to S_c and S the contact coefficient at I0, which
+    the threshold formula makes S_c; :func:`tf_width` takes it as exact.
     """
     cfg = config_at_ratio(species, 1.0, wavelength, n_atoms, use_detuned,
                           tf_limit=True)
-    contact = _closed_coefficients(cfg)[2] / tf_energy_unit(cfg)
-    return contact / CONTACT_AT_THRESHOLD
+    return _closed_coefficients(cfg)[2] / tf_energy_unit(cfg) / CONTACT_AT_THRESHOLD
 
 
 def mfa_validity(rho_peak: float, species: AtomSpecies,

@@ -340,6 +340,43 @@ def test_fig1b_is_a_projection_of_width_sweep(tmp_path):
         assert run([command, "--ratios", "1.5,-1"]) == 2
 
 
+def test_tf_sweeps_reach_the_edges_of_the_ratio_axis(tmp_path):
+    # w* ~ 2231 wavelengths just above threshold, ~8e-7 at 1e11: one bound
+    # TF root each, with no width grid to fall off
+    ratios = "1.00000001,1e10,1e11"
+    fig1b, sweep = tmp_path / "fig1b.csv", tmp_path / "sweep.csv"
+    assert run(["fig1b", "--ratios", ratios, "--out", str(fig1b)]) == 0
+    assert run(["width-sweep", "--ratios", ratios, "--out", str(sweep)]) == 0
+    rows = [line.split(",") for line in fig1b.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["true"] * 3
+    widths = [float(row[1]) for row in rows]
+    assert widths == sorted(widths, reverse=True) and widths[-1] > 0.0
+    lines = sweep.read_text().splitlines()
+    bound = lines[0].split(",").index("bound_local")
+    assert [line.split(",")[bound] for line in lines[1:]] == ["true"] * 3
+
+
+def test_ratios_past_double_range_are_numerical_failures(capsys):
+    # w* ~ 0.2459/sqrt(r) leaves double range, and the loss rates overflow
+    # long before that; either way the answer is a failure, not a traceback
+    assert run(["fig1b", "--ratios", "1e200"]) == 1
+    assert run(["losses", "--ratio", "1e100"]) == 1
+    assert capsys.readouterr().err.count("numerical failure") == 2
+
+
+def test_fig1b_widths_are_the_same_for_every_species(tmp_path):
+    # in TF units the width depends on I/I0 alone
+    na, rb = tmp_path / "na.csv", tmp_path / "rb.csv"
+    assert run(["fig1b", "--out", str(na)]) == 0
+    assert run(["fig1b", "--species", "Rb87", "--static", "--wavelength",
+                "780e-9", "--out", str(rb)]) == 0
+    w_star = [[line.split(",")[1]
+               for line in path.read_text().splitlines()[1:]]
+              for path in (na, rb)]
+    assert len(w_star[0]) == 40
+    assert w_star[0] == w_star[1]
+
+
 def test_config_file_preloads_flags(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("species = Na\nstatic = true\n")

@@ -153,7 +153,8 @@ def test_critical_ratio_is_unity_to_scan_accuracy(na):
 
 def test_far_field_slope_rises_below_contact_coefficient():
     # h(w) = w^4 g'(w)/6 increases monotonically towards S_c from below:
-    # the premise of the far-field stop rule in minimize_width
+    # the premise that h(w) = S_c/r has exactly one root for r > 1 and none
+    # for r <= 1, the root tf_width takes
     h = np.array([w**4 * pair_energy(w, d_dw=True) / 6.0
                   for w in np.logspace(-6.0, 3.0, 181).tolist()])
     assert np.all(np.diff(h) > 0.0)
@@ -248,21 +249,56 @@ def test_unbound_at_and_below_threshold(na):
         assert not result.bound_local and math.isnan(result.w_star)
 
 
+def _mpmath_tf_width(ratio):
+    """Root of h(w) = S_c/r at 60 digits, h from the mpmath g above."""
+    import mpmath as mp
+
+    def g(x):
+        pi, r2 = mp.pi, mp.sqrt(2)
+        z = 2 * r2 * pi * x
+        f = mp.sqrt(pi) / 2 * mp.exp(-z * z) * mp.erfi(z)
+        return (-5 * ((48 * pi**4 * x**4 + 12 * pi**2 * x**2 + 3) * f
+                      + 8 * r2 * pi**3 * x**3 - 6 * r2 * pi * x)
+                / (352 * pi**(mp.mpf(11) / 2) * x**6))
+
+    with mp.workdps(60):
+        contact = 35 / (88 * mp.pi * (2 * mp.pi) ** mp.mpf(1.5))
+        target = contact / mp.mpf(ratio)
+        # start from the asymptotes of h, not from the code under test
+        guess = max(mp.mpf("0.2459") / mp.sqrt(ratio),
+                    mp.mpf("0.22306") / mp.sqrt(mp.mpf(ratio) - 1))
+        return mp.findroot(lambda w: w**4 * mp.diff(g, w) / 6 - target,
+                           guess)
+
+
+def test_tf_width_matches_mpmath_root():
+    # 1 + 1e-1 puts w* at z = 6.5, where the deficit series is shortest
+    ratios = [1.0 + e for e in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1, 1.0)]
+    for ratio in ratios + [1e2, 1e6, 1e12]:
+        exact = _mpmath_tf_width(ratio)
+        assert abs(variational.tf_width(ratio) / exact - 1.0) < 1e-13, ratio
+
+
+def test_tf_width_is_nan_at_and_below_threshold():
+    for ratio in (0.0, 1.0 - 1e-15, 1.0):
+        assert math.isnan(variational.tf_width(ratio))
+    # far above, w* ~ 0.2459/sqrt(r) falls out of double range
+    assert variational.tf_width(1e150) > 0.0
+    for ratio in (1e151, math.inf):
+        with pytest.raises(NumericsError, match="below 1e-75"):
+            variational.tf_width(ratio)
+
+
 def test_near_threshold_width_law(na):
     # h(w) = S_c - c2/w^2 + ... from the large-z Dawson series, with
     # c2 = 25 sqrt2/(512 pi^(9/2)), so w* sqrt(r - 1) -> sqrt(c2/S_c)
     law = math.sqrt(385.0) / (28.0 * math.pi)
-    for excess in (1e-4, 1e-6, 1e-7):
-        cfg = config_at_ratio(na, 1.0 + excess, LAM, use_detuned=True,
-                              tf_limit=True)
-        result = minimize_width(cfg)
+    cfg = config_at_ratio(na, 1.0, LAM, use_detuned=True, tf_limit=True)
+    ratios = [1.0 + e for e in (1e-4, 1e-6, 1e-7, 1e-9, 1e-12)]
+    for ratio, result in zip(ratios, width_vs_intensity(cfg, ratios)):
+        excess = ratio - 1.0  # exact: the excess the float ratio carries
         assert result.bound_local and result.bound_global
         assert abs(result.w_star * math.sqrt(excess) / law - 1.0) < excess
-    # at 1 + 1e-9 the root, w* ~ 7054, lies above the hard limit 1e3
-    cfg = config_at_ratio(na, 1.0 + 1e-9, LAM, use_detuned=True,
-                          tf_limit=True)
-    with pytest.raises(NumericsError, match="outside"):
-        minimize_width(cfg)
 
 
 def test_critical_ratio_independent_of_atom_number_and_wavelength(na):
@@ -277,9 +313,10 @@ def test_minimizer_location_independent_of_species_in_tf_units(na, rb):
     # equal I/I0 gives the same reduced energy curve for any species
     cfg_na = config_at_ratio(na, 1.5, LAM, tf_limit=True)
     cfg_rb = config_at_ratio(rb, 1.5, 780e-9, tf_limit=True)
-    w_na = minimize_width(cfg_na).w_star
-    w_rb = minimize_width(cfg_rb).w_star
-    assert w_rb == pytest.approx(w_na, rel=1e-3)
+    ratios = [1.0 + 1e-9, 1.5, 3.0, 1e4]
+    w_na = [res.w_star for res in width_vs_intensity(cfg_na, ratios)]
+    w_rb = [res.w_star for res in width_vs_intensity(cfg_rb, ratios)]
+    assert w_rb == w_na
     for w in (0.2, 0.35, 0.8):
         e_na = total_energy(w, cfg_na) / tf_energy_unit(cfg_na)
         e_rb = total_energy(w, cfg_rb) / tf_energy_unit(cfg_rb)
@@ -382,7 +419,8 @@ def test_minimizer_brackets_give_scipy_roots_bitwise(na, monkeypatch):
 
     monkeypatch.setattr(variational, "_brent_root", recorded)
     cfgs = [config_at_ratio(na, r, LAM, use_detuned=True, tf_limit=True)
-            for r in (1.0 + 1e-4, 1.01, 1.5, 10.0, 300.0, 1e4)]
+            for r in (1.0 + 1e-9, 1.0 + 1e-4, 1.01, 1.5, 10.0, 300.0, 1e4,
+                      1e12)]
     cfgs += [config_at_ratio(na, r, LAM, n_atoms=n, use_detuned=True)
              for r, n in ((1.5, 1e4), (56.3, 3.2e4), (1e3, 1e5))]
     for cfg in cfgs:
