@@ -11,8 +11,8 @@ from .constants import (CONSTANTS, PhysicalConstants, intensity_in,
 from .errors import (CollapseError, ConvergenceError, LaserGravError,
                      NumericsError, SpeciesFileError, UnboundError)
 from .interaction import (InteractionParams, beam_budget, coupling_strength,
-                          kernel_shape, kernel_slope, near_zone_limit,
-                          oscillation_onset, pair_potential)
+                          kernel_shape, kernel_slope, oscillation_onset,
+                          pair_potential)
 from .losses import (LossReport, interference_rate, lifetime_bound,
                      loss_report, plasma_frequency_direct,
                      plasma_frequency_scaled, rabi_frequency, rayleigh_rate,

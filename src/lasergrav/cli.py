@@ -9,9 +9,9 @@ order, so repeated runs produce byte-identical files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import asdict
@@ -55,31 +55,21 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return _FLOAT_FORMAT.format(value)
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
     return str(value)
 
 
-def emit_csv(rows: list[dict], path: str | None, header: list[str] | None = None):
-    """Write dict rows as CSV under ``header``, by default the first row's
-    keys; empty ``rows`` without a ``header`` give a lone newline."""
-    if header is None:
-        header = list(rows[0].keys()) if rows else []
+def emit_csv(rows: list[dict], path: str | None):
+    """Write dict rows as CSV under the first row's keys; every command
+    yields at least one row."""
+    header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(row[k]) for k in header))
-    text = "\n".join(lines) + "\n"
-    _write(text, path)
+    _write("\n".join(lines) + "\n", path)
 
 
 def emit_json(obj, path: str | None):
-    def default(o):
-        # numpy arrays and scalars
-        if hasattr(o, "tolist"):
-            return o.tolist()
-        raise TypeError(f"cannot serialize {type(o)}")
-
-    _write(json.dumps(obj, indent=2, default=default) + "\n", path)
+    _write(json.dumps(obj, indent=2) + "\n", path)
 
 
 def _write(text: str, path: str | None):
@@ -91,7 +81,7 @@ def _write(text: str, path: str | None):
 
 
 def _get_species(args):
-    path = getattr(args, "species_file", None) or os.environ.get(SPECIES_FILE_ENV)
+    path = args.species_file or os.environ.get(SPECIES_FILE_ENV)
     if path:
         table = load_species_file(path)
         if args.species in table:
@@ -139,8 +129,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_species_options(p, default="Na"):
-    p.add_argument("--species", default=default,
+def _add_species_options(p):
+    p.add_argument("--species", default="Na",
                    help=f"species name (catalog: {', '.join(catalog_names())})")
     p.add_argument("--species-file",
                    help=f"key=value species file (or ${SPECIES_FILE_ENV})")
@@ -150,15 +140,6 @@ def _add_species_options(p, default="Na"):
                    help="use the near-resonant polarizability (default)")
     p.add_argument("--static", dest="detuned", action="store_false",
                    help="use the static polarizability")
-
-
-def _add_intensity_options(p):
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--ratio", type=float, help="intensity as I/I0")
-    g.add_argument("--intensity", type=float, help="absolute total intensity")
-    p.add_argument("--unit", default="W/m^2",
-                   choices=["W/m^2", "W/cm^2", "mW/cm^2"],
-                   help="unit of --intensity (default W/m^2)")
 
 
 def _add_common(p):
@@ -180,22 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
                              "explicit flags win")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    class _Sub:
-        """add_parser with defaults shown in --help."""
+    # every subcommand shows its defaults in --help
+    add_parser = functools.partial(
+        subparsers.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-        def add_parser(self, name, **kwargs):
-            kwargs.setdefault("formatter_class",
-                              argparse.ArgumentDefaultsHelpFormatter)
-            return subparsers.add_parser(name, **kwargs)
-
-    sub = _Sub()
-
-    p = sub.add_parser("catalog", help="dump species data")
+    p = add_parser("catalog", help="dump species data")
     p.add_argument("--species", default=None, help="single species (default: all)")
     p.add_argument("--species-file")
     _add_common(p)
 
-    p = sub.add_parser("potential", help="pair potential samples (CSV)")
+    p = add_parser("potential", help="pair potential samples (CSV)")
     p.add_argument("--rmin", type=float, default=1e-3)
     p.add_argument("--rmax", type=float, default=3.0)
     p.add_argument("--samples", type=_positive_int, default=600)
@@ -203,11 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="linear instead of log spacing in r/lam")
     _add_common(p)
 
-    p = sub.add_parser("threshold", help="self-binding threshold intensity (JSON)")
+    p = add_parser("threshold", help="self-binding threshold intensity (JSON)")
     _add_species_options(p)
     _add_common(p)
 
-    p = sub.add_parser("fig1a", help="TF energy curves E/N vs width (CSV)")
+    p = add_parser("fig1a", help="TF energy curves E/N vs width (CSV)")
     _add_species_options(p)
     p.add_argument("--ratios", default="0.5,0.8,1.0,1.2,1.5,2.0",
                    help="comma list or start:stop:step of I/I0")
@@ -221,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="laser wavelength in m (default: transition wavelength)")
     _add_common(p)
 
-    p = sub.add_parser("fig1b", help="equilibrium width vs I/I0 (CSV)")
+    p = add_parser("fig1b", help="equilibrium width vs I/I0 (CSV)")
     _add_species_options(p)
     p.add_argument("--ratios", default="1.1:5:0.1",
                    help="comma list or start:stop:step of I/I0")
@@ -231,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the width-sweep of one trap-free TF atom, cut to three columns
     p.set_defaults(atoms=1.0, trap=0.0, tf_limit=True)
 
-    p = sub.add_parser("width-sweep", help="full variational sweep (CSV)")
+    p = add_parser("width-sweep", help="full variational sweep (CSV)")
     _add_species_options(p)
     p.add_argument("--ratios", default="1.1:5:0.1",
                    help="comma list or start:stop:step of I/I0")
@@ -245,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retain the kinetic term")
     _add_common(p)
 
-    p = sub.add_parser("phase-map", help="regime label grid (CSV)")
+    p = add_parser("phase-map", help="regime label grid (CSV)")
     _add_species_options(p)
     p.add_argument("--nx", type=int, default=51)
     p.add_argument("--ny", type=int, default=41)
     _add_common(p)
 
-    p = sub.add_parser("fig2", help="atom capacity band vs wavelength (CSV)")
+    p = add_parser("fig2", help="atom capacity band vs wavelength (CSV)")
     _add_species_options(p)
     p.add_argument("--ratio", type=float, default=1.5)
     p.add_argument("--rho-low", type=float, default=1e21,
@@ -263,9 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_positive_int, default=20)
     _add_common(p)
 
-    p = sub.add_parser("gpe", help="mean-field ground state (JSON + CSV profile)")
+    p = add_parser("gpe", help="mean-field ground state (JSON + CSV profile)")
     _add_species_options(p)
-    _add_intensity_options(p)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--ratio", type=float, help="intensity as I/I0")
+    g.add_argument("--intensity", type=float, help="absolute total intensity")
+    p.add_argument("--unit", default="W/m^2",
+                   choices=["W/m^2", "W/cm^2", "mW/cm^2"],
+                   help="unit of --intensity (default W/m^2)")
     p.add_argument("--wavelength", type=float, default=None,
                    help="laser wavelength in m (default: transition wavelength)")
     p.add_argument("--atoms", type=float, default=1e4,
@@ -280,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the radial profile CSV here")
     _add_common(p)
 
-    p = sub.add_parser("losses", help="loss-rate budget (JSON)")
+    p = add_parser("losses", help="loss-rate budget (JSON)")
     _add_species_options(p)
     p.add_argument("--ratio", type=float, default=1.5, help="I/I0")
     p.add_argument("--n", type=float, default=40.0, help="atom number")
@@ -290,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="triad relative detuning (default: plasma frequency)")
     _add_common(p)
 
-    p = sub.add_parser("atom-count", help="capacity at one wavelength (JSON)")
+    p = add_parser("atom-count", help="capacity at one wavelength (JSON)")
     _add_species_options(p)
     p.add_argument("--wavelength", type=float, required=True)
     p.add_argument("--rho-peak", type=float, required=True,
@@ -333,7 +313,6 @@ def _apply_config_file(parser, argv):
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
-    argv = list(argv)
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
@@ -352,7 +331,7 @@ def run(argv: list[str]) -> int:
     except (ValueError, OSError) as exc:
         print(f"lasergrav: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "plot_script", None):
+    if args.plot_script:
         _write(PLOT_SCRIPT, args.plot_script)
     return 0
 
@@ -360,14 +339,11 @@ def run(argv: list[str]) -> int:
 def _dispatch(args):
     cmd = args.command
     if cmd == "catalog":
-        names = [args.species] if args.species else catalog_names()
         table = {}
-        for name in names:
-            sp = catalog_lookup(name) if not args.species_file else _get_species(
-                argparse.Namespace(species=name, species_file=args.species_file))
-            entry = asdict(sp)
-            entry["contact_coupling_J_m3"] = sp.contact_coupling
-            table[name] = entry
+        for name in [args.species] if args.species else catalog_names():
+            sp = _get_species(argparse.Namespace(species=name,
+                                                 species_file=args.species_file))
+            table[name] = {**asdict(sp), "contact_coupling_J_m3": sp.contact_coupling}
         emit_json(table, args.out)
 
     elif cmd == "potential":
@@ -401,16 +377,16 @@ def _dispatch(args):
         step = (args.wmax - args.wmin) / max(last, 1)
         widths = [i * step + args.wmin for i in range(last)] + [
             args.wmax if last else args.wmin]
+        # one single-atom TF config per ratio, shared by every width
+        curves = {f"E_over_N_tf_units_ratio_{ratio:g}": variational.config_at_ratio(
+                      species, ratio, lam, use_detuned=args.detuned, tf_limit=True)
+                  for ratio in ratios}
         rows = []
         for w in widths:
             row = {"w": w}
-            for ratio in ratios:
-                cfg = variational.config_at_ratio(
-                    species, ratio, lam, n_atoms=1.0,
-                    use_detuned=args.detuned, tf_limit=True)
+            for key, cfg in curves.items():
                 e = variational.total_energy(w, cfg)
-                row[f"E_over_N_tf_units_ratio_{ratio:g}"] = \
-                    e / variational.tf_energy_unit(cfg)
+                row[key] = e / variational.tf_energy_unit(cfg)
             rows.append(row)
         emit_csv(rows, args.out)
 
@@ -522,9 +498,6 @@ def _dispatch(args):
             "ratio": args.ratio,
             "N": n,
         }, args.out)
-
-    else:  # pragma: no cover - argparse enforces the choices
-        raise AssertionError(cmd)
 
 
 def main() -> None:

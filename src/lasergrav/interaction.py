@@ -26,8 +26,9 @@ from .constants import CONSTANTS
 from .errors import NumericsError
 from .species import AtomSpecies
 
-# x = 2*pi*r/lam below which the series branch is used
-X_SWITCH = 0.05
+# x = 2*pi*r/lam below which the series branch is used: the 12 terms hold
+# rounding accuracy up to x = 1, where the closed form still cancels digits
+X_SWITCH = 1.0
 SERIES_TERMS = 12
 _ROOT_MAXITER = 100
 
@@ -183,17 +184,13 @@ class InteractionParams:
     """Total beam intensity, wavelength and the derived coupling.
 
     ``coupling`` (J m) is fixed by construction to the value implied by
-    ``intensity`` and ``alpha_si``; ``wavevector`` is 2 pi / wavelength.
+    ``intensity`` and ``alpha_si``.
     """
 
     intensity: float
     wavelength: float
     coupling: float
     alpha_si: float
-
-    @property
-    def wavevector(self) -> float:
-        return 2.0 * math.pi / self.wavelength
 
     @classmethod
     def from_alpha(cls, intensity: float, wavelength: float,
@@ -229,17 +226,7 @@ def pair_potential(r_tilde, coupling: float, wavelength: float):
     return kernel_shape(r_tilde) * (coupling / wavelength)
 
 
-def near_zone_limit(r, coupling: float):
-    """The -u/r reference kernel (J); oracle for the near-zone behaviour."""
-    import numpy as np
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("separation must be positive")
-    out = -coupling / r
-    return out if out.ndim else float(out)
-
-
-def oscillation_onset(coupling: float = 1.0, tol: float = 1e-6) -> float:
+def oscillation_onset(tol: float = 1e-6) -> float:
     """Smallest r/lam where the pair interaction turns repulsive.
 
     Inside this radius the force is everywhere attractive (the potential
@@ -247,11 +234,9 @@ def oscillation_onset(coupling: float = 1.0, tol: float = 1e-6) -> float:
     beyond it the force alternates sign with the potential oscillation.  The
     location is the first stationary point of the potential, the one sign
     change of the slope on [0.05, 0.5], found by Brent's method to ``tol``.
-    The sign structure does not depend on the coupling, which only scales
-    the potential, so the result is a pure number near 0.35.
+    The coupling only scales the potential, so the result is a pure number
+    near 0.35.
     """
-    if coupling <= 0.0:
-        raise ValueError("coupling must be positive")
     return _brent_root(kernel_slope, 0.05, 0.5, xtol=tol,
                        rtol=4.0 * sys.float_info.epsilon)
 

@@ -11,10 +11,10 @@ from typing import Optional
 
 from .constants import CONSTANTS
 from .errors import UnboundError
+from .interaction import coupling_strength
 from .regimes import border_atom_number, f_factor
 from .species import AtomSpecies
-from .variational import (config_at_ratio, peak_density, threshold_intensity,
-                          width_vs_intensity)
+from .variational import peak_density, tf_width, threshold_intensity
 
 # K/u below this counts as a negligible repulsive correction
 REPULSION_NEGLIGIBLE = 1e-2
@@ -166,14 +166,14 @@ def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
     e_r = recoil_energy(species, wavelength)
     q = 2.0 * math.pi / wavelength
 
-    cfg = config_at_ratio(species, ratio, wavelength, n_atoms=n_atoms,
-                          use_detuned=use_detuned, tf_limit=True)
-    trial, = width_vs_intensity(cfg, [ratio])
-    if not trial.bound_local:
+    coupling = coupling_strength(intensity, species, wavelength, use_detuned)
+    if n_atoms < 1.0:
+        raise ValueError(f"need at least one atom, got {n_atoms}")
+    w_star = tf_width(ratio)
+    if math.isnan(w_star):
         raise UnboundError(f"no bound TF solution at I/I0 = {ratio}")
-    rho_peak = peak_density(n_atoms, trial.w_star, wavelength)
+    rho_peak = peak_density(n_atoms, w_star, wavelength)
 
-    coupling = cfg.interaction.coupling
     n_b = border_atom_number(coupling, species)
     f = f_factor(n_atoms, n_b)
     omega_scaled = plasma_frequency_scaled(n_atoms, gamma_ray, e_r, n_b)
@@ -191,7 +191,8 @@ def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
 
     return LossReport(
         gamma_ray=gamma_ray,
-        tau_ray_lower_bound=lifetime_bound(gamma_ray, q, trial.r_rms),
+        tau_ray_lower_bound=lifetime_bound(gamma_ray, q,
+                                           math.sqrt(1.5) * w_star * wavelength),
         omega_p_direct=omega_direct,
         omega_p_scaled=omega_scaled,
         gamma_interf=gamma_int,

@@ -14,8 +14,8 @@ from .constants import CONSTANTS
 from .errors import UnboundError
 from .interaction import coupling_strength
 from .species import AtomSpecies
-from .variational import (config_at_ratio, minimize_width, threshold_intensity,
-                          width_vs_intensity)
+from .variational import (config_at_ratio, minimize_width, tf_width,
+                          threshold_intensity)
 
 # reading of the "much greater than one" trap-irrelevance condition
 TRAP_NEGLIGIBLE_CUTOFF = 10.0
@@ -110,12 +110,13 @@ def atom_capacity(wavelength: float, rho_peak: float, ratio: float,
     """
     if rho_peak <= 0.0:
         raise ValueError("peak density must be positive")
-    cfg = config_at_ratio(species, 1.0, wavelength, n_atoms=1.0,
-                          use_detuned=use_detuned, tf_limit=True)
-    trial, = width_vs_intensity(cfg, [ratio])
-    if not trial.bound_local:
+    threshold_intensity(species, use_detuned)  # ValueError where I0 is undefined
+    if wavelength <= 0.0:
+        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    w_star = tf_width(ratio)
+    if math.isnan(w_star):
         raise UnboundError(f"no bound TF solution at I/I0 = {ratio}")
-    n = rho_peak * math.pi**1.5 * (trial.w_star * wavelength) ** 3
+    n = rho_peak * math.pi**1.5 * (w_star * wavelength) ** 3
     if not self_consistent:
         return n
     for _ in range(200):

@@ -32,7 +32,8 @@ from .errors import NumericsError
 from .interaction import _F_COEFFS, InteractionParams, _brent_root, _horner
 from .species import AtomSpecies
 
-# w below which g is summed from the kernel's series (as X_SWITCH for U)
+# w below which g is summed from the kernel's series (the closed form
+# cancels as w^-4); the moment sum itself loses digits past w = 0.06
 W_SWITCH = 0.05
 # g = Sum_n _G_SERIES[n] w^(2n-1): the series coefficients F_n of the kernel
 # times (2 pi)^(2n-1) and the Maxwell moments <s^(2n-1)> = w^(2n-1)
@@ -40,6 +41,7 @@ W_SWITCH = 0.05
 _G_SERIES = tuple(-(15.0 / 11.0) * math.sqrt(math.pi) * c
                   * (2.0 * math.pi) ** (2 * n - 1) * 2.0 ** (n + 0.5)
                   * math.factorial(n) for n, c in enumerate(_F_COEFFS))
+_G_PRIME_SERIES = tuple((2 * n - 1) * c for n, c in enumerate(_G_SERIES))
 
 # Dawson's integral: the positive Taylor series exp(-z^2) Sum z^(2n+1)/(n!
 # (2n+1)) below _DAWSON_SWITCH, with terms below 1e-17 of the sum at z = 6
@@ -97,11 +99,6 @@ class EnergyBreakdown:
     gravitational: float
     total: float
 
-    @classmethod
-    def from_parts(cls, kinetic, trap, swave, gravitational):
-        return cls(kinetic, trap, swave, gravitational,
-                   kinetic + trap + swave + gravitational)
-
 
 @dataclass(frozen=True)
 class VariationalResult:
@@ -135,7 +132,7 @@ def _dawson(z: float) -> tuple[float, float]:
 def _g_series(w: float, d_dw: bool) -> float:
     w2 = w * w
     if d_dw:
-        return _horner(w2, [(2 * n - 1) * c for n, c in enumerate(_G_SERIES)]) / w2
+        return _horner(w2, _G_PRIME_SERIES) / w2
     return _horner(w2, _G_SERIES) / w
 
 
@@ -174,7 +171,8 @@ def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
     grav = 0.0
     if cfg.interaction.coupling != 0.0:
         grav = 0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel)
-    return EnergyBreakdown.from_parts(k / w**2, t * w**2, s / w**3, grav)
+    kinetic, trap, swave = k / w**2, t * w**2, s / w**3
+    return EnergyBreakdown(kinetic, trap, swave, grav, kinetic + trap + swave + grav)
 
 
 def _closed_coefficients(cfg: AnsatzConfig) -> tuple[float, float, float]:
@@ -208,10 +206,13 @@ def tf_energy_unit(cfg: AnsatzConfig) -> float:
 def tf_width(ratio: float) -> float:
     """Width w* of the trap-free TF cloud at I/I0 = ``ratio`` for any species,
     wavelength and N: the one root of the rising h(w) = S_c/r.  NaN (no
-    minimum) for r <= 1; :class:`NumericsError` past r = 1e150.  Above z = 6
-    it solves S_c (r - 1)/r = S_c - h, the deficit summed from the asymptotic
-    F and F' so that the root keeps its digits as r -> 1.
+    minimum) for 0 <= r <= 1, ``ValueError`` for r < 0 and
+    :class:`NumericsError` past r = 1e150.  Above z = 6 it solves
+    S_c (r - 1)/r = S_c - h, the deficit summed from the asymptotic F and F'
+    so that the root keeps its digits as r -> 1.
     """
+    if ratio < 0.0:
+        raise ValueError("intensity ratios must be non-negative")
     if ratio > 1e150:
         raise NumericsError(f"I/I0 = {ratio:g} puts w* below 1e-75 wavelengths")
     if not ratio > 1.0:

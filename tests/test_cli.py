@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from lasergrav import gpe, regimes
-from lasergrav.cli import _parse_ratio_spec, _resolve_intensity, emit_csv, run
+from lasergrav.cli import _parse_ratio_spec, _resolve_intensity, run
 
 def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "lasergrav.cli", *argv],
@@ -262,6 +262,32 @@ def test_losses_unbound_is_numerical_failure():
     assert "no bound" in proc.stderr
 
 
+_CAPACITY = ["atom-count", "--wavelength", "589e-9", "--rho-peak", "1e21"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_CAPACITY, "--ratio", "-1"], "intensity ratios must be non-negative"),
+    ([*_CAPACITY, "--wavelength=-5e-7"], "wavelength must be positive, got -5e-07"),
+    ([*_CAPACITY, "--species", "Rb87"], "species 'Rb87' has no detuned context"),
+    (["losses", "--n", "0.5"], "need at least one atom, got 0.5"),
+    (["losses", "--wavelength=-5e-7"], "wavelength must be positive, got -5e-07"),
+])
+def test_tf_capacity_and_losses_reject_invalid_inputs(argv, message, capsys):
+    # usage errors (exit 2), not an unbound cloud or a capacity of any sign
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"lasergrav: {message}\n"
+
+
+def test_atom_count_needs_a_threshold(tmp_path, capsys):
+    # I/I0 has no meaning without contact repulsion
+    species = tmp_path / "species.txt"
+    species.write_text("name = Free\nmass_kg = 3.8175e-26\na_m = 0\n"
+                       "alpha_v_m3 = 24.1e-30\n")
+    assert run(["atom-count", "--species", "Free", "--species-file", str(species),
+                "--static", "--wavelength", "589e-9", "--rho-peak", "1e21"]) == 2
+    assert "non-positive scattering length" in capsys.readouterr().err
+
+
 def test_gpe_missing_intensity_is_usage_error():
     proc = _run_cli("gpe", "--species", "Na")
     assert proc.returncode == 2
@@ -405,6 +431,26 @@ def test_species_file_from_environment(tmp_path, monkeypatch):
     assert data["I0_W_per_cm2"] == pytest.approx(5.65e9, rel=0.03)
 
 
+def test_catalog_reads_species_file_from_environment(tmp_path, monkeypatch):
+    # catalog looks species up the way every other command does
+    species = tmp_path / "species.txt"
+    species.write_text(
+        "name = K39\nmass_kg = 6.4697e-26\na_m = 2e-9\nalpha_v_m3 = 42.9e-30\n")
+    monkeypatch.setenv("LASERGRAV_SPECIES_FILE", str(species))
+    out = tmp_path / "c.json"
+    assert run(["catalog", "--species", "K39", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["K39"]["mass"] == 6.4697e-26
+    assert run(["threshold", "--species", "K39", "--static",
+                "--out", str(tmp_path / "t.json")]) == 0
+
+
+def test_subcommand_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["fig1b", "--help"])
+    assert exit_info.value.code == 0
+    assert "(default: 1.1:5:0.1)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_width_sweep_schema(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["width-sweep", "--species", "Na", "--ratios", "0.9,1.5",
@@ -447,12 +493,6 @@ def test_gpe_profile_builds_one_hartree_operator(tmp_path, monkeypatch):
                 "--n", "256", "--out", str(tmp_path / "gpe.json"),
                 "--profile", str(tmp_path / "profile.csv")]) == 0
     assert len(built) == 1
-
-
-def test_emit_csv_empty_dataset(tmp_path):
-    out = tmp_path / "empty.csv"
-    emit_csv([], str(out), header=["alpha", "beta"])
-    assert out.read_text() == "alpha,beta\n"
 
 
 def test_resolve_intensity_accepts_absolute_value(na):

@@ -362,14 +362,15 @@ def _mpmath_j(t):
 
 @pytest.mark.parametrize("n, h", [(512, 0.025), (2048, 0.004)])
 def test_j_table_matches_closed_form(n, h):
-    # the first 15 nodes hold the kernel's series switch x = 2 pi t = 0.05;
-    # then every 29th node out to the end of the table
-    assert X_SWITCH / (2.0 * math.pi) < 15 * h
-    nodes = np.concatenate([np.arange(1, 16), np.arange(16, 2 * n, 29), [2 * n]])
+    # every node out to 15 past the kernel's series switch x = 2 pi t = 1,
+    # then every 29th node out to the end of the table; both branches of the
+    # kernel are at rounding accuracy, so the table is (5.6e-16 measured)
+    first = math.ceil(X_SWITCH / (2.0 * math.pi * h)) + 15
+    nodes = np.concatenate([np.arange(1, first), np.arange(first, 2 * n, 29), [2 * n]])
     table = _j_table(n, h, "full")
     assert table.shape == (2 * n + 1,) and table[0] == 0.0
     exact = np.array([_mpmath_j(k * h) for k in nodes])
-    assert np.max(np.abs(table[nodes] - exact)) < 1e-12
+    assert np.max(np.abs(table[nodes] - exact)) < 1e-15
 
 
 def test_hartree_zero_density_and_linearity(na):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lasergrav import (CONSTANTS, beam_budget, coupling_strength,
-                       kernel_shape, kernel_slope, near_zone_limit,
-                       oscillation_onset, pair_potential, threshold_intensity)
+                       kernel_shape, kernel_slope, oscillation_onset,
+                       pair_potential, threshold_intensity)
 from lasergrav.interaction import X_SWITCH, _f_direct, _f_series
 
 
@@ -66,12 +66,13 @@ def test_near_zone_example_point():
 
 
 def test_branch_continuity_around_switch():
-    # series and closed form agree to 1e-8 relative on a band around the switch
+    # series and closed form agree to rounding on a band around the switch
+    # x = 1 (3.0e-15 relative measured)
     x = np.linspace(0.8 * X_SWITCH, 1.25 * X_SWITCH, 101)
     series = _f_series(x)
     direct = _f_direct(x)
     rel = np.abs(series - direct) / np.abs(direct)
-    assert rel.max() < 1e-8
+    assert rel.max() < 1e-14
 
 
 def test_kernel_slope_matches_finite_difference():
@@ -93,20 +94,11 @@ def test_oscillation_onset_location():
     assert onset == pytest.approx(0.36, abs=0.02)
 
 
-def test_oscillation_onset_ignores_coupling_scale():
-    assert oscillation_onset(coupling=1e-37) == oscillation_onset(coupling=2e-37)
-
-
 def test_oscillation_onset_brackets_force_sign_change():
     onset = oscillation_onset(tol=1e-8)
     eps = 1e-4
     assert kernel_slope(onset - eps) > 0.0  # still attractive
     assert kernel_slope(onset + eps) < 0.0  # now repulsive
-
-
-def test_oscillation_onset_rejects_bad_coupling():
-    with pytest.raises(ValueError):
-        oscillation_onset(coupling=0.0)
 
 
 def _first_value_zero():
@@ -142,13 +134,11 @@ def test_envelope_decay_at_large_separation():
     assert values[-1] < 1e-4
 
 
-def test_near_zone_limit_values():
-    assert near_zone_limit(589e-9, 2e-37) == pytest.approx(-2e-37 / 589e-9)
-    assert near_zone_limit(1.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        near_zone_limit(0.0, 1e-37)
-    with pytest.raises(ValueError):
-        kernel_shape(-0.1)
+def test_kernel_rejects_non_positive_separation():
+    for kernel in (kernel_shape, kernel_slope):
+        for r in (-0.1, 0.0):
+            with pytest.raises(ValueError, match="separation must be positive"):
+                kernel(r)
 
 
 def test_pair_potential_approaches_near_zone(na):
@@ -156,7 +146,7 @@ def test_pair_potential_approaches_near_zone(na):
     u = 1.7e-37
     for r_tilde in (1e-5, 1e-4):
         full = pair_potential(r_tilde, u, lam)
-        limit = near_zone_limit(r_tilde * lam, u)
+        limit = -u / (r_tilde * lam)
         assert full == pytest.approx(limit, rel=1e-6)
 
 
