@@ -10,9 +10,8 @@ from .constants import (CONSTANTS, PhysicalConstants, intensity_in,
                         intensity_si, polarizability_si, polarizability_volume)
 from .errors import (CollapseError, ConvergenceError, LaserGravError,
                      NumericsError, SpeciesFileError, UnboundError)
-from .interaction import (InteractionParams, beam_budget, coupling_strength,
-                          kernel_shape, kernel_slope, oscillation_onset,
-                          pair_potential)
+from .interaction import (InteractionParams, beam_budget, kernel_shape,
+                          kernel_slope, oscillation_onset, pair_potential)
 from .losses import (LossReport, interference_rate, lifetime_bound,
                      loss_report, plasma_frequency_direct,
                      plasma_frequency_scaled, rabi_frequency, rayleigh_rate,
@@ -33,8 +32,7 @@ from .variational import (AnsatzConfig, EnergyBreakdown, VariationalResult,
 
 __version__ = "0.1.0"
 
-_GPE_NAMES = ("GroundState", "RadialGrid", "hartree_potential", "solve_ground",
-              "virial_report")
+_GPE_NAMES = ("GroundState", "RadialGrid", "hartree_potential", "solve_ground")
 
 
 def __getattr__(name):

@@ -25,6 +25,7 @@ from .species import catalog_lookup, catalog_names, load_species_file
 SPECIES_FILE_ENV = "LASERGRAV_SPECIES_FILE"
 
 _FLOAT_FORMAT = "{:.12e}"
+_NO_LIGHT = "intensity must be non-zero: without light nothing binds"
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
@@ -100,7 +101,7 @@ def _resolve_intensity(args, species) -> tuple[float, float]:
     if args.ratio is None and args.intensity is None:
         raise ValueError("exactly one of --ratio or --intensity is required")
     if args.ratio == 0.0 or args.intensity == 0.0:
-        raise ValueError("intensity must be non-zero: without light nothing binds")
+        raise ValueError(_NO_LIGHT)
     i0 = variational.threshold_intensity(species, use_detuned=args.detuned)
     if args.ratio is not None:
         return args.ratio * i0, args.ratio
@@ -112,7 +113,7 @@ def _parse_ratio_spec(text: str) -> list[float]:
     """Either comma-separated values or start:stop:step (inclusive stop)."""
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
-        if step <= 0.0:
+        if not step > 0.0:
             raise ValueError("ratio step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
@@ -372,6 +373,8 @@ def _dispatch(args):
         species = _get_species(args)
         lam = _resolve_wavelength(args, species)
         ratios = _parse_ratio_spec(args.ratios)
+        if 0.0 in ratios:  # the curves are in units of N u/lam
+            raise ValueError(_NO_LIGHT)
         # numpy's linspace arithmetic: i * step + wmin, ending on wmax itself
         last = args.samples - 1
         step = (args.wmax - args.wmin) / max(last, 1)
@@ -459,7 +462,7 @@ def _dispatch(args):
             "iterations": state.iterations,
             "residual": state.residual,
             "rho_peak_m3": rho_peak,
-            "energies_J": gpe.virial_report(state),
+            "energies_J": state.energies,
             "mfa_validity": variational.mfa_validity(rho_peak, species,
                                                      params.coupling),
         }
@@ -474,7 +477,7 @@ def _dispatch(args):
     elif cmd == "losses":
         species = _get_species(args)
         report = losses.loss_report(
-            species, args.ratio, args.n, wavelength=args.wavelength,
+            species, args.ratio, args.n, _resolve_wavelength(args, species),
             use_detuned=args.detuned, omega_triad=args.omega_triad)
         payload = asdict(report)
         payload["omega_p_over_gamma_ray"] = report.omega_p_scaled / report.gamma_ray

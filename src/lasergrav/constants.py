@@ -44,27 +44,26 @@ def polarizability_volume(alpha_si: float) -> float:
     return alpha_si / (4.0 * math.pi * CONSTANTS.eps0)
 
 
+def _scale(unit: str) -> float:
+    try:
+        return _INTENSITY_SCALE[unit]
+    except KeyError:
+        raise ValueError(
+            f"unknown intensity unit {unit!r}; expected one of {sorted(_INTENSITY_SCALE)}"
+        ) from None
+
+
 def intensity_si(value: float, unit: str = "W/m^2") -> float:
     """Convert a non-negative intensity to W/m^2.
 
     ``unit`` must be one of ``W/m^2``, ``W/cm^2``, ``mW/cm^2``; the scaling is
     an exact power of ten.
     """
-    if value < 0.0:
+    if not value >= 0.0:
         raise ValueError(f"intensity must be non-negative, got {value}")
-    try:
-        return value * _INTENSITY_SCALE[unit]
-    except KeyError:
-        raise ValueError(
-            f"unknown intensity unit {unit!r}; expected one of {sorted(_INTENSITY_SCALE)}"
-        ) from None
+    return value * _scale(unit)
 
 
 def intensity_in(value_si: float, unit: str) -> float:
     """Express an intensity given in W/m^2 in ``unit``."""
-    try:
-        return value_si / _INTENSITY_SCALE[unit]
-    except KeyError:
-        raise ValueError(
-            f"unknown intensity unit {unit!r}; expected one of {sorted(_INTENSITY_SCALE)}"
-        ) from None
+    return value_si / _scale(unit)

@@ -63,7 +63,7 @@ class RadialGrid:
     def __post_init__(self):
         if self.n_points < 256:
             raise ValueError(f"need at least 256 points, got {self.n_points}")
-        if self.r_max <= 0.0:
+        if not self.r_max > 0.0:
             raise ValueError("r_max must be positive")
 
     @property
@@ -351,16 +351,3 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
         energies=energies,
     )
 
-
-def virial_report(state: GroundState) -> dict:
-    """Per-term energies and the chemical-potential decomposition.
-
-    The pairwise terms enter mu with double weight:
-    mu N = E_kin + E_trap + 2 E_sw + 2 E_grav.  :func:`solve_ground` forms mu
-    from exactly these terms, so the reported residual of that identity is
-    rounding only.
-    """
-    e = state.energies
-    mu_n = e["kinetic"] + e["trap"] + 2.0 * e["swave"] + 2.0 * e["gravitational"]
-    residual = abs(mu_n - state.mu * state.n_atoms) / max(abs(mu_n), 1e-300)
-    return {**e, "mu": state.mu, "mu_identity_residual": residual}

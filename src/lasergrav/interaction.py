@@ -93,7 +93,7 @@ def _fprime_series(x):
 def _kernel_branches(r_tilde, series, direct, scale):
     import numpy as np
     r = np.asarray(r_tilde, dtype=float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):
         raise ValueError("separation must be positive")
     x = np.atleast_1d(2.0 * math.pi * r)
     out = np.empty_like(x)
@@ -197,9 +197,9 @@ class InteractionParams:
                    alpha: float) -> "InteractionParams":
         """Coupling u = (11 pi/15) I alpha^2 / (c eps0^2 lam^2) in J m for
         the SI polarizability ``alpha``; linear in the total intensity."""
-        if intensity < 0.0:
+        if not intensity >= 0.0:
             raise ValueError(f"intensity must be non-negative, got {intensity}")
-        if wavelength <= 0.0:
+        if not wavelength > 0.0:
             raise ValueError(f"wavelength must be positive, got {wavelength}")
         coupling = (11.0 * math.pi / 15.0) * intensity * alpha**2 / (
             CONSTANTS.c * CONSTANTS.eps0**2 * wavelength**2)
@@ -211,14 +211,6 @@ class InteractionParams:
                        wavelength: float, use_detuned: bool = False) -> "InteractionParams":
         return cls.from_alpha(intensity, wavelength,
                               species.alpha_si(use_detuned))
-
-
-def coupling_strength(intensity: float, species: AtomSpecies,
-                      wavelength: float, use_detuned: bool = False) -> float:
-    """Coupling u in J m (see :meth:`InteractionParams.from_alpha`);
-    ``use_detuned`` selects the near-resonant polarizability."""
-    return InteractionParams.from_intensity(species, intensity, wavelength,
-                                            use_detuned).coupling
 
 
 def pair_potential(r_tilde, coupling: float, wavelength: float):
@@ -247,7 +239,7 @@ def beam_budget(intensity_total: float, geometry: str) -> list[float]:
     ``triad``: three beams at I/3.  ``six_triads``: 12 beams at I/15 plus 6
     at I/30.  The returned list sums to the total exactly.
     """
-    if intensity_total < 0.0:
+    if not intensity_total >= 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity_total}")
     if geometry == "triad":
         beams = [intensity_total / 3.0] * 3

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .constants import CONSTANTS
 from .errors import UnboundError
-from .interaction import coupling_strength
+from .interaction import InteractionParams
 from .regimes import border_atom_number, f_factor
 from .species import AtomSpecies
 from .variational import peak_density, tf_width, threshold_intensity
@@ -41,7 +41,7 @@ def rayleigh_rate(intensity: float, species: AtomSpecies, wavelength: float,
     Algebraically identical to (20 pi / 11) u / (hbar lam) through the
     coupling definition; the test suite pins that identity.
     """
-    if intensity < 0.0:
+    if not intensity >= 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
     alpha = species.alpha_si(use_detuned)
     q = 2.0 * math.pi / wavelength
@@ -60,7 +60,7 @@ def lifetime_bound(gamma_ray: float, q: float, r_rms: float) -> float:
     Inelastic scattering off a sample smaller than the wavelength is
     suppressed by (q R_rms)^2, so Rayleigh depletion alone cannot act faster
     than this."""
-    if gamma_ray <= 0.0 or q <= 0.0 or r_rms <= 0.0:
+    if not (gamma_ray > 0.0 and q > 0.0 and r_rms > 0.0):
         raise ValueError("rate, wavevector and radius must all be positive")
     return 1.0 / (gamma_ray * (q * r_rms) ** 2)
 
@@ -74,7 +74,7 @@ def recoil_energy(species: AtomSpecies, wavelength: float) -> float:
 def plasma_frequency_direct(coupling: float, rho_peak: float,
                             species: AtomSpecies) -> float:
     """Collective oscillation frequency sqrt(4 pi u rho_peak / m)."""
-    if coupling < 0.0 or rho_peak < 0.0:
+    if not (coupling >= 0.0 and rho_peak >= 0.0):
         raise ValueError("coupling and density must be non-negative")
     return math.sqrt(4.0 * math.pi * coupling * rho_peak / species.mass)
 
@@ -96,7 +96,7 @@ def interference_rate(n_atoms: float, gamma_ray: float, e_recoil: float,
 
     ``omega_triad`` is the relative detuning between the beams of a triad
     (not a Rabi frequency)."""
-    if omega_triad <= 0.0:
+    if not omega_triad > 0.0:
         raise ValueError("triad detuning must be positive")
     hbar = CONSTANTS.hbar
     return (0.05 * (hbar * gamma_ray * n_atoms / e_recoil) ** 4
@@ -125,11 +125,11 @@ def saturation_at_threshold(species: AtomSpecies) -> tuple[float, bool]:
     |delta| >> Rabi frequency hold at threshold; the value is returned
     either way."""
     ctx = species.detuned
-    if ctx is None or ctx.dipole_moment <= 0.0:
+    if ctx is None or not ctx.dipole_moment > 0.0:
         raise ValueError(
             f"species {species.name!r} has no dipole matrix element on record")
     a = species.scattering_length
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("saturation at threshold requires a > 0")
     s = (48.0 * math.pi / 7.0) * a * CONSTANTS.eps0 * CONSTANTS.hbar**2 / (
         species.mass * ctx.dipole_moment**2)
@@ -143,7 +143,7 @@ def saturation_at_threshold(species: AtomSpecies) -> tuple[float, bool]:
 def repulsion_coupling(saturation: float, coupling: float) -> tuple[float, bool]:
     """Real-photon repulsion strength K = s u and whether it is negligible
     (K/u below 1e-2)."""
-    if saturation < 0.0 or coupling < 0.0:
+    if not (saturation >= 0.0 and coupling >= 0.0):
         raise ValueError("saturation and coupling must be non-negative")
     k = saturation * coupling
     negligible = (k / coupling < REPULSION_NEGLIGIBLE) if coupling > 0.0 else True
@@ -151,7 +151,7 @@ def repulsion_coupling(saturation: float, coupling: float) -> tuple[float, bool]
 
 
 def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
-                wavelength: Optional[float] = None, use_detuned: bool = True,
+                wavelength: float, use_detuned: bool = True,
                 omega_triad: Optional[float] = None) -> LossReport:
     """Full loss budget at intensity ``ratio`` times the threshold.
 
@@ -159,15 +159,14 @@ def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
     TF-limit variational cloud at ``ratio`` as given; ``omega_triad``
     defaults to the scaled plasma frequency.  Raises :class:`UnboundError`
     when no bound TF cloud exists at ``ratio``."""
-    if wavelength is None:
-        wavelength = species.laser_wavelength(use_detuned)
     intensity = ratio * threshold_intensity(species, use_detuned)
     gamma_ray = rayleigh_rate(intensity, species, wavelength, use_detuned)
     e_r = recoil_energy(species, wavelength)
     q = 2.0 * math.pi / wavelength
 
-    coupling = coupling_strength(intensity, species, wavelength, use_detuned)
-    if n_atoms < 1.0:
+    coupling = InteractionParams.from_intensity(species, intensity, wavelength,
+                                                use_detuned).coupling
+    if not n_atoms >= 1.0:
         raise ValueError(f"need at least one atom, got {n_atoms}")
     w_star = tf_width(ratio)
     if math.isnan(w_star):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS
 from .errors import UnboundError
-from .interaction import coupling_strength
+from .interaction import InteractionParams
 from .species import AtomSpecies
 from .variational import (config_at_ratio, minimize_width, tf_width,
                           threshold_intensity)
@@ -35,10 +35,10 @@ class RegimePoint:
 def border_atom_number(coupling: float, species: AtomSpecies) -> float:
     """Atom number sqrt(3 pi hbar^2 / (2 m u a)) separating the
     kinetic-pressure (G) and contact-pressure (TF-G) self-bound regimes."""
-    if coupling <= 0.0:
+    if not coupling > 0.0:
         raise ValueError(f"coupling must be positive, got {coupling}")
     a = species.scattering_length
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"scattering length must be positive, got {a}")
     return math.sqrt(3.0 * math.pi * CONSTANTS.hbar**2
                      / (2.0 * species.mass * coupling * a))
@@ -61,13 +61,14 @@ def classify(n_atoms: float, intensity: float, species: AtomSpecies,
     (lam/(N a))^2; everything else is TFG (which then automatically has
     I/I0 > 1 and N > N_border).
     """
-    if n_atoms < 1.0:
+    if not n_atoms >= 1.0:
         raise ValueError("need at least one atom")
-    if intensity <= 0.0:
+    if not intensity > 0.0:
         raise ValueError("intensity must be positive")
     ratio_x = wavelength / (n_atoms * species.scattering_length)
     ratio_y = intensity / threshold_intensity(species, use_detuned)
-    u = coupling_strength(intensity, species, wavelength, use_detuned)
+    u = InteractionParams.from_intensity(species, intensity, wavelength,
+                                         use_detuned).coupling
     n_b = border_atom_number(u, species)
     f = f_factor(n_atoms, n_b)
     if ratio_y <= max(1.0, ratio_x):
@@ -88,7 +89,7 @@ def trap_relevance(rho: float, trap_frequency: float, wavelength: float,
     (>10) for "the external trap is negligible"; apply a different cutoff to
     the raw value if preferred.
     """
-    if trap_frequency <= 0.0:
+    if not trap_frequency > 0.0:
         raise ValueError(f"trap frequency must be positive, got {trap_frequency}")
     l0 = math.sqrt(CONSTANTS.hbar / (species.mass * trap_frequency))
     parameter = rho * l0 * wavelength * species.scattering_length
@@ -108,10 +109,10 @@ def atom_capacity(wavelength: float, rho_peak: float, ratio: float,
     kinetic pressure unbinds the cloud along the way (small capacities), so
     the TF form is the default.
     """
-    if rho_peak <= 0.0:
+    if not rho_peak > 0.0:
         raise ValueError("peak density must be positive")
     threshold_intensity(species, use_detuned)  # ValueError where I0 is undefined
-    if wavelength <= 0.0:
+    if not wavelength > 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
     w_star = tf_width(ratio)
     if math.isnan(w_star):

@@ -53,9 +53,9 @@ class AtomSpecies:
     detuned: Optional[DetunedContext] = None
 
     def __post_init__(self):
-        if self.mass <= 0.0:
+        if not self.mass > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.polarizability_volume <= 0.0:
+        if not self.polarizability_volume > 0.0:
             raise ValueError(
                 f"polarizability volume must be positive, got {self.polarizability_volume}"
             )
@@ -139,10 +139,9 @@ def parse_species_file(text: str, source: str = "<species file>") -> dict[str, A
     """
     species: dict[str, AtomSpecies] = {}
     record: dict[str, str] = {}
-    record_start = 1
 
     def flush(end_line: int):
-        nonlocal record, record_start
+        nonlocal record
         if not record:
             return
         missing = _BASE_KEYS - set(record)
@@ -180,7 +179,6 @@ def parse_species_file(text: str, source: str = "<species file>") -> dict[str, A
         line = raw.strip()
         if not line or line.startswith("#"):
             flush(lineno)
-            record_start = lineno + 1
             continue
         if "=" not in line:
             raise SpeciesFileError(f"{source}, line {lineno}: expected key=value, got {raw!r}")

@@ -29,18 +29,19 @@ from typing import Optional, Sequence
 
 from .constants import CONSTANTS
 from .errors import NumericsError
-from .interaction import _F_COEFFS, InteractionParams, _brent_root, _horner
+from .interaction import (InteractionParams, _brent_root, _horner,
+                          _series_coefficients)
 from .species import AtomSpecies
 
 # w below which g is summed from the kernel's series (the closed form
-# cancels as w^-4); the moment sum itself loses digits past w = 0.06
-W_SWITCH = 0.05
+# cancels as w^-4); the 24-term moment sum keeps its digits up to w = 0.16
+W_SWITCH = 0.15
 # g = Sum_n _G_SERIES[n] w^(2n-1): the series coefficients F_n of the kernel
 # times (2 pi)^(2n-1) and the Maxwell moments <s^(2n-1)> = w^(2n-1)
 # 2^(n+1/2) n!/sqrt(pi)
 _G_SERIES = tuple(-(15.0 / 11.0) * math.sqrt(math.pi) * c
                   * (2.0 * math.pi) ** (2 * n - 1) * 2.0 ** (n + 0.5)
-                  * math.factorial(n) for n, c in enumerate(_F_COEFFS))
+                  * math.factorial(n) for n, c in enumerate(_series_coefficients(24)))
 _G_PRIME_SERIES = tuple((2 * n - 1) * c for n, c in enumerate(_G_SERIES))
 
 # Dawson's integral: the positive Taylor series exp(-z^2) Sum z^(2n+1)/(n!
@@ -81,9 +82,9 @@ class AnsatzConfig:
     kernel: str = "full"
 
     def __post_init__(self):
-        if self.n_atoms < 1.0:
+        if not self.n_atoms >= 1.0:
             raise ValueError(f"need at least one atom, got {self.n_atoms}")
-        if self.trap_frequency < 0.0:
+        if not self.trap_frequency >= 0.0:
             raise ValueError("trap frequency must be non-negative")
         if self.kernel not in ("full", "near_zone"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
@@ -156,7 +157,7 @@ def pair_energy(w: float, kernel: str = "full", d_dw: bool = False) -> float:
 
     Takes one width; the -u/r kernel gives -sqrt(2/pi)/w.
     """
-    if w <= 0.0:
+    if not w > 0.0:
         raise ValueError(f"width must be positive, got {w}")
     if kernel == "near_zone":
         return math.sqrt(2.0 / math.pi) / (w * w if d_dw else -w)
@@ -165,7 +166,7 @@ def pair_energy(w: float, kernel: str = "full", d_dw: bool = False) -> float:
 
 def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
     """Per-particle energy terms of the Gaussian trial state at width ``w``."""
-    if w <= 0.0:
+    if not w > 0.0:
         raise ValueError(f"width must be positive, got {w}")
     k, t, s = _closed_coefficients(cfg)
     grav = 0.0
@@ -206,12 +207,12 @@ def tf_energy_unit(cfg: AnsatzConfig) -> float:
 def tf_width(ratio: float) -> float:
     """Width w* of the trap-free TF cloud at I/I0 = ``ratio`` for any species,
     wavelength and N: the one root of the rising h(w) = S_c/r.  NaN (no
-    minimum) for 0 <= r <= 1, ``ValueError`` for r < 0 and
+    minimum) for 0 <= r <= 1, ``ValueError`` for r < 0 or NaN and
     :class:`NumericsError` past r = 1e150.  Above z = 6 it solves
     S_c (r - 1)/r = S_c - h, the deficit summed from the asymptotic F and F'
     so that the root keeps its digits as r -> 1.
     """
-    if ratio < 0.0:
+    if not ratio >= 0.0:
         raise ValueError("intensity ratios must be non-negative")
     if ratio > 1e150:
         raise NumericsError(f"I/I0 = {ratio:g} puts w* below 1e-75 wavelengths")
@@ -284,7 +285,7 @@ def threshold_intensity(species: AtomSpecies, use_detuned: bool = False) -> floa
 
 def _threshold_at(species: AtomSpecies, alpha: float) -> float:
     a = species.scattering_length
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(
             f"threshold undefined for non-positive scattering length a={a}")
     return (48.0 * math.pi / 7.0) * CONSTANTS.hbar**2 * CONSTANTS.c \
@@ -306,8 +307,8 @@ def width_vs_intensity(cfg: AnsatzConfig,
                        ratios: Sequence[float]) -> list[VariationalResult]:
     """:func:`minimize_width` at each I/I0 in ``ratios`` (trap-free TF: its
     :func:`tf_width` as given), changing only the intensity of ``cfg``.
-    A negative ratio raises ``ValueError``; I/I0 = 0 reads unbound."""
-    if any(r < 0.0 for r in ratios):
+    A negative or NaN ratio raises ``ValueError``; I/I0 = 0 reads unbound."""
+    if any(not r >= 0.0 for r in ratios):
         raise ValueError("intensity ratios must be non-negative")
     alpha, lam = cfg.interaction.alpha_si, cfg.interaction.wavelength
     i0 = _threshold_at(cfg.species, alpha)

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from lasergrav import (CONSTANTS, border_atom_number, config_at_ratio,
-                       coupling_strength, critical_intensity_ratio, f_factor,
+from lasergrav import (CONSTANTS, InteractionParams, border_atom_number,
+                       config_at_ratio, critical_intensity_ratio, f_factor,
                        hartree_potential, intensity_in, interference_rate,
                        kernel_shape, minimize_width, oscillation_onset,
                        pair_potential, plasma_frequency_scaled, rayleigh_rate,
@@ -131,7 +131,8 @@ def test_criterion_6_loss_budget(na, tf_width_15):
     _check(results, "6b recoil energy",
            abs(e_r / CONSTANTS.hbar / 1.57e5 - 1) < 0.01,
            f"E_R/hbar = {e_r / CONSTANTS.hbar:.4g} /s vs 1.57e5 (1%)")
-    u = coupling_strength(1.5 * i0, na, NA_LAM, use_detuned=True)
+    u = InteractionParams.from_intensity(na, 1.5 * i0, NA_LAM,
+                                         use_detuned=True).coupling
     n_b = border_atom_number(u, na)
     omega_p = plasma_frequency_scaled(40.0, gamma, e_r, n_b)
     _check(results, "6c plasma over Rayleigh",
@@ -152,7 +153,8 @@ def test_criterion_7_saturation_and_repulsion(na):
            f"s = {s:.3g} vs 3e-4 (factor 2), far-detuned premises "
            f"{'hold' if premises_ok else 'violated'}")
     i0 = threshold_intensity(na, use_detuned=True)
-    u = coupling_strength(i0, na, NA_LAM, use_detuned=True)
+    u = InteractionParams.from_intensity(na, i0, NA_LAM,
+                                         use_detuned=True).coupling
     k, negligible = repulsion_coupling(s, u)
     _check(results, "7b repulsion negligible", negligible,
            f"K/u = {k / u:.3g} (< 1e-2)")
@@ -231,7 +233,8 @@ def test_criterion_8_property_suite(na):
     worst = 0.0
     for intensity, lam in ((1.0e3, 589e-9), (2.6e3, 1.064e-6), (5e13, 1.06e-5)):
         direct = rayleigh_rate(intensity, na, lam, use_detuned=True)
-        u = coupling_strength(intensity, na, lam, use_detuned=True)
+        u = InteractionParams.from_intensity(na, intensity, lam,
+                                             use_detuned=True).coupling
         worst = max(worst, abs(direct / rayleigh_rate_from_coupling(u, lam) - 1))
     _check(results, "8f Rayleigh identity", worst < 1e-10,
            f"worst relative spread {worst:.2e} (< 1e-10)")

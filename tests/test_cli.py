@@ -323,14 +323,34 @@ def test_gpe_below_threshold_without_box_is_numerical_failure(capsys,
 @pytest.mark.parametrize("argv", [["gpe", "--ratio", "0"],
                                   ["gpe", "--intensity", "0"],
                                   ["phase-map", "--nx", "1"],
-                                  ["phase-map", "--ny", "1"]], ids=" ".join)
+                                  ["phase-map", "--ny", "1"],
+                                  # NaN fails every range check: no nan rows
+                                  # and no false "unbound"
+                                  ["fig1a", "--ratios", "nan"],
+                                  ["fig1b", "--ratios", "nan"],
+                                  ["width-sweep", "--no-tf", "--atoms", "nan"],
+                                  ["potential", "--rmin", "nan"],
+                                  [*_CAPACITY, "--ratio", "nan"],
+                                  ["gpe", "--ratio", "1.5", "--trap", "nan"],
+                                  ["gpe", "--ratio", "nan"],
+                                  ["losses", "--ratio", "nan"],
+                                  ["fig2", "--ratio", "nan"],
+                                  ["fig2", "--rho-low", "nan"]], ids=" ".join)
 def test_degenerate_inputs_are_usage_errors(argv, capsys, monkeypatch):
     # rejected before the solve or the first classification starts
     monkeypatch.setattr(gpe, "solve_ground", _must_not_run)
     monkeypatch.setattr(regimes, "classify", _must_not_run)
     assert run(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("lasergrav: ") and "Traceback" not in err
+
+
+def test_fig1a_without_light_is_usage_error(capsys):
+    # the curves are in units of N u/lam, which vanish at I/I0 = 0
+    assert run(["fig1a", "--ratios", "0,1.5"]) == 2
+    assert capsys.readouterr() == (
+        "", "lasergrav: intensity must be non-zero: without light nothing binds\n")
 
 
 @pytest.mark.parametrize("argv", [["fig1b", "--ratios", "1:0:0.1"],
@@ -472,6 +492,9 @@ def test_gpe_subcommand_with_profile(tmp_path):
                 "--profile", str(profile)]) == 0
     data = json.loads(out.read_text())
     assert data["r_rms_m"] / 589e-9 == pytest.approx(0.393, rel=0.05)
+    # the solver's per-term energies as they are; mu is mu_J alone
+    assert list(data["energies_J"]) == ["kinetic", "trap", "swave",
+                                        "gravitational", "total"]
     assert data["energies_J"]["gravitational"] < 0.0
     assert data["mfa_validity"]["dilute_ok"] is True
     lines = profile.read_text().splitlines()

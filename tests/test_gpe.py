@@ -8,8 +8,7 @@ from scipy.special import erf
 
 from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        InteractionParams, RadialGrid, config_at_ratio,
-                       hartree_potential, pair_potential, solve_ground,
-                       virial_report)
+                       hartree_potential, pair_potential, solve_ground)
 from lasergrav.gpe import RESIDUAL_TOL, _j_table, _solve_tridiagonal
 from lasergrav.interaction import X_SWITCH
 
@@ -53,10 +52,10 @@ def test_harmonic_oscillator_ground_state(no_contact):
     state = solve_ground(cfg, grid)
     assert state.mu == pytest.approx(1.5 * CONSTANTS.hbar * omega0, rel=1e-4)
     assert state.r_rms == pytest.approx(r_rms_exact, rel=1e-4)
-    report = virial_report(state)
-    assert report["kinetic"] == pytest.approx(report["trap"], rel=1e-3)
+    energies = state.energies
+    assert energies["kinetic"] == pytest.approx(energies["trap"], rel=1e-3)
     # no pairwise terms: mu N equals the total energy
-    assert state.mu * state.n_atoms == pytest.approx(report["total"], rel=1e-10)
+    assert state.mu * state.n_atoms == pytest.approx(energies["total"], rel=1e-10)
 
 
 def test_harmonic_oscillator_relaxes_from_displaced_start(no_contact):
@@ -173,9 +172,7 @@ def test_solve_tridiagonal_pivots_stay_above_one_plus_off(dtau_over_h2):
 
 def test_bound_state_has_negative_attraction_energy(gpe_full_512):
     state, _ = gpe_full_512
-    report = virial_report(state)
-    assert report["gravitational"] < 0.0
-    assert report["mu_identity_residual"] < 1e-12
+    assert state.energies["gravitational"] < 0.0
     # peak density sits at the origin for the bound state
     assert np.argmax(state.density) == 0
 

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lasergrav import (CONSTANTS, beam_budget, coupling_strength,
+from lasergrav import (CONSTANTS, InteractionParams, beam_budget,
                        kernel_shape, kernel_slope, oscillation_onset,
                        pair_potential, threshold_intensity)
 from lasergrav.interaction import X_SWITCH, _f_direct, _f_series
 
 
 def test_coupling_zero_intensity(na):
-    assert coupling_strength(0.0, na, 589e-9, use_detuned=True) == 0.0
+    assert InteractionParams.from_intensity(na, 0.0, 589e-9,
+                                            use_detuned=True).coupling == 0.0
 
 
 def test_coupling_linear_in_intensity(na):
-    u1 = coupling_strength(1.0e3, na, 589e-9, use_detuned=True)
-    u2 = coupling_strength(2.0e3, na, 589e-9, use_detuned=True)
+    u1 = InteractionParams.from_intensity(na, 1.0e3, 589e-9,
+                                          use_detuned=True).coupling
+    u2 = InteractionParams.from_intensity(na, 2.0e3, 589e-9,
+                                          use_detuned=True).coupling
     assert u2 == pytest.approx(2.0 * u1, rel=1e-15)
 
 
@@ -25,7 +28,8 @@ def test_coupling_at_threshold_matches_closed_form(na):
     # at I = I0 the coupling collapses to (176 pi^2 / 35) hbar^2 a / (m lam^2)
     lam = 589e-9
     i0 = threshold_intensity(na, use_detuned=True)
-    u = coupling_strength(i0, na, lam, use_detuned=True)
+    u = InteractionParams.from_intensity(na, i0, lam,
+                                         use_detuned=True).coupling
     u_closed = (176 * math.pi**2 / 35) * CONSTANTS.hbar**2 * \
         na.scattering_length / (na.mass * lam**2)
     assert u == pytest.approx(u_closed, rel=1e-10)
@@ -34,7 +38,8 @@ def test_coupling_at_threshold_matches_closed_form(na):
 
 def test_coupling_requires_detuned_context(rb):
     with pytest.raises(ValueError, match="no detuned context"):
-        coupling_strength(1.0, rb, 1e-6, use_detuned=True)
+        InteractionParams.from_intensity(rb, 1.0, 1e-6,
+                                         use_detuned=True).coupling
 
 
 def test_near_zone_property_on_stated_range():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lasergrav import (CONSTANTS, DetunedContext, border_atom_number,
-                       coupling_strength, f_factor, interference_rate,
+from lasergrav import (CONSTANTS, DetunedContext, InteractionParams,
+                       border_atom_number, f_factor, interference_rate,
                        lifetime_bound, loss_report, plasma_frequency_direct,
                        plasma_frequency_scaled, polarizability_volume,
                        rabi_frequency, rayleigh_rate,
@@ -34,7 +34,8 @@ def test_rayleigh_formulas_identical(intensity, lam):
 
     na = catalog_lookup("Na")
     direct = rayleigh_rate(intensity, na, lam, use_detuned=True)
-    u = coupling_strength(intensity, na, lam, use_detuned=True)
+    u = InteractionParams.from_intensity(na, intensity, lam,
+                                         use_detuned=True).coupling
     via_coupling = rayleigh_rate_from_coupling(u, lam)
     assert abs(direct - via_coupling) <= 1e-10 * direct
 
@@ -74,7 +75,8 @@ def test_plasma_direct_scalings(na):
 def test_plasma_scaled_reference_point(na):
     i0 = threshold_intensity(na, use_detuned=True)
     gamma = rayleigh_rate(1.5 * i0, na, LAM, use_detuned=True)
-    u = coupling_strength(1.5 * i0, na, LAM, use_detuned=True)
+    u = InteractionParams.from_intensity(na, 1.5 * i0, LAM,
+                                         use_detuned=True).coupling
     n_b = border_atom_number(u, na)
     omega = plasma_frequency_scaled(40.0, gamma, recoil_energy(na, LAM), n_b)
     assert omega / gamma == pytest.approx(20.0, rel=0.40)
@@ -90,7 +92,8 @@ def test_plasma_scaled_quadratic_in_n_deep_in_gravity_regime(na):
 def test_interference_reference_point(na):
     i0 = threshold_intensity(na, use_detuned=True)
     gamma = rayleigh_rate(1.5 * i0, na, LAM, use_detuned=True)
-    u = coupling_strength(1.5 * i0, na, LAM, use_detuned=True)
+    u = InteractionParams.from_intensity(na, 1.5 * i0, LAM,
+                                         use_detuned=True).coupling
     n_b = border_atom_number(u, na)
     e_r = recoil_energy(na, LAM)
     omega_p = plasma_frequency_scaled(40.0, gamma, e_r, n_b)
@@ -170,7 +173,7 @@ def test_rabi_frequency_scaling(na):
 
 
 def test_loss_report_reference_point(na):
-    report = loss_report(na, 1.5, 40.0)
+    report = loss_report(na, 1.5, 40.0, LAM)
     assert report.gamma_ray == pytest.approx(1.58e4, rel=0.05)
     assert report.recoil_energy / CONSTANTS.hbar == pytest.approx(1.57e5,
                                                                   rel=0.01)
@@ -193,7 +196,7 @@ def test_loss_report_reference_point(na):
 
 
 def test_loss_report_lifetime_identity(na):
-    report = loss_report(na, 1.5, 40.0)
+    report = loss_report(na, 1.5, 40.0, LAM)
     q = 2 * math.pi / LAM
     # reconstruct R_rms from the identity tau Gamma (q R)^2 = 1
     r_rms = 1.0 / math.sqrt(report.tau_ray_lower_bound * report.gamma_ray) / q

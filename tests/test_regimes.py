@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lasergrav import (UnboundError, atom_capacity, border_atom_number,
-                       capacity_band, classify, config_at_ratio,
-                       coupling_strength, f_factor, minimize_width, phase_map,
+from lasergrav import (InteractionParams, UnboundError, atom_capacity,
+                       border_atom_number, capacity_band, classify,
+                       config_at_ratio, f_factor, minimize_width, phase_map,
                        threshold_intensity, trap_relevance)
 
 LAM = 589e-9
@@ -14,7 +14,8 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 def _coupling_at_ratio(na, ratio):
     i0 = threshold_intensity(na, use_detuned=True)
-    return coupling_strength(ratio * i0, na, LAM, use_detuned=True)
+    return InteractionParams.from_intensity(na, ratio * i0, LAM,
+                                            use_detuned=True).coupling
 
 
 def test_border_atom_number_reference_point(na):
