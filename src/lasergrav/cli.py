@@ -111,15 +111,18 @@ def _resolve_intensity(args, species) -> tuple[float, float]:
 
 def _parse_ratio_spec(text: str) -> list[float]:
     """Either comma-separated values or start:stop:step (inclusive stop)."""
+    values = [float(p) for p in text.split(":" if ":" in text else ",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"--ratios must be finite, got {text!r}")
     if ":" in text:
-        start, stop, step = (float(p) for p in text.split(":"))
+        start, stop, step = values
         if not step > 0.0:
             raise ValueError("ratio step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
             raise ValueError(f"ratio range {text!r} holds no value")
         return [start + i * step for i in range(count)]
-    return [float(p) for p in text.split(",")]
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -253,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="atom number N")
     p.add_argument("--kernel", default="full", choices=["full", "newton"],
                    help="pair interaction: full oscillatory or pure -u/r")
-    p.add_argument("--n", type=int, default=512, help="grid points")
+    p.add_argument("--n", type=int, default=None,
+                   help="grid points (default: 512, or up to 4096 where the "
+                        "full kernel needs a spacing of lam/40)")
     p.add_argument("--rmax", type=float, default=None,
                    help="grid extent in m (default 8x expected radius)")
     p.add_argument("--trap", type=float, default=0.0)
@@ -339,6 +344,9 @@ def run(argv: list[str]) -> int:
 
 def _dispatch(args):
     cmd = args.command
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if cmd == "catalog":
         table = {}
         for name in [args.species] if args.species else catalog_names():
@@ -446,7 +454,14 @@ def _dispatch(args):
             raise UnboundError(f"no bound state at I/I0 = {ratio:g}; pass "
                                "--rmax to solve in an explicit box")
         r_max = args.rmax if args.rmax is not None else 8.0 * trial.r_rms
-        grid = gpe.RadialGrid(n_points=args.n, r_max=r_max)
+        n_points = args.n
+        if n_points is None:
+            # the full kernel needs a spacing of lam/40 at most; past 4096
+            # points (a 134 MB Hartree matrix) the operator's "too coarse"
+            # error asks for an explicit --n instead
+            n_points = 512 if args.kernel == "newton" else min(max(
+                512, math.ceil(2 * gpe._MIN_POINTS_PER_HALF_WAVE * r_max / lam)), 4096)
+        grid = gpe.RadialGrid(n_points=n_points, r_max=r_max)
         state = gpe.solve_ground(
             cfg, grid, w_init=trial.w_star if trial.bound_local else 1.0)
         rho_peak = float(state.density[0])

@@ -19,9 +19,14 @@ Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004): kinetic term, trap, contact
 and the Hartree potential of the current state are all taken implicitly, so
 each step is one tridiagonal elimination, followed by renormalization to N,
 with Dirichlet boundaries v(0) = v(R_max) = 0.  The step grows while the
-eigen-residual ||(H[rho] - mu) v|| / |mu| falls, and the solve stops when
-that residual is small, so the iteration count does not grow with the grid
-and the answer does not depend on the starting width.
+eigen-residual ||(H[rho] - mu) v|| / |mu| falls.  The flow converges only
+linearly, so once that residual is below ``NEWTON_SWITCH`` Newton steps on
+the discrete eigenproblem (H[rho] - mu) v = 0, |v| = 1 finish the solve and
+land it at the rounding floor.  Each step solves its bordered Jacobian
+system by GMRES with the Jacobian applied as a product (one tridiagonal
+apply, one diagonal, one Hartree apply), never formed, and preconditioned by
+the Jacobian's tridiagonal part.  The iteration count does not grow with the
+grid and the answer does not depend on the starting width.
 """
 
 from __future__ import annotations
@@ -51,6 +56,13 @@ RESIDUAL_TOL = 1e-8
 DTAU_GROWTH = 1.25
 MAX_ITERATIONS = 400_000
 _ENERGY_SLACK = 1e-12
+# the flow hands over to Newton steps below this eigen-residual.  From 1e-1
+# to 1e-3 every switch reached the same states (to 1e-13, over I/I0 1.01 to
+# 100, N 1e3 to 1e6, both kernels, with and without a trap); only 1e-1 lost
+# a Newton step short of the rounding floor, so this keeps a decade below it
+NEWTON_SWITCH = 1e-2
+# Krylov steps at most per Newton step
+_GMRES_MAX_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -117,16 +129,6 @@ def _simpson_weights(m: int, h: float) -> np.ndarray:
     return w
 
 
-def _kink_split_weights(n: int, h: float) -> np.ndarray:
-    """Row i: s-quadrature weights over nodes 1..n, split at the kink s = R_i;
-    node 0 is left out, as the integrand vanishes at s = 0."""
-    w = np.zeros((n, n))
-    for i in range(1, n + 1):
-        w[i - 1, :i] += _simpson_weights(i, h)[1:]
-        w[i - 1, i - 1:] += _simpson_weights(n - i, h)
-    return w
-
-
 def _j_table(n: int, h_dimless: float, kernel: str) -> np.ndarray:
     """J(t)/ (u lam) on t_k = k h, k = 0..2n, t in wavelength units."""
     if kernel == "near_zone":
@@ -162,7 +164,14 @@ class _HartreeOperator:
         windows = np.lib.stride_tricks.sliding_window_view
         sym = np.concatenate((j_tab[n - 1:0:-1], j_tab[:n]))  # J(t_|k|), |k| < n
         matrix = windows(j_tab[2:], n) - windows(sym, n)[:, ::-1]
-        matrix *= _kink_split_weights(n, h)
+        # row i: s-quadrature weights over nodes 1..n, split at the kink
+        # s = R_i, scaled in place; node 0 is left out, as the integrand
+        # vanishes at s = 0
+        for i in range(1, n + 1):
+            outer = _simpson_weights(n - i, h)
+            weights = np.concatenate((_simpson_weights(i, h)[1:], outer[1:]))
+            weights[i - 1] += outer[0]
+            matrix[i - 1] *= weights
         self._matrix = matrix
 
     def __call__(self, rho_dimless: np.ndarray) -> np.ndarray:
@@ -207,6 +216,144 @@ def hartree_potential(rho: np.ndarray, grid: RadialGrid, coupling: float,
     return (coupling / wavelength) * op(rho * wavelength**3)
 
 
+def _gmres(apply, precondition, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """Solve ``apply(x) = rhs`` by right-preconditioned GMRES from x = 0
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)).
+
+    ``precondition`` applies an approximate inverse of ``apply``.  The Krylov
+    basis is orthogonalized by classical Gram-Schmidt taken twice, and the
+    least-squares problem is kept triangular by Givens rotations, so the
+    residual norm is known at every step.  Stops once it is below
+    ``tol ||rhs||``, or after ``_GMRES_MAX_STEPS`` steps.
+    """
+    beta = math.sqrt(float(rhs @ rhs))
+    basis = np.empty((_GMRES_MAX_STEPS + 1, rhs.size))
+    basis[0] = rhs / beta
+    upper = np.zeros((_GMRES_MAX_STEPS + 1, _GMRES_MAX_STEPS))
+    rotations = []
+    target = np.zeros(_GMRES_MAX_STEPS + 1)
+    target[0] = beta
+    for k in range(_GMRES_MAX_STEPS):
+        w = apply(precondition(basis[k]))
+        for _ in range(2):
+            coef = basis[:k + 1] @ w
+            w -= coef @ basis[:k + 1]
+            upper[:k + 1, k] += coef
+        w_norm = math.sqrt(float(w @ w))
+        column = upper[:, k]
+        for j, (c, s) in enumerate(rotations):
+            column[j], column[j + 1] = (c * column[j] + s * column[j + 1],
+                                        c * column[j + 1] - s * column[j])
+        d = math.hypot(column[k], w_norm)
+        c, s = column[k] / d, w_norm / d
+        rotations.append((c, s))
+        column[k] = d
+        target[k + 1] = -s * target[k]
+        target[k] *= c
+        if abs(target[k + 1]) <= tol * beta or w_norm == 0.0:
+            break
+        basis[k + 1] = w / w_norm
+    m = len(rotations)
+    y = np.linalg.solve(upper[:m, :m], target[:m])
+    return precondition(y @ basis[:m])
+
+
+class _MeanField:
+    """The dimensionless problem of one configuration on one grid.
+
+    Lengths are in wavelengths and energies per atom in hbar^2/(m lam^2).
+    The state is v = x chi on the nodes, chi = Psi lam^1.5/sqrt(N), with
+    the norm 4 pi h v.v = 1; v = x Psi makes the kinetic operator
+    T = -(1/2) d^2/dx^2 tridiagonal, with Dirichlet ends.
+    """
+
+    def __init__(self, cfg: AnsatzConfig, grid: RadialGrid):
+        lam = cfg.interaction.wavelength
+        m = cfg.species.mass
+        hbar = CONSTANTS.hbar
+        self.h = grid.spacing / lam
+        self.x = grid.nodes / lam
+        # dimensionless couplings: contact 4 pi N a / lam, attraction
+        # u N m lam / hbar^2
+        self.g_sw = 4.0 * math.pi * cfg.n_atoms * cfg.species.scattering_length / lam
+        self.gamma = cfg.interaction.coupling * cfg.n_atoms * m * lam / hbar**2
+        omega_t = m * cfg.trap_frequency * lam**2 / hbar
+        self.v_trap = 0.5 * omega_t**2 * self.x**2
+        # no coupling means no kernel resolution constraint on the grid
+        self.hartree = _HartreeOperator(grid, lam, cfg.kernel) \
+            if self.gamma != 0.0 else None
+
+    def kinetic(self, vec: np.ndarray) -> np.ndarray:
+        out = 2.0 * vec
+        out[:-1] -= vec[1:]
+        out[1:] -= vec[:-1]
+        return out * (0.5 / self.h**2)
+
+    def norm(self, vec: np.ndarray) -> float:
+        return math.sqrt(4.0 * math.pi * self.h * float(vec @ vec))
+
+    def evaluate(self, vec: np.ndarray):
+        """Local potential V = trap + g chi^2 + gamma Phi[chi^2], the four
+        energy terms, mu and the residual vector (T + V - mu) v of ``vec``."""
+        chi2 = (vec / self.x) ** 2
+        phi = self.gamma * self.hartree(chi2) if self.hartree is not None \
+            else np.zeros(vec.size)
+        kin = self.kinetic(vec)
+        local = self.v_trap + self.g_sw * chi2 + phi
+        weight = 4.0 * math.pi * self.h
+        e_kin = weight * float(vec @ kin)
+        e_trap = weight * float((self.v_trap * vec) @ vec)
+        e_sw = weight * 0.5 * self.g_sw * float((chi2 * vec) @ vec)
+        e_grav = weight * 0.5 * float((phi * vec) @ vec)
+        mu = e_kin + e_trap + 2.0 * e_sw + 2.0 * e_grav
+        return local, (e_kin, e_trap, e_sw, e_grav), mu, kin + local * vec - mu * vec
+
+    def jacobian(self, vec: np.ndarray, local: np.ndarray, mu: float):
+        """Product with the bordered Jacobian of ``((T + V[v] - mu) v, v.v)``
+        in ``(v, mu)``, on vectors ``(dv, dmu)`` of length n + 1:
+        ``T + diag(V + 2 g chi^2 - mu)`` plus the Hartree term
+        ``gamma v Phi[2 chi dv/x]``, bordered by ``-v`` and ``2 v^T``.
+        Never forms the n x n matrix."""
+        chi = vec / self.x
+        diag = local + 2.0 * self.g_sw * chi**2 - mu
+
+        def product(z: np.ndarray) -> np.ndarray:
+            dv = z[:-1]
+            out = self.kinetic(dv) + diag * dv - z[-1] * vec
+            if self.hartree is not None:
+                out += (self.gamma * vec) * self.hartree(2.0 * chi * dv / self.x)
+            return np.append(out, 2.0 * float(vec @ dv))
+
+        return product
+
+    def newton_update(self, vec: np.ndarray, local: np.ndarray, mu: float,
+                      residual: np.ndarray, tol: float) -> np.ndarray:
+        """``vec`` plus one Newton step on ``(T + V[v] - mu) v = 0``,
+        ``4 pi h v.v = 1``, its bordered system solved by GMRES to ``tol``.
+
+        The preconditioner is the bordered matrix with the Jacobian's n x n
+        block replaced by ``T + diag(V - min V + 2 g chi^2)``: symmetric,
+        with a diagonal of at least twice the off-diagonal and more in the
+        first row, so irreducibly diagonally dominant and positive
+        definite, and its Thomas elimination needs no pivoting.  The border
+        is eliminated through the Schur complement ``2 v^T P^-1 v``.
+        """
+        off = -0.5 / self.h**2
+        pre_diag = 1.0 / self.h**2 + local - local.min() \
+            + 2.0 * self.g_sw * (vec / self.x) ** 2
+        pre_v = _solve_tridiagonal(off, pre_diag, vec)
+        schur = 2.0 * float(vec @ pre_v)
+
+        def precondition(z: np.ndarray) -> np.ndarray:
+            y = _solve_tridiagonal(off, pre_diag, z[:-1])
+            dmu = (z[-1] - 2.0 * float(vec @ y)) / schur
+            return np.append(y + dmu * pre_v, dmu)
+
+        rhs = np.append(-residual, 1.0 / (4.0 * math.pi * self.h) - float(vec @ vec))
+        step = _gmres(self.jacobian(vec, local, mu), precondition, rhs, tol)
+        return vec + step[:-1]
+
+
 def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
                  w_init: Optional[float] = None,
                  on_step=None) -> GroundState:
@@ -214,92 +361,90 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
 
     The starting profile is a Gaussian of width ``w_init`` (in wavelength
     units); when omitted the variational equilibrium width is used if one
-    exists, else 1.  Each step solves the backward-Euler system
+    exists, else 1.  Each flow step solves the backward-Euler system
     ``(1 + dtau (T + V - min V)) v_new = v`` with the whole local potential
     ``V`` (trap, contact and the Hartree term of the current state) taken
     implicitly, then renormalizes.  A step that raises the energy is
     rejected and retried at half ``dtau``; after an accepted step ``dtau``
     grows by ``DTAU_GROWTH`` while the eigen-residual falls and halves, not
-    below ``0.1 h^2``, when it rises.  The solve stops once the
-    eigen-residual ``||(H[rho] - mu) v|| / |mu|`` is below ``RESIDUAL_TOL``.
-    Raises :class:`ConvergenceError` after ``MAX_ITERATIONS`` steps
-    (accepted plus rejected) and :class:`CollapseError` when the cloud
+    below ``0.1 h^2``, when it rises.
+
+    Once the eigen-residual ``||(T + V - mu) v|| / |mu|`` is below
+    ``NEWTON_SWITCH`` the solve takes Newton steps instead
+    (:meth:`_MeanField.newton_update`), renormalizing after each.  A Newton
+    step that does not halve the residual is dropped, and the flow carries
+    on until the residual has fallen another decade before Newton is tried
+    again.  The solve stops once the residual is below ``RESIDUAL_TOL`` and
+    the last Newton step cut it by less than a decade, or a Newton step
+    fails there, so a converging solve ends at the rounding floor.  Newton
+    aims at the zero of the eigen-residual; the split-Simpson Hartree matrix
+    is not symmetric, so that zero is not quite the minimum of the energy on
+    the grid, and a Newton step can raise the energy a little (up to 9e-8
+    relative in the deep TF-G regime).
+
+    ``iterations`` counts flow steps (accepted plus rejected) and Newton
+    steps (accepted plus dropped).  Raises :class:`ConvergenceError` after
+    ``MAX_ITERATIONS`` of them and :class:`CollapseError` when the cloud
     shrinks below four grid spacings.  The kinetic term is always retained
     (``cfg.tf_limit`` only affects the variational treatment).
     ``on_step(iteration, energy_J, mu_J)`` is invoked after every accepted
     step.  ``potential`` is :func:`hartree_potential` of the final density.
     """
     lam = cfg.interaction.wavelength
-    m = cfg.species.mass
-    hbar = CONSTANTS.hbar
-    n = grid.n_points
-    h = grid.spacing / lam            # dimensionless spacing
-    x = grid.nodes / lam
-    energy_unit = hbar**2 / (m * lam**2)
-
-    # dimensionless couplings: contact 4 pi N a / lam, attraction u N m lam / hbar^2
-    g_sw = 4.0 * math.pi * cfg.n_atoms * cfg.species.scattering_length / lam
-    gamma = cfg.interaction.coupling * cfg.n_atoms * m * lam / hbar**2
-    omega_t = m * cfg.trap_frequency * lam**2 / hbar
-    v_trap = 0.5 * omega_t**2 * x**2
-
-    # no coupling means no kernel resolution constraint on the grid
-    hartree = _HartreeOperator(grid, lam, cfg.kernel) if gamma != 0.0 else None
+    problem = _MeanField(cfg, grid)
+    h, x = problem.h, problem.x
+    energy_unit = CONSTANTS.hbar**2 / (cfg.species.mass * lam**2)
 
     if w_init is None:
         trial = minimize_width(cfg)
         w_init = trial.w_star if trial.bound_local else 1.0
 
     v = x * np.exp(-x**2 / (2.0 * w_init**2))
-    v /= math.sqrt(4.0 * math.pi * h * float(v @ v))
+    v /= problem.norm(v)
 
-    # v = x Psi: kinetic operator is -(1/2) d^2/dx^2, Dirichlet at both ends
     dtau_floor = 0.1 * h * h
     dtau = dtau_floor
 
-    def apply_kinetic(vec):
-        out = 2.0 * vec.copy()
-        out[:-1] -= vec[1:]
-        out[1:] -= vec[:-1]
-        return out * (0.5 / h**2)
-
-    def evaluate(vec):
-        """Local potential, energy terms, mu and eigen-residual of ``vec``."""
-        chi2 = (vec / x) ** 2
-        phi = gamma * hartree(chi2) if gamma != 0.0 else np.zeros(n)
-        kin = apply_kinetic(vec)
-        local = v_trap + g_sw * chi2 + phi
-        e_kin = 4.0 * math.pi * h * float(vec @ kin)
-        e_trap = 4.0 * math.pi * h * float((v_trap * vec) @ vec)
-        e_sw = 4.0 * math.pi * h * 0.5 * g_sw * float((chi2 * vec) @ vec)
-        e_grav = 4.0 * math.pi * h * 0.5 * float((phi * vec) @ vec)
-        mu = e_kin + e_trap + 2.0 * e_sw + 2.0 * e_grav
-        r = kin + local * vec - mu * vec
-        residual = math.sqrt(4.0 * math.pi * h * float(r @ r)) / max(abs(mu), 1e-300)
-        return local, (e_kin, e_trap, e_sw, e_grav), mu, residual
-
-    local, terms, mu, residual = evaluate(v)
+    local, terms, mu, r = problem.evaluate(v)
+    residual = problem.norm(r) / max(abs(mu), 1e-300)
     energy_prev = sum(terms)
     iterations = 0
+    newton_below = NEWTON_SWITCH
 
-    while residual >= RESIDUAL_TOL:
+    while True:
+        newton = residual < newton_below
+        if not newton and residual < RESIDUAL_TOL:
+            break
         if iterations >= MAX_ITERATIONS:
             raise ConvergenceError(
                 f"no convergence after {MAX_ITERATIONS} iterations "
                 f"(eigen-residual {residual:.3e}, target {RESIDUAL_TOL:g})")
         iterations += 1
-        # diag >= 1 + 2|off| since V >= min V: strictly diagonally dominant,
-        # every pivot is at least 1 + |off|, so no pivoting is needed
-        v_new = _solve_tridiagonal(
-            -0.5 * dtau / h**2, 1.0 + dtau * (1.0 / h**2 + local - local.min()), v)
-        norm = 4.0 * math.pi * h * float(v_new @ v_new)
+        if newton:
+            # the ground state is nodeless; entries far out in the tail, some
+            # 1e-30 of the peak, can come out of a Newton step either sign
+            # (a linear solve to the eigen-residual keeps the steps quadratic)
+            v_new = np.abs(problem.newton_update(v, local, mu, r, residual))
+        else:
+            # diag >= 1 + 2|off| since V >= min V: strictly diagonally
+            # dominant, every pivot is at least 1 + |off|, so no pivoting
+            v_new = _solve_tridiagonal(
+                -0.5 * dtau / h**2, 1.0 + dtau * (1.0 / h**2 + local - local.min()), v)
+        norm = problem.norm(v_new)
         if not math.isfinite(norm) or norm <= 0.0:
             raise NumericsError("relaxation produced a non-normalizable state")
-        v_new /= math.sqrt(norm)
+        v_new /= norm
 
-        local_new, terms_new, mu_new, residual_new = evaluate(v_new)
+        local_new, terms_new, mu_new, r_new = problem.evaluate(v_new)
+        residual_new = problem.norm(r_new) / max(abs(mu_new), 1e-300)
         energy = sum(terms_new)
-        if energy > energy_prev + _ENERGY_SLACK * abs(energy_prev):
+        if newton:
+            if not residual_new < 0.5 * residual:
+                # drop the step; the flow carries on for another decade
+                newton_below = 0.1 * residual
+                continue
+            done = RESIDUAL_TOL > residual_new > 0.1 * residual
+        elif energy > energy_prev + _ENERGY_SLACK * abs(energy_prev):
             # reject the step; the potential still belongs to the accepted state
             dtau *= 0.5
             if dtau < 1e-8 * dtau_floor:
@@ -307,12 +452,13 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
                     f"time step collapsed below {1e-8 * dtau_floor:g} without "
                     f"monotone energy descent")
             continue
-
-        if residual_new < residual:
+        elif residual_new < residual:
             dtau *= DTAU_GROWTH
         else:
             dtau = max(0.5 * dtau, dtau_floor)
-        v, local, terms, mu, residual = v_new, local_new, terms_new, mu_new, residual_new
+
+        v, local, terms, mu, r, residual = \
+            v_new, local_new, terms_new, mu_new, r_new, residual_new
         energy_prev = energy
         if on_step is not None:
             on_step(iterations, cfg.n_atoms * energy * energy_unit,
@@ -323,14 +469,16 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
             raise CollapseError(
                 f"cloud radius {r_rms_dimless * lam:.3e} m fell below four "
                 f"grid spacings after {iterations} iterations")
+        if newton and done:
+            break
 
     r_rms_dimless = math.sqrt(4.0 * math.pi * h * float((x**2 * v) @ v))
     e_kin, e_trap, e_sw, e_grav = terms
     chi = v / x
     psi = math.sqrt(cfg.n_atoms) / lam**1.5 * chi
     density = psi**2
-    potential = np.zeros(n) if hartree is None else \
-        (cfg.interaction.coupling / lam) * hartree(density * lam**3)
+    potential = np.zeros(grid.n_points) if problem.hartree is None else \
+        (cfg.interaction.coupling / lam) * problem.hartree(density * lam**3)
     energies = {
         "kinetic": cfg.n_atoms * e_kin * energy_unit,
         "trap": cfg.n_atoms * e_trap * energy_unit,
@@ -350,4 +498,3 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
         n_atoms=cfg.n_atoms,
         energies=energies,
     )
-

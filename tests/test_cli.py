@@ -346,6 +346,25 @@ def test_degenerate_inputs_are_usage_errors(argv, capsys, monkeypatch):
     assert err.startswith("lasergrav: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, option", [pytest.param(*case, id=" ".join(case[0])) for case in (
+    (["atom-count", "--wavelength", "1e-6", "--rho-peak", "inf"], "--rho-peak"),
+    (["width-sweep", "--no-tf", "--atoms", "inf", "--ratios", "1.5"], "--atoms"),
+    (["gpe", "--ratio", "1.5", "--atoms", "inf"], "--atoms"),
+    (["gpe", "--ratio", "1.5", "--rmax", "inf"], "--rmax"),
+    (["fig1b", "--ratios", "1:inf:0.1"], "--ratios"),
+    (["fig1b", "--ratios", "1:nan:0.1"], "--ratios"),
+    (["fig1b", "--ratios", "1.5,inf"], "--ratios"),
+    (["losses", "--n", "inf"], "--n"))])
+def test_non_finite_inputs_are_usage_errors(argv, option, capsys, monkeypatch):
+    # no Infinity in the JSON, no nan rows, no false "unbound" and no raw
+    # conversion message: the option is named before any work starts
+    monkeypatch.setattr(gpe, "solve_ground", _must_not_run)
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"lasergrav: {option} must be finite") and "Traceback" not in err
+
+
 def test_fig1a_without_light_is_usage_error(capsys):
     # the curves are in units of N u/lam, which vanish at I/I0 = 0
     assert run(["fig1a", "--ratios", "0,1.5"]) == 2
@@ -516,6 +535,33 @@ def test_gpe_profile_builds_one_hartree_operator(tmp_path, monkeypatch):
                 "--n", "256", "--out", str(tmp_path / "gpe.json"),
                 "--profile", str(tmp_path / "profile.csv")]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, n_points", [pytest.param(*case, id=" ".join(case[0])) for case in (
+    # every box that 512 points resolved keeps them
+    (["--ratio", "1.5"], 512),
+    (["--ratio", "1.5", "--kernel", "newton", "--rmax", "4e-5"], 512),
+    # a wider box needs more points for a spacing of lam/40
+    (["--ratio", "1.0", "--trap", "628", "--rmax", "2e-5"], 1359),
+    (["--ratio", "1.5", "--n", "300"], 300))])
+def test_gpe_default_grid_resolves_the_kernel(argv, n_points, monkeypatch):
+    class Solved(Exception):
+        pass
+
+    def solve_ground(cfg, grid, w_init):
+        raise Solved(grid.n_points)
+
+    monkeypatch.setattr(gpe, "solve_ground", solve_ground)
+    with pytest.raises(Solved) as solved:
+        run(["gpe", "--species", "Na", *argv])
+    assert solved.value.args == (n_points,)
+
+
+def test_gpe_default_grid_stops_growing(capsys):
+    # a box that needs more than 4096 points is a usage error, as before,
+    # and nothing of n^2 size is allocated
+    assert run(["gpe", "--species", "Na", "--ratio", "1.5", "--rmax", "1e-3"]) == 2
+    assert "too coarse" in capsys.readouterr().err
 
 
 def test_resolve_intensity_accepts_absolute_value(na):

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +10,11 @@ from scipy.special import erf
 
 from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        InteractionParams, RadialGrid, config_at_ratio,
-                       hartree_potential, pair_potential, solve_ground)
-from lasergrav.gpe import RESIDUAL_TOL, _j_table, _solve_tridiagonal
+                       hartree_potential, minimize_width, pair_potential,
+                       solve_ground)
+from lasergrav.cli import run
+from lasergrav.gpe import (RESIDUAL_TOL, _gmres, _j_table, _MeanField,
+                           _solve_tridiagonal)
 from lasergrav.interaction import X_SWITCH
 
 LAM = 589e-9
@@ -117,12 +122,15 @@ def test_iteration_count_independent_of_grid(gpe_full_512, gpe_full_1024):
     assert it1024 <= 1.5 * it512
 
 
-# Iterations, r_rms (m) and mu (J) of the two full-kernel solves below, as
-# recorded when each step still called scipy.linalg.solveh_banded (LAPACK
-# banded Cholesky); the in-module elimination must reproduce them.
+# r_rms (m) and mu (J) of the two full-kernel solves below, from the
+# gradient flow alone (each step once LAPACK's banded Cholesky, then the
+# in-module elimination, which reproduced it) run on to an eigen-residual of
+# 1e-12, in 301 and 307 steps; the flow's old stop at 1e-8 lay 5.3e-9 (r_rms)
+# and 1.3e-9 (mu) from there.  The iteration counts are those of the flow
+# plus the Newton finish.
 _BANDED_CHOLESKY_REFERENCE = {
-    512: (191, 2.3170018980418935e-07, -1.4381607211513371e-28),
-    1024: (198, 2.3170183664198944e-07, -1.4381497431114609e-28),
+    512: (37, 2.3170018857368298e-07, -1.4381607230454178e-28),
+    1024: (43, 2.3170183534418898e-07, -1.43814974510654e-28),
 }
 
 
@@ -134,6 +142,126 @@ def test_solve_reproduces_banded_cholesky_reference(gpe_full_512,
         assert state.iterations == iterations
         assert state.r_rms == pytest.approx(r_rms, rel=1e-12)
         assert state.mu == pytest.approx(mu, rel=1e-12)
+
+
+def _field_setups(na):
+    """(config, grid, starting width) for the full kernel, the -u/r kernel
+    and a trapped cloud without light; sodium's contact term is on in all
+    three."""
+    full = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
+    coupling = 30.0 * CONSTANTS.hbar**2 / (1000.0 * na.mass * LAM)
+    near = AnsatzConfig(n_atoms=1000.0, species=na,
+                        interaction=_interaction(na, coupling),
+                        kernel="near_zone")
+    omega0 = 2 * math.pi * 100.0
+    l0 = math.sqrt(CONSTANTS.hbar / (na.mass * omega0))
+    trapped = AnsatzConfig(n_atoms=1000.0, species=na,
+                           interaction=_interaction(na, 0.0, 0.0),
+                           trap_frequency=omega0)
+    return {"full": (full, RadialGrid(512, 3.5 * LAM), 0.3),
+            "near_zone": (near, RadialGrid(512, 3.0 * LAM), 0.4),
+            "oscillator": (trapped, RadialGrid(512, 10.0 * l0), l0 / LAM)}
+
+
+@pytest.mark.parametrize("setup", ["full", "near_zone", "oscillator"])
+def test_jacobian_product_matches_finite_differences(na, setup):
+    # the residual map (T + V[v] - mu) v, bordered by v.v, is cubic in v, so
+    # a central difference is off the exact product only by t^2/6 times the
+    # third derivative, and by rounding
+    cfg, grid, width = _field_setups(na)[setup]
+    field = _MeanField(cfg, grid)
+    v = field.x * np.exp(-field.x**2 / (2.0 * width**2))
+    v /= field.norm(v)
+    local, _, mu, _ = field.evaluate(v)
+
+    def residual_map(z):
+        vec = z[:-1]
+        return np.append(field.kinetic(vec) + (field.evaluate(vec)[0] - z[-1]) * vec,
+                         vec @ vec)
+
+    rng = np.random.default_rng(7)
+    direction = np.append(rng.standard_normal(v.size) * v, mu)
+    t = 1e-5
+    z = np.append(v, mu)
+    difference = (residual_map(z + t * direction)
+                  - residual_map(z - t * direction)) / (2 * t)
+    product = field.jacobian(v, local, mu)(direction)
+    assert np.linalg.norm(product - difference) < 1e-8 * np.linalg.norm(product)
+
+
+def test_gmres_solves_a_nonsymmetric_system():
+    rng = np.random.default_rng(11)
+    n = 200
+    matrix = np.diag(np.linspace(1.0, 10.0, n)) + rng.standard_normal((n, n)) / n
+    rhs = rng.standard_normal(n)
+    x = _gmres(lambda z: matrix @ z, lambda z: z / np.diag(matrix), rhs, 1e-12)
+    assert np.linalg.norm(matrix @ x - rhs) < 1e-11 * np.linalg.norm(rhs)
+
+
+def test_solve_holds_one_dense_matrix(na, tf_width_15):
+    # the Hartree matrix is the only n x n array: its split-Simpson weights
+    # scale it in place, and the Newton finish applies its Jacobian as
+    # products
+    n = 1024
+    cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
+    tracemalloc.start()
+    try:
+        solve_ground(cfg, RadialGrid(n, 3.5 * LAM), w_init=tf_width_15.w_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
+
+
+@pytest.fixture(scope="module")
+def gpe_run(tmp_path_factory):
+    """The gpe command's JSON for one argument list, solved once."""
+    cache = {}
+
+    def solve(*argv):
+        if argv not in cache:
+            out = tmp_path_factory.mktemp("gpe") / "state.json"
+            assert run(["gpe", "--species", "Na", *argv, "--out", str(out)]) == 0
+            cache[argv] = json.loads(out.read_text())
+        return cache[argv]
+
+    return solve
+
+
+_TRAPPED = ("--atoms", "1e4", "--trap", "628")
+# the hard edges of the PDE (deep TF-G, near threshold), the grid refinement
+# of the standard case, and the trapped-to-self-bound crossover on the
+# default grid, each with a bound on its flow plus Newton steps
+_CASE_MATRIX = [
+    (("--ratio", "100", "--atoms", "1e5", "--n", "512"), 50),
+    (("--ratio", "1.02", "--atoms", "1e6", "--n", "1024"), 1000),
+    *[(("--ratio", "1.5", "--atoms", "1e4", "--n", str(n)), 100)
+      for n in (512, 1024, 2048)],
+    *[(("--ratio", ratio, *_TRAPPED), 100)
+      for ratio in ("0.9", "1.0", "1.05", "1.1", "1.2")],
+]
+
+
+@pytest.mark.parametrize("argv, max_iterations", _CASE_MATRIX,
+                         ids=[" ".join(argv) for argv, _ in _CASE_MATRIX])
+def test_case_matrix_converges(na, gpe_run, argv, max_iterations):
+    state = gpe_run(*argv)
+    assert state["residual"] < RESIDUAL_TOL
+    assert state["iterations"] <= max_iterations
+    options = dict(zip(argv[::2], argv[1::2]))
+    cfg = config_at_ratio(na, float(options["--ratio"]), LAM,
+                          n_atoms=float(options["--atoms"]), use_detuned=True,
+                          trap_frequency=float(options.get("--trap", 0.0)))
+    assert state["r_rms_m"] == pytest.approx(minimize_width(cfg).r_rms, rel=0.10)
+
+
+def test_trapped_cloud_binds_itself_past_threshold(gpe_run):
+    # the paper's observable: crossing I/I0 = 1 the cloud stops being held
+    # by the trap and contracts under its own attraction
+    radii = [gpe_run("--ratio", ratio, *_TRAPPED)["r_rms_m"]
+             for ratio in ("0.9", "1.0", "1.05", "1.1", "1.2")]
+    assert radii == sorted(radii, reverse=True)
+    assert radii[0] > 3.0 * radii[-1]
 
 
 def _solver_system(n, dtau_over_h2):
