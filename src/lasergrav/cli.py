@@ -26,6 +26,7 @@ SPECIES_FILE_ENV = "LASERGRAV_SPECIES_FILE"
 
 _FLOAT_FORMAT = "{:.12e}"
 _NO_LIGHT = "intensity must be non-zero: without light nothing binds"
+_LENGTHS = ("rmin", "rmax", "lambda_min", "lambda_max")  # options that must be > 0
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
@@ -123,6 +124,13 @@ def _parse_ratio_spec(text: str) -> list[float]:
             raise ValueError(f"ratio range {text!r} holds no value")
         return [start + i * step for i in range(count)]
     return values
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``numpy.linspace`` on Python floats: ``i * step + start``, then stop."""
+    step = (stop - start) / max(num - 1, 1)
+    points = [i * step + start for i in range(num)]
+    return points[:-1] + [stop] if num > 1 else points
 
 
 def _positive_int(text: str) -> int:
@@ -347,6 +355,8 @@ def _dispatch(args):
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        if name in _LENGTHS and not (value is None or value > 0.0):
+            raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value:g}")
     if cmd == "catalog":
         table = {}
         for name in [args.species] if args.species else catalog_names():
@@ -356,16 +366,11 @@ def _dispatch(args):
         emit_json(table, args.out)
 
     elif cmd == "potential":
-        import numpy as np
-        if args.linear:
-            r = np.linspace(args.rmin, args.rmax, args.samples)
-        else:
-            r = np.logspace(math.log10(args.rmin), math.log10(args.rmax),
-                            args.samples)
-        shape = kernel_shape(r)
-        rows = [{"r_over_lambda": float(ri), "U_over_u_per_lambda": float(si)}
-                for ri, si in zip(r, shape)]
-        emit_csv(rows, args.out)
+        r = (_linspace(args.rmin, args.rmax, args.samples) if args.linear
+             else [10.0 ** y for y in _linspace(
+                 math.log10(args.rmin), math.log10(args.rmax), args.samples)])
+        emit_csv([{"r_over_lambda": ri, "U_over_u_per_lambda": kernel_shape(ri)}
+                  for ri in r], args.out)
 
     elif cmd == "threshold":
         species = _get_species(args)
@@ -383,11 +388,7 @@ def _dispatch(args):
         ratios = _parse_ratio_spec(args.ratios)
         if 0.0 in ratios:  # the curves are in units of N u/lam
             raise ValueError(_NO_LIGHT)
-        # numpy's linspace arithmetic: i * step + wmin, ending on wmax itself
-        last = args.samples - 1
-        step = (args.wmax - args.wmin) / max(last, 1)
-        widths = [i * step + args.wmin for i in range(last)] + [
-            args.wmax if last else args.wmin]
+        widths = _linspace(args.wmin, args.wmax, args.samples)
         # one single-atom TF config per ratio, shared by every width
         curves = {f"E_over_N_tf_units_ratio_{ratio:g}": variational.config_at_ratio(
                       species, ratio, lam, use_detuned=args.detuned, tf_limit=True)
@@ -429,13 +430,11 @@ def _dispatch(args):
         emit_csv(rows, args.out)
 
     elif cmd == "fig2":
-        import numpy as np
-        species = _get_species(args)
-        lams = np.logspace(math.log10(args.lambda_min),
-                           math.log10(args.lambda_max), args.points)
-        rows = regimes.capacity_band(
-            [float(l) for l in lams], args.rho_low, args.rho_high,
-            args.ratio, species, use_detuned=args.detuned)
+        ys = _linspace(math.log10(args.lambda_min), math.log10(args.lambda_max),
+                       args.points)
+        rows = regimes.capacity_band([10.0 ** y for y in ys], args.rho_low,
+                                     args.rho_high, args.ratio, _get_species(args),
+                                     use_detuned=args.detuned)
         emit_csv(rows, args.out)
 
     elif cmd == "gpe":

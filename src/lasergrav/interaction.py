@@ -53,9 +53,8 @@ _F_COEFFS = _series_coefficients(SERIES_TERMS)
 _FPRIME_COEFFS = tuple((2 * n - 1) * c for n, c in enumerate(_F_COEFFS))[1:]
 
 
-def _f_direct(x):
-    import numpy as np
-    s, c = np.sin(2.0 * x), np.cos(2.0 * x)
+def _f_direct(x, sin, cos):
+    s, c = sin(2.0 * x), cos(2.0 * x)
     x2 = x * x
     x3 = x2 * x
     return (s / x2 + 2.0 * c / x3 - 5.0 * s / (x2 * x2)
@@ -75,9 +74,8 @@ def _f_series(x):
     return _F_COEFFS[0] / x + _horner(x * x, _F_COEFFS[1:]) * x
 
 
-def _fprime_direct(x):
-    import numpy as np
-    s, c = np.sin(2.0 * x), np.cos(2.0 * x)
+def _fprime_direct(x, sin, cos):
+    s, c = sin(2.0 * x), cos(2.0 * x)
     x2 = x * x
     x3 = x2 * x
     return (2.0 * c / x2 - 6.0 * s / x3 - 16.0 * c / (x2 * x2)
@@ -91,17 +89,20 @@ def _fprime_series(x):
 
 
 def _kernel_branches(r_tilde, series, direct, scale):
+    if isinstance(r_tilde, (int, float)):  # math's sin/cos: no numpy
+        if not r_tilde > 0.0:
+            raise ValueError("separation must be positive")
+        x = 2.0 * math.pi * float(r_tilde)
+        return (series(x) if x < X_SWITCH else direct(x, math.sin, math.cos)) * scale
     import numpy as np
-    r = np.asarray(r_tilde, dtype=float)
-    if not np.all(r > 0.0):
+    x = 2.0 * math.pi * np.asarray(r_tilde, dtype=float)
+    if not np.all(x > 0.0):
         raise ValueError("separation must be positive")
-    x = np.atleast_1d(2.0 * math.pi * r)
     out = np.empty_like(x)
     lo = x < X_SWITCH
     out[lo] = series(x[lo])
-    out[~lo] = direct(x[~lo])
-    out *= scale
-    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+    out[~lo] = direct(x[~lo], np.sin, np.cos)
+    return out * scale
 
 
 def kernel_shape(r_tilde):

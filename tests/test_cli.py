@@ -1,12 +1,14 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lasergrav import gpe, regimes
-from lasergrav.cli import _parse_ratio_spec, _resolve_intensity, run
+from lasergrav.cli import _linspace, _parse_ratio_spec, _resolve_intensity, run
 
 def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "lasergrav.cli", *argv],
@@ -57,16 +59,19 @@ def test_gpe_loads_no_scipy(tmp_path):
 
 
 def _modules_after(commands, prefix, tmp_path):
-    """Exit codes of ``commands`` and of the critical ratio, all run in one
-    fresh process, and the modules named ``prefix*`` loaded after them."""
+    """Exit codes of ``commands``, then the critical ratio and the
+    oscillation onset, all run in one fresh process, and the modules named
+    ``prefix*`` loaded after them."""
     script = (
         "import json, sys\n"
         "from lasergrav.cli import run\n"
+        "from lasergrav.interaction import oscillation_onset\n"
         "from lasergrav.species import catalog_lookup\n"
         "from lasergrav.variational import critical_intensity_ratio\n"
         "codes = [run(argv + ['--out', f'{sys.argv[1]}/{i}.out'])\n"
         "         for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
         "critical_intensity_ratio(catalog_lookup('Na'), 589e-9)\n"
+        "oscillation_onset()\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules\n"
         "                                if m.startswith(sys.argv[3]))]))\n")
     proc = subprocess.run(
@@ -95,16 +100,19 @@ def test_commands_without_pde_do_not_load_scipy(tmp_path):
 
 
 def test_scalar_commands_do_not_load_numpy(tmp_path):
-    # only the array commands (potential, fig2, gpe) need numpy; the rest,
-    # the import of lasergrav.cli included, run on Python floats
+    # only the PDE (gpe) needs numpy; every other command, the import of
+    # lasergrav.cli included, runs on Python floats
     commands = [
         ["catalog"],
+        ["potential", "--samples", "8"],
+        ["potential", "--samples", "8", "--linear"],
         ["threshold"],
         ["fig1a", "--ratios", "0.5,1.5", "--samples", "4"],
         ["fig1b", "--ratios", "0.9,1.5"],
         ["width-sweep", "--ratios", "1.5"],
         ["width-sweep", "--ratios", "1.5", "--no-tf"],
         ["phase-map", "--nx", "3", "--ny", "3"],
+        ["fig2", "--points", "2"],
         ["losses"],
         ["atom-count", "--wavelength", "589e-9", "--rho-peak", "1e21"],
     ]
@@ -320,30 +328,39 @@ def test_gpe_below_threshold_without_box_is_numerical_failure(capsys,
     assert "no bound" in err and "--rmax" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [["gpe", "--ratio", "0"],
-                                  ["gpe", "--intensity", "0"],
-                                  ["phase-map", "--nx", "1"],
-                                  ["phase-map", "--ny", "1"],
-                                  # NaN fails every range check: no nan rows
-                                  # and no false "unbound"
-                                  ["fig1a", "--ratios", "nan"],
-                                  ["fig1b", "--ratios", "nan"],
-                                  ["width-sweep", "--no-tf", "--atoms", "nan"],
-                                  ["potential", "--rmin", "nan"],
-                                  [*_CAPACITY, "--ratio", "nan"],
-                                  ["gpe", "--ratio", "1.5", "--trap", "nan"],
-                                  ["gpe", "--ratio", "nan"],
-                                  ["losses", "--ratio", "nan"],
-                                  ["fig2", "--ratio", "nan"],
-                                  ["fig2", "--rho-low", "nan"]], ids=" ".join)
-def test_degenerate_inputs_are_usage_errors(argv, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in (
+    (["gpe", "--ratio", "0"], None),
+    (["gpe", "--intensity", "0"], None),
+    (["phase-map", "--nx", "1"], None),
+    (["phase-map", "--ny", "1"], None),
+    # NaN fails every range check: no nan rows and no false "unbound"
+    (["fig1a", "--ratios", "nan"], None),
+    (["fig1b", "--ratios", "nan"], None),
+    (["width-sweep", "--no-tf", "--atoms", "nan"], None),
+    (["potential", "--rmin", "nan"], None),
+    ([*_CAPACITY, "--ratio", "nan"], None),
+    (["gpe", "--ratio", "1.5", "--trap", "nan"], None),
+    (["gpe", "--ratio", "nan"], None),
+    (["losses", "--ratio", "nan"], None),
+    (["fig2", "--ratio", "nan"], None),
+    (["fig2", "--rho-low", "nan"], None),
+    # the ends of a log axis are named, not reported as a math domain error
+    (["potential", "--rmin", "0"], "--rmin must be positive, got 0"),
+    (["potential", "--rmax=-3"], "--rmax must be positive, got -3"),
+    (["potential", "--linear", "--rmin", "0"], "--rmin must be positive, got 0"),
+    (["fig2", "--lambda-min", "0"], "--lambda-min must be positive, got 0"),
+    (["fig2", "--lambda-max=-1"], "--lambda-max must be positive, got -1"))])
+def test_degenerate_inputs_are_usage_errors(argv, message, capsys, monkeypatch):
     # rejected before the solve or the first classification starts
     monkeypatch.setattr(gpe, "solve_ground", _must_not_run)
     monkeypatch.setattr(regimes, "classify", _must_not_run)
+    monkeypatch.setattr(regimes, "atom_capacity", _must_not_run)
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("lasergrav: ") and "Traceback" not in err
+    if message is not None:
+        assert err == f"lasergrav: {message}\n"
 
 
 @pytest.mark.parametrize("argv, option", [pytest.param(*case, id=" ".join(case[0])) for case in (
@@ -575,6 +592,18 @@ def test_resolve_intensity_accepts_absolute_value(na):
     intensity, ratio = _resolve_intensity(args, na)
     assert ratio == 1.5
     assert intensity == pytest.approx(1.5 * 2623.4, rel=0.01)
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (1e-3, 3.0, 600), (0.05, 2.0, 200), (-3.0, math.log10(3.0), 600),
+    (math.log10(0.4e-6), math.log10(20e-6), 20), (0.1, 0.7, 7),
+    (2.5, 2.5, 1), (2.5, 0.5, 1), (2.5, 2.5, 5), (3.0, -1.0, 9),
+    (-2.0, -7.0, 101), (1e-300, 1e300, 3)])
+def test_linspace_matches_numpy_bit_for_bit(start, stop, num):
+    expected = np.linspace(start, stop, num)
+    got = _linspace(start, stop, num)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == expected.tobytes()
 
 
 def test_parse_ratio_spec_forms():

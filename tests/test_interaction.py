@@ -75,7 +75,7 @@ def test_branch_continuity_around_switch():
     # x = 1 (3.0e-15 relative measured)
     x = np.linspace(0.8 * X_SWITCH, 1.25 * X_SWITCH, 101)
     series = _f_series(x)
-    direct = _f_direct(x)
+    direct = _f_direct(x, np.sin, np.cos)
     rel = np.abs(series - direct) / np.abs(direct)
     assert rel.max() < 1e-14
 
@@ -139,9 +139,26 @@ def test_envelope_decay_at_large_separation():
     assert values[-1] < 1e-4
 
 
+_SWITCH_R = X_SWITCH / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("kernel", [kernel_shape, kernel_slope])
+def test_float_branch_matches_array_branch_bit_for_bit(kernel):
+    # a Python float runs on math's sin/cos, an array on numpy's; the CLI's
+    # scalar commands rely on the two giving the same bits
+    r = np.concatenate([
+        [1e-6, 1e2, _SWITCH_R, math.nextafter(_SWITCH_R, 0.0),
+         math.nextafter(_SWITCH_R, 1.0), 0.9 * _SWITCH_R, 1.1 * _SWITCH_R],
+        np.logspace(-6, 2, 4001)])
+    scalar = np.array([kernel(float(v)) for v in r])
+    assert scalar.tobytes() == kernel(r).tobytes()
+    assert all(type(kernel(float(v))) is float for v in r[:7])
+
+
 def test_kernel_rejects_non_positive_separation():
     for kernel in (kernel_shape, kernel_slope):
-        for r in (-0.1, 0.0):
+        for r in (-0.1, 0.0, -0.0, math.nan, np.array([0.5, 0.0]),
+                  np.array([-0.1]), np.array(math.nan)):
             with pytest.raises(ValueError, match="separation must be positive"):
                 kernel(r)
 
