@@ -27,6 +27,9 @@ SPECIES_FILE_ENV = "LASERGRAV_SPECIES_FILE"
 _FLOAT_FORMAT = "{:.12e}"
 _NO_LIGHT = "intensity must be non-zero: without light nothing binds"
 _LENGTHS = ("rmin", "rmax", "lambda_min", "lambda_max")  # options that must be > 0
+# most points gpe picks by itself: a solve at this size takes about 4 s and
+# 93 MB on a 2-core host, so wider boxes need an explicit --n
+_MAX_DEFAULT_POINTS = 65_536
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="full", choices=["full", "newton"],
                    help="pair interaction: full oscillatory or pure -u/r")
     p.add_argument("--n", type=int, default=None,
-                   help="grid points (default: 512, or up to 4096 where the "
+                   help="grid points (default: 512, or up to 65536 where the "
                         "full kernel needs a spacing of lam/40)")
     p.add_argument("--rmax", type=float, default=None,
                    help="grid extent in m (default 8x expected radius)")
@@ -455,11 +458,11 @@ def _dispatch(args):
         r_max = args.rmax if args.rmax is not None else 8.0 * trial.r_rms
         n_points = args.n
         if n_points is None:
-            # the full kernel needs a spacing of lam/40 at most; past 4096
-            # points (a 134 MB Hartree matrix) the operator's "too coarse"
-            # error asks for an explicit --n instead
+            # the full kernel needs a spacing of lam/40 at most; past the
+            # cap the operator's "too coarse" error asks for an explicit --n
             n_points = 512 if args.kernel == "newton" else min(max(
-                512, math.ceil(2 * gpe._MIN_POINTS_PER_HALF_WAVE * r_max / lam)), 4096)
+                512, math.ceil(2 * gpe._MIN_POINTS_PER_HALF_WAVE * r_max / lam)),
+                _MAX_DEFAULT_POINTS)
         grid = gpe.RadialGrid(n_points=n_points, r_max=r_max)
         state = gpe.solve_ground(
             cfg, grid, w_init=trial.w_star if trial.bound_local else 1.0)

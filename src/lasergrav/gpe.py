@@ -8,10 +8,12 @@ reduces to a one-dimensional integral
 
 with J(t) = Int_0^t t' U(t') dt' finite at zero because t U(t) -> -u.  J is
 tabulated once per solve on the nodes t_k = k h as a cumulative sum of one
-fixed Gauss-Legendre rule per cell [t_k, t_k+1].  The integrand has a
-derivative kink at s = R, so the quadrature uses composite Simpson weights
-split at that node; the whole convolution is then a precomputed dense matrix
-applied per iteration, O(n^2) with small constants.
+fixed Gauss-Legendre rule per cell [t_k, t_k+1].  The s-integral is the
+trapezoid rule plus one diagonal Euler-Maclaurin term for the derivative
+kink at s = R, a corrected trapezoid rule in the sense of Kapur & Rokhlin,
+SIAM J. Numer. Anal. 34, 1331 (1997): a symmetric Hankel-minus-Toeplitz
+operator, O(h^4) on every node, applied by FFT convolution in O(n log n)
+and never stored as a matrix.
 
 The solver relaxes v = R * Psi (which makes the radial Laplacian
 tridiagonal) by the normalized gradient flow with backward-Euler steps of
@@ -103,32 +105,6 @@ class GroundState:
     energies: dict = field(repr=False)  # per-term totals, J
 
 
-def _simpson_weights(m: int, h: float) -> np.ndarray:
-    """Composite Simpson weights over m uniform intervals (3/8 tail if odd)."""
-    w = np.zeros(m + 1)
-    if m == 0:
-        return w
-    if m == 1:
-        w[:] = 0.5 * h
-        return w
-    if m % 2 == 0:
-        w[0] = w[-1] = h / 3.0
-        w[1:-1:2] = 4.0 * h / 3.0
-        w[2:-1:2] = 2.0 * h / 3.0
-        return w
-    k = m - 3
-    if k > 0:
-        w[0] = h / 3.0
-        w[1:k:2] = 4.0 * h / 3.0
-        w[2:k:2] = 2.0 * h / 3.0
-        w[k] = h / 3.0
-    w[k] += 3.0 * h / 8.0
-    w[k + 1] += 9.0 * h / 8.0
-    w[k + 2] += 9.0 * h / 8.0
-    w[k + 3] += 3.0 * h / 8.0
-    return w
-
-
 def _j_table(n: int, h_dimless: float, kernel: str) -> np.ndarray:
     """J(t)/ (u lam) on t_k = k h, k = 0..2n, t in wavelength units."""
     if kernel == "near_zone":
@@ -141,7 +117,7 @@ def _j_table(n: int, h_dimless: float, kernel: str) -> np.ndarray:
 
 
 class _HartreeOperator:
-    """Dense convolution matrix for one (grid, wavelength, kernel) triple.
+    """The mean-field convolution of one (grid, wavelength, kernel) triple.
 
     Maps density samples on the grid nodes to the mean-field potential in
     units of u/lam; linear in the density by construction.
@@ -158,25 +134,36 @@ class _HartreeOperator:
                 f"{grid.spacing:.3e} m resolves fewer than "
                 f"{_MIN_POINTS_PER_HALF_WAVE} points per half-oscillation")
         self._x = grid.nodes / wavelength
+        self._h = h
         j_tab = _j_table(n, h, kernel)
-        # entry (i, j), nodes 1..n: J(t_{i+j}) - J(t_{|i-j|}), from strided
-        # Hankel and Toeplitz views so that only the result is allocated
-        windows = np.lib.stride_tricks.sliding_window_view
-        sym = np.concatenate((j_tab[n - 1:0:-1], j_tab[:n]))  # J(t_|k|), |k| < n
-        matrix = windows(j_tab[2:], n) - windows(sym, n)[:, ::-1]
-        # row i: s-quadrature weights over nodes 1..n, split at the kink
-        # s = R_i, scaled in place; node 0 is left out, as the integrand
-        # vanishes at s = 0
-        for i in range(1, n + 1):
-            outer = _simpson_weights(n - i, h)
-            weights = np.concatenate((_simpson_weights(i, h)[1:], outer[1:]))
-            weights[i - 1] += outer[0]
-            matrix[i - 1] *= weights
-        self._matrix = matrix
+        # circular convolutions of a power-of-two length of at least 2n - 1,
+        # so that no lag -(n-1)..2n-2 of either kernel wraps onto another:
+        # Toeplitz J(t_|k|) at lags -(n-1)..n-1, Hankel J(t_k+2) at 0..2n-2
+        self._size = 1 << (2 * n - 2).bit_length()
+        self._toeplitz = np.fft.rfft(np.concatenate(
+            (j_tab[:n], np.zeros(self._size - 2 * n + 1), j_tab[n - 1:0:-1])))
+        self._hankel = np.fft.rfft(j_tab[2:], self._size)
+
+    def product(self, y: np.ndarray) -> np.ndarray:
+        """``M y`` for the symmetric ``M = h (Hankel(J) - Toeplitz(J)) + (h^2/6) I``,
+        entries ``J(t_i+j)`` and ``J(t_|i-j|)`` over nodes i, j = 1..n.
+
+        Applied to ``y = x rho`` this is the trapezoid rule, weight h on
+        every node, for the s-integral of ``s rho(s) [J(R+s) - J(|R-s|)]``.
+        That integrand is even in s, so the end s = 0 adds no error term, and
+        its slope jumps by ``2 R rho(R)`` at the kink s = R (t U(t) -> -u at
+        0), so the Euler-Maclaurin correction, ``h^2/12`` times that jump, is
+        the diagonal term and the rule is O(h^4).
+        The Hankel product is a convolution with the reversed ``y``, whose
+        transform is the conjugate of that of ``y``.
+        """
+        f = np.fft.rfft(y, self._size)
+        conv = np.fft.irfft(self._hankel * f.conj() - self._toeplitz * f, self._size)
+        return self._h * conv[:y.size] + (self._h**2 / 6.0) * y
 
     def __call__(self, rho_dimless: np.ndarray) -> np.ndarray:
         """Potential in units of u/lam for density samples in units lam^-3."""
-        return (2.0 * math.pi / self._x) * (self._matrix @ (self._x * rho_dimless))
+        return (2.0 * math.pi / self._x) * self.product(self._x * rho_dimless)
 
 
 def _solve_tridiagonal(off: float, diag: np.ndarray,
@@ -376,11 +363,9 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     on until the residual has fallen another decade before Newton is tried
     again.  The solve stops once the residual is below ``RESIDUAL_TOL`` and
     the last Newton step cut it by less than a decade, or a Newton step
-    fails there, so a converging solve ends at the rounding floor.  Newton
-    aims at the zero of the eigen-residual; the split-Simpson Hartree matrix
-    is not symmetric, so that zero is not quite the minimum of the energy on
-    the grid, and a Newton step can raise the energy a little (up to 9e-8
-    relative in the deep TF-G regime).
+    fails there, so a converging solve ends at the rounding floor.  The
+    Hartree operator is symmetric, so the zero of the eigen-residual that
+    Newton aims at is a stationary point of the energy on the grid.
 
     ``iterations`` counts flow steps (accepted plus rejected) and Newton
     steps (accepted plus dropped).  Raises :class:`ConvergenceError` after

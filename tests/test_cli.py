@@ -539,7 +539,8 @@ def test_gpe_subcommand_with_profile(tmp_path):
 
 
 def test_gpe_profile_builds_one_hartree_operator(tmp_path, monkeypatch):
-    # the solve and the phi_J column of the profile share one dense matrix
+    # the solve and the phi_J column of the profile share one Hartree
+    # operator and the J table it is built from
     built = []
 
     class Counted(gpe._HartreeOperator):
@@ -575,8 +576,8 @@ def test_gpe_default_grid_resolves_the_kernel(argv, n_points, monkeypatch):
 
 
 def test_gpe_default_grid_stops_growing(capsys):
-    # a box that needs more than 4096 points is a usage error, as before,
-    # and nothing of n^2 size is allocated
+    # a box that needs more than the default grid's 65,536 points (67,912
+    # here) is a usage error, raised as the Hartree operator is built
     assert run(["gpe", "--species", "Na", "--ratio", "1.5", "--rmax", "1e-3"]) == 2
     assert "too coarse" in capsys.readouterr().err
 
