@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
-from . import losses, regimes, variational
+from . import variational
 from .constants import intensity_in, intensity_si
 from .errors import LaserGravError, NumericsError, UnboundError
 from .interaction import InteractionParams, kernel_shape
@@ -74,6 +72,7 @@ def emit_csv(rows: list[dict], path: str | None):
 
 
 def emit_json(obj, path: str | None):
+    import json
     _write(json.dumps(obj, indent=2) + "\n", path)
 
 
@@ -365,7 +364,7 @@ def _dispatch(args):
         for name in [args.species] if args.species else catalog_names():
             sp = _get_species(argparse.Namespace(species=name,
                                                  species_file=args.species_file))
-            table[name] = {**asdict(sp), "contact_coupling_J_m3": sp.contact_coupling}
+            table[name] = {**sp.asdict(), "contact_coupling_J_m3": sp.contact_coupling}
         emit_json(table, args.out)
 
     elif cmd == "potential":
@@ -417,7 +416,7 @@ def _dispatch(args):
             row = {"ratio": ratio, "w_star": res.w_star, "r_rms_m": res.r_rms,
                    "bound_local": res.bound_local,
                    "bound_global": res.bound_global}
-            parts = asdict(res.breakdown) if res.breakdown else {}
+            parts = res.breakdown.asdict() if res.breakdown else {}
             row.update({f"{k}_J": parts.get(k, math.nan) for k in (
                 "kinetic", "trap", "swave", "gravitational", "total")})
             rows.append(row)
@@ -427,12 +426,14 @@ def _dispatch(args):
         emit_csv(rows, args.out)
 
     elif cmd == "phase-map":
+        from . import regimes
         species = _get_species(args)
         rows = regimes.phase_map(species, nx=args.nx, ny=args.ny,
                                  use_detuned=args.detuned)
         emit_csv(rows, args.out)
 
     elif cmd == "fig2":
+        from . import regimes
         ys = _linspace(math.log10(args.lambda_min), math.log10(args.lambda_max),
                        args.points)
         rows = regimes.capacity_band([10.0 ** y for y in ys], args.rho_low,
@@ -492,11 +493,12 @@ def _dispatch(args):
             emit_csv(rows, args.profile)
 
     elif cmd == "losses":
+        from . import losses
         species = _get_species(args)
         report = losses.loss_report(
             species, args.ratio, args.n, _resolve_wavelength(args, species),
             use_detuned=args.detuned, omega_triad=args.omega_triad)
-        payload = asdict(report)
+        payload = report.asdict()
         payload["omega_p_over_gamma_ray"] = report.omega_p_scaled / report.gamma_ray
         payload["gamma_interf_over_gamma_ray"] = \
             report.gamma_interf / report.gamma_ray
@@ -507,6 +509,7 @@ def _dispatch(args):
         emit_json(payload, args.out)
 
     elif cmd == "atom-count":
+        from . import regimes
         species = _get_species(args)
         n = regimes.atom_capacity(args.wavelength, args.rho_peak, args.ratio,
                                   species, use_detuned=args.detuned,

@@ -8,11 +8,11 @@ volumes (cm^3-style quantities, stored in m^3) appear only here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """Fundamental constants in SI units. ``h`` is exactly ``2*pi*hbar``."""
 
     hbar: float = 1.054571817e-34  # J s

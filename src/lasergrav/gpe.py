@@ -34,11 +34,10 @@ grid and the answer does not depend on the starting width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
+from ._record import Record
 from .constants import CONSTANTS
 from .errors import CollapseError, ConvergenceError, NumericsError
 from .interaction import kernel_shape
@@ -46,11 +45,14 @@ from .variational import AnsatzConfig, minimize_width
 
 # full kernel needs >= 20 grid points per lam/2 oscillation
 _MIN_POINTS_PER_HALF_WAVE = 20
-# Gauss-Legendre nodes per J-table cell.  The check above keeps a full-kernel
-# cell at most lam/40 wide, 1/20 of the lam/2 period of t U(t); there the
-# rule's truncation error is about 1e-17 of u lam (4 nodes: 5e-16), far
-# below the rounding of the kernel values it sums.
-_J_RULE_NODES = 6
+# 6-point Gauss-Legendre rule per J-table cell: numpy's leggauss(6) bit for bit,
+# without loading numpy.polynomial.  The check above keeps a full-kernel cell at
+# most lam/40 wide, 1/20 of the lam/2 period of t U(t); there the rule's error is
+# about 1e-17 of u lam (4 nodes: 5e-16), below the rounding of the values it sums.
+_J_RULE_NODES = (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                 0.2386191860831969, 0.6612093864662645, 0.9324695142031519)
+_J_RULE_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                   0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
 
 # stop when ||(H[rho] - mu) v|| / |mu| falls below this
 RESIDUAL_TOL = 1e-8
@@ -67,14 +69,13 @@ NEWTON_SWITCH = 1e-2
 _GMRES_MAX_STEPS = 60
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(Record):
     """Uniform radial grid with nodes R_i = i h, i = 1..n."""
 
     n_points: int
     r_max: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_points < 256:
             raise ValueError(f"need at least 256 points, got {self.n_points}")
         if not self.r_max > 0.0:
@@ -89,8 +90,7 @@ class RadialGrid:
         return self.spacing * np.arange(1, self.n_points + 1)
 
 
-@dataclass(frozen=True)
-class GroundState:
+class GroundState(Record):
     """Converged order parameter and its diagnostics (all SI)."""
 
     grid: RadialGrid
@@ -102,7 +102,7 @@ class GroundState:
     iterations: int
     residual: float          # eigen-residual ||(H[rho] - mu) v|| / |mu|
     n_atoms: float
-    energies: dict = field(repr=False)  # per-term totals, J
+    energies: dict           # per-term totals, J
 
 
 def _j_table(n: int, h_dimless: float, kernel: str) -> np.ndarray:
@@ -110,7 +110,7 @@ def _j_table(n: int, h_dimless: float, kernel: str) -> np.ndarray:
     if kernel == "near_zone":
         return -h_dimless * np.arange(0, 2 * n + 1)
     # the rule's nodes lie inside each cell, so t U(t) is never needed at 0
-    nodes, weights = np.polynomial.legendre.leggauss(_J_RULE_NODES)
+    nodes, weights = np.array(_J_RULE_NODES), np.array(_J_RULE_WEIGHTS)
     t = h_dimless * (np.arange(2 * n)[:, None] + 0.5 * (nodes + 1.0))
     cells = (t * kernel_shape(t)) @ (0.5 * h_dimless * weights)
     return np.concatenate(([0.0], np.cumsum(cells)))
@@ -342,7 +342,7 @@ class _MeanField:
 
 
 def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
-                 w_init: Optional[float] = None,
+                 w_init: float | None = None,
                  on_step=None) -> GroundState:
     """Relax to the mean-field ground state on ``grid``.
 

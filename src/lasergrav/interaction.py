@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
 
+from ._record import Record
 from .constants import CONSTANTS
 from .errors import NumericsError
 from .species import AtomSpecies
@@ -61,7 +60,7 @@ def _f_direct(x, sin, cos):
             - 6.0 * c / (x2 * x3) + 3.0 * s / (x3 * x3))
 
 
-def _horner(x, coeffs: Sequence[float]):
+def _horner(x, coeffs: tuple[float, ...]):
     """Sum coeffs[n] x^n, in the order of numpy's ``polyval``."""
     acc = coeffs[-1]
     for c in coeffs[-2::-1]:
@@ -180,8 +179,7 @@ def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
                         f"after {_ROOT_MAXITER} iterations")
 
 
-@dataclass(frozen=True)
-class InteractionParams:
+class InteractionParams(Record):
     """Total beam intensity, wavelength and the derived coupling.
 
     ``coupling`` (J m) is fixed by construction to the value implied by

@@ -6,9 +6,8 @@ real-photon repulsion."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
+from ._record import Record
 from .constants import CONSTANTS
 from .errors import UnboundError
 from .interaction import InteractionParams
@@ -20,8 +19,7 @@ from .variational import peak_density, tf_width, threshold_intensity
 REPULSION_NEGLIGIBLE = 1e-2
 
 
-@dataclass(frozen=True)
-class LossReport:
+class LossReport(Record):
     """Collected loss/timescale numbers (SI, all non-negative)."""
 
     gamma_ray: float            # 1/s
@@ -152,7 +150,7 @@ def repulsion_coupling(saturation: float, coupling: float) -> tuple[float, bool]
 
 def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
                 wavelength: float, use_detuned: bool = True,
-                omega_triad: Optional[float] = None) -> LossReport:
+                omega_triad: float | None = None) -> LossReport:
     """Full loss budget at intensity ``ratio`` times the threshold.
 
     The peak density entering the direct plasma frequency comes from the

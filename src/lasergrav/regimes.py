@@ -8,8 +8,8 @@ attraction strength against the TF self-binding threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .constants import CONSTANTS
 from .errors import UnboundError
 from .interaction import InteractionParams
@@ -21,8 +21,7 @@ from .variational import (config_at_ratio, minimize_width, tf_width,
 TRAP_NEGLIGIBLE_CUTOFF = 10.0
 
 
-@dataclass(frozen=True)
-class RegimePoint:
+class RegimePoint(Record):
     """One point of the phase portrait."""
 
     x: float        # log10(lam / (N a))

@@ -9,15 +9,13 @@ this, so a catalog edit that breaks the thresholds fails loudly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
+from ._record import Record
 from .constants import CONSTANTS, polarizability_si
 from .errors import SpeciesFileError
 
 
-@dataclass(frozen=True)
-class DetunedContext:
+class DetunedContext(Record):
     """Near-resonant driving data for a species.
 
     ``detuning`` and ``linewidth`` are angular frequencies (rad/s);
@@ -37,8 +35,7 @@ class DetunedContext:
         return abs(self.detuning) > 10.0 * self.linewidth
 
 
-@dataclass(frozen=True)
-class AtomSpecies:
+class AtomSpecies(Record):
     """Mass, s-wave scattering length and polarizability of one atom.
 
     ``polarizability_volume`` is the static Gaussian-convention volume in m^3.
@@ -50,9 +47,9 @@ class AtomSpecies:
     mass: float
     scattering_length: float
     polarizability_volume: float
-    detuned: Optional[DetunedContext] = None
+    detuned: DetunedContext | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if not self.mass > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not self.polarizability_volume > 0.0:

@@ -24,9 +24,9 @@ summed instead.  For the -u/r kernel g = -sqrt(2/pi)/w.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
+from ._record import Record
 from .constants import CONSTANTS
 from .errors import NumericsError
 from .interaction import (InteractionParams, _brent_root, _horner,
@@ -64,8 +64,7 @@ _ROOT_RTOL = 1e-12
 CONTACT_AT_THRESHOLD = 35.0 / (88.0 * math.pi * (2.0 * math.pi) ** 1.5)
 
 
-@dataclass(frozen=True)
-class AnsatzConfig:
+class AnsatzConfig(Record):
     """Inputs of the variational problem.
 
     ``kernel`` selects the full oscillatory pair potential or its -u/r
@@ -81,7 +80,7 @@ class AnsatzConfig:
     tf_limit: bool = False
     kernel: str = "full"
 
-    def __post_init__(self):
+    def _check(self):
         if not self.n_atoms >= 1.0:
             raise ValueError(f"need at least one atom, got {self.n_atoms}")
         if not self.trap_frequency >= 0.0:
@@ -90,8 +89,7 @@ class AnsatzConfig:
             raise ValueError(f"unknown kernel {self.kernel!r}")
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(Record):
     """Per-particle energies (J) of the four contributions and their sum."""
 
     kinetic: float
@@ -101,8 +99,7 @@ class EnergyBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class VariationalResult:
+class VariationalResult(Record):
     """Equilibrium width and self-binding verdict.
 
     ``bound_local``: a finite-w local minimum exists.  ``bound_global``: its
@@ -113,7 +110,7 @@ class VariationalResult:
 
     w_star: float
     r_rms: float
-    breakdown: Optional[EnergyBreakdown]
+    breakdown: EnergyBreakdown | None
     bound_local: bool
     bound_global: bool
 
@@ -250,7 +247,7 @@ def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
     return _minimum(cfg, None)
 
 
-def _minimum(cfg: AnsatzConfig, ratio: Optional[float]) -> VariationalResult:
+def _minimum(cfg: AnsatzConfig, ratio: float | None) -> VariationalResult:
     k, t, s = _closed_coefficients(cfg)
     if k == t == 0.0 and s > 0.0 and cfg.kernel == "full":
         p = cfg.interaction
@@ -312,8 +309,8 @@ def width_vs_intensity(cfg: AnsatzConfig,
         raise ValueError("intensity ratios must be non-negative")
     alpha, lam = cfg.interaction.alpha_si, cfg.interaction.wavelength
     i0 = _threshold_at(cfg.species, alpha)
-    return [_minimum(replace(
-                cfg, interaction=InteractionParams.from_alpha(r * i0, lam, alpha)), r)
+    return [_minimum(cfg.replace(
+                interaction=InteractionParams.from_alpha(r * i0, lam, alpha)), r)
             for r in ratios]
 
 

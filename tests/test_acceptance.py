@@ -185,10 +185,9 @@ def test_criterion_8_property_suite(na):
            f"r*/lam = {onset:.4f} vs 0.36 (0.02)")
 
     # harmonic-oscillator exactness of the PDE solver
-    from dataclasses import replace
 
     from lasergrav import AnsatzConfig, InteractionParams, solve_ground
-    species = replace(na, scattering_length=0.0, detuned=None)
+    species = na.replace(scattering_length=0.0, detuned=None)
     omega0 = 2 * math.pi * 100.0
     l0 = math.sqrt(CONSTANTS.hbar / (species.mass * omega0))
     params = InteractionParams(intensity=0.0, wavelength=NA_LAM, coupling=0.0,

@@ -99,24 +99,56 @@ def test_commands_without_pde_do_not_load_scipy(tmp_path):
     assert _modules_after(commands, "scipy", tmp_path) == []
 
 
+# every command but gpe, the PDE
+_SCALAR_COMMANDS = [
+    ["catalog"],
+    ["potential", "--samples", "8"],
+    ["potential", "--samples", "8", "--linear"],
+    ["threshold"],
+    ["fig1a", "--ratios", "0.5,1.5", "--samples", "4"],
+    ["fig1b", "--ratios", "0.9,1.5"],
+    ["width-sweep", "--ratios", "1.5"],
+    ["width-sweep", "--ratios", "1.5", "--no-tf"],
+    ["phase-map", "--nx", "3", "--ny", "3"],
+    ["fig2", "--points", "2"],
+    ["losses"],
+    ["atom-count", "--wavelength", "589e-9", "--rho-peak", "1e21"],
+]
+
+
 def test_scalar_commands_do_not_load_numpy(tmp_path):
     # only the PDE (gpe) needs numpy; every other command, the import of
     # lasergrav.cli included, runs on Python floats
-    commands = [
-        ["catalog"],
-        ["potential", "--samples", "8"],
-        ["potential", "--samples", "8", "--linear"],
-        ["threshold"],
-        ["fig1a", "--ratios", "0.5,1.5", "--samples", "4"],
-        ["fig1b", "--ratios", "0.9,1.5"],
-        ["width-sweep", "--ratios", "1.5"],
-        ["width-sweep", "--ratios", "1.5", "--no-tf"],
-        ["phase-map", "--nx", "3", "--ny", "3"],
-        ["fig2", "--points", "2"],
-        ["losses"],
-        ["atom-count", "--wavelength", "589e-9", "--rho-peak", "1e21"],
-    ]
-    assert _modules_after(commands, "numpy", tmp_path) == []
+    assert _modules_after(_SCALAR_COMMANDS, "numpy", tmp_path) == []
+
+
+def test_scalar_commands_do_not_load_dataclasses_or_inspect(tmp_path):
+    # the value types are records: importing dataclasses (and inspect with
+    # it) and building its methods cost every process about 28 ms
+    loaded = _modules_after(_SCALAR_COMMANDS, "", tmp_path)
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_gpe_does_not_load_numpy_polynomial(tmp_path):
+    # the J-table quadrature rule is stored, not computed by leggauss
+    gpe_command = ["gpe", "--ratio", "1.5", "--n", "256"]
+    assert _modules_after([gpe_command], "numpy.polynomial", tmp_path) == []
+
+
+def test_cli_import_loads_only_the_shared_modules():
+    # losses, regimes, gpe and json load in the branches that use them
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "before = set(sys.modules)\n"
+         "import lasergrav.cli\n"
+         "print(json.dumps(sorted(set(sys.modules) - before)))\n"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    for name in ("numpy", "lasergrav.losses", "lasergrav.regimes", "lasergrav.gpe",
+                 "dataclasses", "inspect", "typing"):
+        assert name not in loaded
 
 
 def test_package_still_exports_the_pde_names():
@@ -132,6 +164,20 @@ def test_package_still_exports_the_pde_names():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "RadialGrid"
+
+
+def test_every_exported_name_resolves_to_its_home_module():
+    import importlib
+
+    import lasergrav
+    assert len(lasergrav.__all__) == len(set(lasergrav.__all__)) == 63
+    for name in lasergrav.__all__:
+        home = importlib.import_module(f"lasergrav.{lasergrav._HOMES[name]}")
+        value = getattr(lasergrav, name)
+        assert value is getattr(home, name) and name in dir(lasergrav)
+        assert getattr(value, "__module__", home.__name__) == home.__name__
+    with pytest.raises(AttributeError):
+        getattr(lasergrav, "no_such_name")
 
 
 def test_threshold_static_sodium(tmp_path):
@@ -628,7 +674,7 @@ def test_fig1a_energy_values_in_reduced_units(tmp_path, na):
     w, value = (float(c) for c in lines[1].split(","))
     cfg = config_at_ratio(na, 1.5, 589e-9, use_detuned=True, tf_limit=True)
     assert value == pytest.approx(
-        total_energy(w, cfg) / tf_energy_unit(cfg), rel=1e-12)
+        total_energy(w, cfg) / tf_energy_unit(cfg), rel=1e-12, abs=0.0)
     assert value == pytest.approx(-0.0225, abs=0.002)
 
 

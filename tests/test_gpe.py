@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ def _interaction(species, coupling, intensity=1.0):
 @pytest.fixture(scope="module")
 def no_contact(na):
     """Sodium-mass species with the contact interaction switched off."""
-    return replace(na, scattering_length=0.0, detuned=None)
+    return na.replace(scattering_length=0.0, detuned=None)
 
 
 def test_grid_validation():
@@ -573,6 +572,12 @@ def test_j_table_matches_closed_form(n, h):
     assert table.shape == (2 * n + 1,) and table[0] == 0.0
     exact = np.array([_mpmath_j(k * h) for k in nodes])
     assert np.max(np.abs(table[nodes] - exact)) < 1e-15
+
+
+def test_j_rule_is_numpys_gauss_legendre_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    assert np.array(gpe._J_RULE_NODES).tobytes() == nodes.tobytes()
+    assert np.array(gpe._J_RULE_WEIGHTS).tobytes() == weights.tobytes()
 
 
 def test_hartree_zero_density_and_linearity(na):

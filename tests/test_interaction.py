@@ -21,7 +21,7 @@ def test_coupling_linear_in_intensity(na):
                                           use_detuned=True).coupling
     u2 = InteractionParams.from_intensity(na, 2.0e3, 589e-9,
                                           use_detuned=True).coupling
-    assert u2 == pytest.approx(2.0 * u1, rel=1e-15)
+    assert u2 == pytest.approx(2.0 * u1, rel=1e-15, abs=0.0)
 
 
 def test_coupling_at_threshold_matches_closed_form(na):
@@ -32,8 +32,8 @@ def test_coupling_at_threshold_matches_closed_form(na):
                                          use_detuned=True).coupling
     u_closed = (176 * math.pi**2 / 35) * CONSTANTS.hbar**2 * \
         na.scattering_length / (na.mass * lam**2)
-    assert u == pytest.approx(u_closed, rel=1e-10)
-    assert u == pytest.approx(1.15e-37, rel=0.02)
+    assert u == pytest.approx(u_closed, rel=1e-10, abs=0.0)
+    assert u == pytest.approx(1.15e-37, rel=0.02, abs=0.0)
 
 
 def test_coupling_requires_detuned_context(rb):
@@ -91,7 +91,7 @@ def test_kernel_slope_matches_finite_difference():
 def test_scale_covariance(r, u):
     lam = 589e-9
     assert pair_potential(r, 2 * u, lam) == \
-        pytest.approx(2 * pair_potential(r, u, lam), rel=1e-12)
+        pytest.approx(2 * pair_potential(r, u, lam), rel=1e-12, abs=0.0)
 
 
 def test_oscillation_onset_location():
@@ -169,7 +169,7 @@ def test_pair_potential_approaches_near_zone(na):
     for r_tilde in (1e-5, 1e-4):
         full = pair_potential(r_tilde, u, lam)
         limit = -u / (r_tilde * lam)
-        assert full == pytest.approx(limit, rel=1e-6)
+        assert full == pytest.approx(limit, rel=1e-6, abs=0.0)
 
 
 def test_beam_budget_triad():

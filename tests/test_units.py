@@ -19,13 +19,13 @@ def test_polarizability_zero_maps_to_zero():
 def test_polarizability_reference_value():
     # 3.534e-18 cm^3 -> about 3.93e-34 C m^2/V
     alpha = polarizability_si(3.534e-24)
-    assert alpha == pytest.approx(3.93e-34, rel=1e-2)
+    assert alpha == pytest.approx(3.93e-34, rel=1e-2, abs=0.0)
 
 
 @pytest.mark.parametrize("volume", [1e-30, 24.1e-30, 3.534e-24, 7.7e-10])
 def test_polarizability_round_trip(volume):
     assert polarizability_volume(polarizability_si(volume)) == \
-        pytest.approx(volume, rel=4e-16)
+        pytest.approx(volume, rel=4e-16, abs=0.0)
 
 
 def test_intensity_conversions():
@@ -39,7 +39,7 @@ def test_intensity_round_trip():
     value = 371.25
     for unit in ("W/m^2", "W/cm^2", "mW/cm^2"):
         assert intensity_in(intensity_si(value, unit), unit) == \
-            pytest.approx(value, rel=4e-16)
+            pytest.approx(value, rel=4e-16, abs=0.0)
 
 
 def test_intensity_rejects_unknown_unit_and_negative():
@@ -75,7 +75,7 @@ def test_catalog_detuned_enhancement():
 def test_contact_coupling_accessor():
     na = catalog_lookup("Na")
     expected = 4 * math.pi * na.scattering_length * CONSTANTS.hbar**2 / na.mass
-    assert na.contact_coupling == pytest.approx(expected, rel=1e-15)
+    assert na.contact_coupling == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 SPECIES_TEXT = """\

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,8 +71,8 @@ def test_swave_and_trap_terms_by_monte_carlo(na):
     density_one = np.exp(-r2 / b**2) / (math.pi * b * b) ** 1.5
     swave_mc = 0.5 * na.contact_coupling * cfg.n_atoms * float(np.mean(density_one))
     trap_mc = 0.5 * na.mass * cfg.trap_frequency**2 * float(np.mean(r2))
-    assert breakdown.swave == pytest.approx(swave_mc, rel=5e-3)
-    assert breakdown.trap == pytest.approx(trap_mc, rel=5e-3)
+    assert breakdown.swave == pytest.approx(swave_mc, rel=5e-3, abs=0.0)
+    assert breakdown.trap == pytest.approx(trap_mc, rel=5e-3, abs=0.0)
 
 
 def test_term_switch_off_leaves_pure_contact_scaling(na):
@@ -87,7 +86,7 @@ def test_term_switch_off_leaves_pure_contact_scaling(na):
         assert breakdown.gravitational == 0.0
         assert breakdown.total == breakdown.swave
         assert breakdown.total * w**3 == pytest.approx(
-            energy_breakdown(1.0, cfg).total, rel=1e-12)
+            energy_breakdown(1.0, cfg).total, rel=1e-12, abs=0.0)
 
 
 def test_pure_gravity_minimizer_matches_calculus_oracle(na):
@@ -96,7 +95,7 @@ def test_pure_gravity_minimizer_matches_calculus_oracle(na):
     intensity = threshold_intensity(na, use_detuned=True)
     params = InteractionParams.from_intensity(na, intensity, LAM,
                                               use_detuned=True)
-    cfg = AnsatzConfig(n_atoms=n_atoms, species=replace(na, scattering_length=0.0),
+    cfg = AnsatzConfig(n_atoms=n_atoms, species=na.replace(scattering_length=0.0),
                        interaction=params, kernel="near_zone")
     result = minimize_width(cfg)
     b_star = 3.0 * math.sqrt(2 * math.pi) * CONSTANTS.hbar**2 / (
@@ -105,7 +104,7 @@ def test_pure_gravity_minimizer_matches_calculus_oracle(na):
     assert result.w_star == pytest.approx(b_star / LAM, rel=1e-9)
     e_oracle = 3 * CONSTANTS.hbar**2 / (4 * na.mass * b_star**2) \
         - params.coupling * n_atoms / (math.sqrt(2 * math.pi) * b_star)
-    assert result.breakdown.total == pytest.approx(e_oracle, rel=1e-8)
+    assert result.breakdown.total == pytest.approx(e_oracle, rel=1e-8, abs=0.0)
 
 
 def test_tf_width_at_reference_intensity(tf_width_15):
@@ -220,7 +219,7 @@ def test_pair_energy_matches_quadrature_oracle():
     for w in np.logspace(-2.0, math.log10(300.0), 25):
         for d_dw in (False, True):
             assert pair_energy(float(w), d_dw=d_dw) == pytest.approx(
-                pair_interaction_integral(float(w), d_dw=d_dw), rel=1e-10)
+                pair_interaction_integral(float(w), d_dw=d_dw), rel=1e-10, abs=0.0)
 
 
 def test_near_zone_pair_energy_is_exact():
@@ -336,7 +335,7 @@ def test_gradient_closed_forms_match_finite_difference(na):
     assert grav == 0.0
     dw = 1e-6 * w
     fd = (total_energy(w + dw, cfg) - total_energy(w - dw, cfg)) / (2 * dw)
-    assert closed == pytest.approx(fd, rel=1e-6)
+    assert closed == pytest.approx(fd, rel=1e-6, abs=0.0)
 
 
 def test_gradient_with_attraction_matches_finite_difference(na):
@@ -345,7 +344,7 @@ def test_gradient_with_attraction_matches_finite_difference(na):
         closed, grav = energy_gradient_parts(w, cfg)
         dw = 1e-5 * w
         fd = (total_energy(w + dw, cfg) - total_energy(w - dw, cfg)) / (2 * dw)
-        assert closed + grav == pytest.approx(fd, rel=1e-4)
+        assert closed + grav == pytest.approx(fd, rel=1e-4, abs=0.0)
 
 
 def test_mfa_validity_at_bound_solution(na, tf_width_15):
@@ -367,9 +366,9 @@ def test_invalid_inputs(na):
     with pytest.raises(ValueError):
         AnsatzConfig(n_atoms=0.5, species=na, interaction=cfg.interaction)
     with pytest.raises(ValueError):
-        replace(cfg, kernel="yukawa")
+        cfg.replace(kernel="yukawa")
     with pytest.raises(ValueError, match="non-positive scattering length"):
-        threshold_intensity(replace(na, scattering_length=-1e-9))
+        threshold_intensity(na.replace(scattering_length=-1e-9))
 
 
 def test_breakdown_total_is_sum_of_parts(na):
