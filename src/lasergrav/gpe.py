@@ -15,20 +15,20 @@ SIAM J. Numer. Anal. 34, 1331 (1997): a symmetric Hankel-minus-Toeplitz
 operator, O(h^4) on every node, applied by FFT convolution in O(n log n)
 and never stored as a matrix.
 
-The solver relaxes v = R * Psi (which makes the radial Laplacian
-tridiagonal) by the normalized gradient flow with backward-Euler steps of
-Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004): kinetic term, trap, contact
-and the Hartree potential of the current state are all taken implicitly, so
-each step is one tridiagonal elimination, followed by renormalization to N,
-with Dirichlet boundaries v(0) = v(R_max) = 0.  The step grows while the
-eigen-residual ||(H[rho] - mu) v|| / |mu| falls.  The flow converges only
-linearly, so once that residual is below ``NEWTON_SWITCH`` Newton steps on
-the discrete eigenproblem (H[rho] - mu) v = 0, |v| = 1 finish the solve and
-land it at the rounding floor.  Each step solves its bordered Jacobian
-system by GMRES with the Jacobian applied as a product (one tridiagonal
-apply, one diagonal, one Hartree apply), never formed, and preconditioned by
-the Jacobian's tridiagonal part.  The iteration count does not grow with the
-grid and the answer does not depend on the starting width.
+The solver takes Newton steps on the discrete eigenproblem
+(H[rho] - mu) v = 0, |v| = 1 for v = R * Psi (which makes the radial
+Laplacian tridiagonal), with Dirichlet ends v(0) = v(R_max) = 0.  Each step
+solves its bordered Jacobian system by GMRES to a tenth of the eigen-residual
+||(H[rho] - mu) v|| / |mu| (an inexact-Newton forcing term: Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the Jacobian applied as a
+product, never formed, and preconditioned by its tridiagonal part.  Where
+Newton heads for a noded state of higher energy (in a box below threshold,
+or from a start far from the equilibrium width), the normalized gradient
+flow of Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004) carries the state on:
+backward-Euler steps with kinetic term, trap, contact and the Hartree
+potential of the current state all implicit, each one tridiagonal
+elimination and a renormalization to N.  The iteration count does not grow
+with the grid and the answer does not depend on the starting width.
 """
 
 from __future__ import annotations
@@ -56,15 +56,10 @@ _J_RULE_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
 
 # stop when ||(H[rho] - mu) v|| / |mu| falls below this
 RESIDUAL_TOL = 1e-8
-# step growth factor after an accepted step that lowered the residual
+# step growth factor after every accepted flow step
 DTAU_GROWTH = 1.25
 MAX_ITERATIONS = 400_000
 _ENERGY_SLACK = 1e-12
-# the flow hands over to Newton steps below this eigen-residual.  From 1e-1
-# to 1e-3 every switch reached the same states (to 1e-13, over I/I0 1.01 to
-# 100, N 1e3 to 1e6, both kernels, with and without a trap); only 1e-1 lost
-# a Newton step short of the rounding floor, so this keeps a decade below it
-NEWTON_SWITCH = 1e-2
 # Krylov steps at most per Newton step
 _GMRES_MAX_STEPS = 60
 
@@ -347,31 +342,33 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     """Relax to the mean-field ground state on ``grid``.
 
     The starting profile is a Gaussian of width ``w_init`` (in wavelength
-    units); when omitted the variational equilibrium width is used if one
-    exists, else 1.  Each flow step solves the backward-Euler system
-    ``(1 + dtau (T + V - min V)) v_new = v`` with the whole local potential
-    ``V`` (trap, contact and the Hartree term of the current state) taken
-    implicitly, then renormalizes.  A step that raises the energy is
-    rejected and retried at half ``dtau``; after an accepted step ``dtau``
-    grows by ``DTAU_GROWTH`` while the eigen-residual falls and halves, not
-    below ``0.1 h^2``, when it rises.
+    units, positive and finite); when omitted the variational equilibrium
+    width is used if one exists, else 1.  The solve takes Newton steps
+    (:meth:`_MeanField.newton_update`) from the start, renormalizing after
+    each.  A Newton step that does not halve the eigen-residual
+    ``||(T + V - mu) v|| / |mu|`` is dropped, and flow steps
+    ``(1 + dtau (T + V - min V)) v_new = v``, with the whole local potential
+    ``V`` implicit, run until the residual has fallen a decade.  The energy
+    alone sets ``dtau``: a step that raises it is rejected and retried at
+    half ``dtau``, and every accepted step grows it by ``DTAU_GROWTH``.
 
-    Once the eigen-residual ``||(T + V - mu) v|| / |mu|`` is below
-    ``NEWTON_SWITCH`` the solve takes Newton steps instead
-    (:meth:`_MeanField.newton_update`), renormalizing after each.  A Newton
-    step that does not halve the residual is dropped, and the flow carries
-    on until the residual has fallen another decade before Newton is tried
-    again.  The solve stops once the residual is below ``RESIDUAL_TOL`` and
-    the last Newton step cut it by less than a decade, or a Newton step
-    fails there, so a converging solve ends at the rounding floor.  The
-    Hartree operator is symmetric, so the zero of the eigen-residual that
-    Newton aims at is a stationary point of the energy on the grid.
+    For a bound state Newton alone converges from the variational start
+    (4-7 steps measured).  The flow is needed in a box below threshold,
+    where the wall holds the cloud (6-59 iterations from 0.3-3 times the
+    variational width), and from starts 0.3-0.6 or 1.7-3 times the
+    equilibrium width (20-1,293 iterations).  The solve stops once the residual is below
+    ``RESIDUAL_TOL`` and the last Newton step cut it by less than a decade,
+    or a Newton step fails there, so a converging solve ends at the rounding
+    floor.  The Hartree operator is symmetric, so the zero of the
+    eigen-residual that Newton aims at is a stationary point of the energy
+    on the grid.
 
     ``iterations`` counts flow steps (accepted plus rejected) and Newton
     steps (accepted plus dropped).  Raises :class:`ConvergenceError` after
-    ``MAX_ITERATIONS`` of them and :class:`CollapseError` when the cloud
-    shrinks below four grid spacings.  The kinetic term is always retained
-    (``cfg.tf_limit`` only affects the variational treatment).
+    ``MAX_ITERATIONS`` of them, :class:`CollapseError` when the cloud
+    shrinks below four grid spacings and :class:`NumericsError` when the
+    starting Gaussian is zero on the grid.  The kinetic term is always
+    retained (``cfg.tf_limit`` only affects the variational treatment).
     ``on_step(iteration, energy_J, mu_J)`` is invoked after every accepted
     step.  ``potential`` is :func:`hartree_potential` of the final density.
     """
@@ -383,18 +380,21 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     if w_init is None:
         trial = minimize_width(cfg)
         w_init = trial.w_star if trial.bound_local else 1.0
+    elif not 0.0 < w_init < math.inf:
+        raise ValueError(f"starting width must be positive and finite, got {w_init}")
 
     v = x * np.exp(-x**2 / (2.0 * w_init**2))
-    v /= problem.norm(v)
-
-    dtau_floor = 0.1 * h * h
-    dtau = dtau_floor
+    norm = problem.norm(v)
+    if norm == 0.0:
+        raise NumericsError(f"a Gaussian of width {w_init:g} is zero on the grid")
+    v /= norm
+    dtau = 0.1 * h * h
 
     local, terms, mu, r = problem.evaluate(v)
     residual = problem.norm(r) / max(abs(mu), 1e-300)
     energy_prev = sum(terms)
     iterations = 0
-    newton_below = NEWTON_SWITCH
+    newton_below = math.inf
 
     while True:
         newton = residual < newton_below
@@ -408,8 +408,8 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
         if newton:
             # the ground state is nodeless; entries far out in the tail, some
             # 1e-30 of the peak, can come out of a Newton step either sign
-            # (a linear solve to the eigen-residual keeps the steps quadratic)
-            v_new = np.abs(problem.newton_update(v, local, mu, r, residual))
+            # (a linear solve to a tenth of the residual keeps them quadratic)
+            v_new = np.abs(problem.newton_update(v, local, mu, r, 0.1 * residual))
         else:
             # diag >= 1 + 2|off| since V >= min V: strictly diagonally
             # dominant, every pivot is at least 1 + |off|, so no pivoting
@@ -432,15 +432,13 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
         elif energy > energy_prev + _ENERGY_SLACK * abs(energy_prev):
             # reject the step; the potential still belongs to the accepted state
             dtau *= 0.5
-            if dtau < 1e-8 * dtau_floor:
+            if dtau < 1e-9 * h * h:
                 raise ConvergenceError(
-                    f"time step collapsed below {1e-8 * dtau_floor:g} without "
+                    f"time step collapsed below {1e-9 * h * h:g} without "
                     f"monotone energy descent")
             continue
-        elif residual_new < residual:
-            dtau *= DTAU_GROWTH
         else:
-            dtau = max(0.5 * dtau, dtau_floor)
+            dtau *= DTAU_GROWTH
 
         v, local, terms, mu, r, residual = \
             v_new, local_new, terms_new, mu_new, r_new, residual_new

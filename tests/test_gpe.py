@@ -8,9 +8,9 @@ from scipy.linalg import solveh_banded
 from scipy.special import erf
 
 from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
-                       InteractionParams, RadialGrid, config_at_ratio,
-                       hartree_potential, minimize_width, pair_potential,
-                       solve_ground)
+                       InteractionParams, NumericsError, RadialGrid,
+                       config_at_ratio, hartree_potential, minimize_width,
+                       pair_potential, solve_ground)
 from lasergrav import gpe
 from lasergrav.cli import run
 from lasergrav.gpe import (RESIDUAL_TOL, _gmres, _HartreeOperator, _j_table,
@@ -101,13 +101,39 @@ def test_grid_refinement_convergence(gpe_full_512, gpe_full_1024):
     assert abs(r1024 - r512) / r512 < 5e-3
 
 
-def test_radius_independent_of_starting_width(gpe_full_512, tf_width_15,
+def test_radius_independent_of_starting_width(na, gpe_full_512, tf_width_15,
                                               solve_full_512):
-    # the eigen-residual stop leaves no trace of the starting profile
+    # the eigen-residual stop leaves no trace of the starting profile, and
+    # from every start the state found is the ground state
+    cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
     r_ref = gpe_full_512[0].r_rms
-    for factor in (0.5, 0.6, 2.0):
+    for factor in (0.3, 0.5, 0.6, 2.0, 3.0):
         state = solve_full_512(factor * tf_width_15.w_star)
         assert state.r_rms == pytest.approx(r_ref, rel=1e-6, abs=0.0)
+        assert _levels_below_mu(cfg, state) == (0, 1)
+
+
+def _levels_below_mu(cfg, state):
+    """Levels of the state's own mean-field Hamiltonian ``T + diag(V)`` below
+    ``mu - 1e-6 |mu|`` and below ``mu + 1e-6 |mu|``: a ground state has (0, 1).
+
+    Each count is the number of negative pivots of the tridiagonal
+    ``LDL^T`` factorization at that shift (Sylvester's law of inertia; the
+    Sturm count of Golub & Van Loan, Matrix Computations, section 8.4).
+    """
+    field = _MeanField(cfg, state.grid)
+    lam = cfg.interaction.wavelength
+    v = field.x * state.psi * lam**1.5 / math.sqrt(state.n_atoms)
+    local, _, mu, _ = field.evaluate(v)
+    off_squared = (0.5 / field.h**2) ** 2
+    counts = []
+    for shift in (mu - 1e-6 * abs(mu), mu + 1e-6 * abs(mu)):
+        negative, pivot = 0, math.inf
+        for entry in (1.0 / field.h**2 + local - shift).tolist():
+            pivot = entry - off_squared / pivot
+            negative += pivot < 0.0
+        counts.append(negative)
+    return tuple(counts)
 
 
 def test_ground_state_meets_residual_tolerance(gpe_full_512, gpe_full_1024):
@@ -128,10 +154,10 @@ def test_iteration_count_independent_of_grid(gpe_full_512, gpe_full_1024):
 # in-module elimination, which reproduced it) run on to an eigen-residual of
 # 1e-12, in 301 and 307 steps, with the symmetric Hartree rule; the flow's
 # old stop at 1e-8 lay 5.3e-9 (r_rms) and 1.3e-9 (mu) from there.  The
-# iteration counts are those of the flow plus the Newton finish.
+# iteration counts are the solver's: Newton steps from the start.
 _BANDED_CHOLESKY_REFERENCE = {
-    512: (37, 2.3170013475390395e-07, -1.4381617277919877e-28),
-    1024: (43, 2.3170183187761779e-07, -1.4381498114363344e-28),
+    512: (6, 2.3170013475390395e-07, -1.4381617277919877e-28),
+    1024: (6, 2.3170183187761779e-07, -1.4381498114363344e-28),
 }
 
 
@@ -238,18 +264,35 @@ def test_no_step_raises_the_energy(monkeypatch, tmp_path, argv):
 
 
 @pytest.fixture(scope="module")
-def gpe_run(tmp_path_factory):
-    """The gpe command's JSON for one argument list, solved once."""
+def gpe_solve(tmp_path_factory):
+    """The gpe command run once per argument list: its JSON, and the
+    configuration and ground state it solved for."""
     cache = {}
 
     def solve(*argv):
         if argv not in cache:
+            solved = []
+
+            def capture(cfg, grid, w_init):
+                state = solve_ground(cfg, grid, w_init)
+                solved.append((cfg, state))
+                return state
+
             out = tmp_path_factory.mktemp("gpe") / "state.json"
-            assert run(["gpe", "--species", "Na", *argv, "--out", str(out)]) == 0
-            cache[argv] = json.loads(out.read_text())
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gpe, "solve_ground", capture)
+                assert run(["gpe", "--species", "Na", *argv,
+                            "--out", str(out)]) == 0
+            cache[argv] = (json.loads(out.read_text()), *solved[0])
         return cache[argv]
 
     return solve
+
+
+@pytest.fixture(scope="module")
+def gpe_run(gpe_solve):
+    """The gpe command's JSON for one argument list, solved once."""
+    return lambda *argv: gpe_solve(*argv)[0]
 
 
 _TRAPPED = ("--atoms", "1e4", "--trap", "628")
@@ -257,26 +300,53 @@ _TRAPPED = ("--atoms", "1e4", "--trap", "628")
 # of the standard case, and the trapped-to-self-bound crossover on the
 # default grid, each with a bound on its flow plus Newton steps
 _CASE_MATRIX = [
-    (("--ratio", "100", "--atoms", "1e5", "--n", "512"), 50),
-    (("--ratio", "1.02", "--atoms", "1e6", "--n", "1024"), 1000),
-    *[(("--ratio", "1.5", "--atoms", "1e4", "--n", str(n)), 100)
+    (("--ratio", "100", "--atoms", "1e5", "--n", "512"), 10),
+    (("--ratio", "1.02", "--atoms", "1e6", "--n", "1024"), 10),
+    *[(("--ratio", "1.5", "--atoms", "1e4", "--n", str(n)), 10)
       for n in (512, 1024, 2048)],
-    *[(("--ratio", ratio, *_TRAPPED), 100)
+    *[(("--ratio", ratio, *_TRAPPED), 10)
       for ratio in ("0.9", "1.0", "1.05", "1.1", "1.2")],
 ]
 
 
 @pytest.mark.parametrize("argv, max_iterations", _CASE_MATRIX,
                          ids=[" ".join(argv) for argv, _ in _CASE_MATRIX])
-def test_case_matrix_converges(na, gpe_run, argv, max_iterations):
-    state = gpe_run(*argv)
+def test_case_matrix_converges(na, gpe_solve, argv, max_iterations):
+    state, solved_cfg, ground = gpe_solve(*argv)
     assert state["residual"] < RESIDUAL_TOL
     assert state["iterations"] <= max_iterations
+    assert _levels_below_mu(solved_cfg, ground) == (0, 1)
     options = dict(zip(argv[::2], argv[1::2]))
     cfg = config_at_ratio(na, float(options["--ratio"]), LAM,
                           n_atoms=float(options["--atoms"]), use_detuned=True,
                           trap_frequency=float(options.get("--trap", 0.0)))
     assert state["r_rms_m"] == pytest.approx(minimize_width(cfg).r_rms, rel=0.10)
+
+
+def test_box_below_threshold_needs_few_flow_steps(gpe_run):
+    # no trap and no bound state: the box wall holds the cloud, Newton from
+    # the start is dropped, and the flow carries the solve.  Its residual
+    # creeps up along a steady energy descent, so only a step set by the
+    # energy alone keeps this short
+    state = gpe_run("--ratio", "0.9", "--rmax", "5e-6")
+    assert state["residual"] < RESIDUAL_TOL
+    assert state["iterations"] <= 100
+    assert state["r_rms_m"] == pytest.approx(2.863562039982191e-06,
+                                             rel=1e-12, abs=0.0)
+
+
+def test_displaced_trapped_start_needs_few_flow_steps(gpe_solve):
+    # three times too wide past threshold in the trap: Newton is dropped and
+    # the flow, its step set by the energy alone, carries the solve to the
+    # state the CLI's variational start reaches
+    _, cfg, reference = gpe_solve("--ratio", "1.2", *_TRAPPED)
+    state = solve_ground(cfg, reference.grid,
+                         w_init=3.0 * minimize_width(cfg).w_star)
+    assert state.residual < RESIDUAL_TOL
+    assert state.iterations <= 200
+    assert state.r_rms == pytest.approx(reference.r_rms, rel=1e-12, abs=0.0)
+    assert state.mu == pytest.approx(reference.mu, rel=1e-12, abs=0.0)
+    assert _levels_below_mu(cfg, state) == (0, 1)
 
 
 def test_trapped_cloud_binds_itself_past_threshold(gpe_run):
@@ -313,7 +383,7 @@ def _solver_system(n, dtau_over_h2):
     return off, diag, rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("dtau_over_h2", [0.1, 1.0, 10.0, 1e2, 1e3, 1e4])
+@pytest.mark.parametrize("dtau_over_h2", [0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
 @pytest.mark.parametrize("n", [256, 512, 1024])
 def test_solve_tridiagonal_matches_dense_and_banded(n, dtau_over_h2):
     off, diag, rhs = _solver_system(n, dtau_over_h2)
@@ -324,7 +394,7 @@ def test_solve_tridiagonal_matches_dense_and_banded(n, dtau_over_h2):
         assert np.max(np.abs(x - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-@pytest.mark.parametrize("dtau_over_h2", [0.1, 1.0, 1e2, 1e4])
+@pytest.mark.parametrize("dtau_over_h2", [0.1, 1.0, 1e2, 1e4, 1e6])
 def test_solve_tridiagonal_pivots_stay_above_one_plus_off(dtau_over_h2):
     # strict diagonal dominance, diag >= 1 + 2|off|, keeps every pivot at
     # or above 1 + |off|.  The leading k x k system with right-hand side e_k has
@@ -393,6 +463,18 @@ def test_near_zone_energy_scaling_with_atom_number(no_contact):
         state = solve_ground(cfg, grid)
         results.append(state.energies["total"])
     assert results[1] / results[0] == pytest.approx(4.0, rel=0.10)
+
+
+@pytest.mark.parametrize("w_init, error, message", [
+    (0.0, ValueError, "positive and finite"),
+    (-0.3, ValueError, "positive and finite"),
+    (math.nan, ValueError, "positive and finite"),
+    (math.inf, ValueError, "positive and finite"),
+    (1e-9, NumericsError, "zero on the grid")])
+def test_starting_width_is_validated(na, w_init, error, message):
+    cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
+    with pytest.raises(error, match=message):
+        solve_ground(cfg, RadialGrid(512, 3.5 * LAM), w_init=w_init)
 
 
 def test_collapse_detection(no_contact):
