@@ -465,8 +465,7 @@ def _dispatch(args):
                 512, math.ceil(2 * gpe._MIN_POINTS_PER_HALF_WAVE * r_max / lam)),
                 _MAX_DEFAULT_POINTS)
         grid = gpe.RadialGrid(n_points=n_points, r_max=r_max)
-        state = gpe.solve_ground(
-            cfg, grid, w_init=trial.w_star if trial.bound_local else 1.0)
+        state = gpe.solve_ground(cfg, grid)
         rho_peak = float(state.density[0])
         summary = {
             "species": species.name,

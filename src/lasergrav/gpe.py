@@ -23,12 +23,10 @@ solves its bordered Jacobian system by GMRES to a tenth of the eigen-residual
 Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the Jacobian applied as a
 product, never formed, and preconditioned by its tridiagonal part.  Where
 Newton heads for a noded state of higher energy (in a box below threshold,
-or from a start far from the equilibrium width), the normalized gradient
-flow of Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004) carries the state on:
-backward-Euler steps with kinetic term, trap, contact and the Hartree
-potential of the current state all implicit, each one tridiagonal
-elimination and a renormalization to N.  The iteration count does not grow
-with the grid and the answer does not depend on the starting width.
+where the wall holds the cloud), a Levenberg-Marquardt shift on the
+Jacobian's diagonal (Marquardt, J. SIAM 11, 431 (1963)) turns the rejected
+step into a descent step, and the shift is let go again as the steps are
+accepted.  The iteration count does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -56,9 +54,8 @@ _J_RULE_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
 
 # stop when ||(H[rho] - mu) v|| / |mu| falls below this
 RESIDUAL_TOL = 1e-8
-# step growth factor after every accepted flow step
-DTAU_GROWTH = 1.25
-MAX_ITERATIONS = 400_000
+MAX_ITERATIONS = 1_000
+# relative energy rise that rejects a step
 _ENERGY_SLACK = 1e-12
 # Krylov steps at most per Newton step
 _GMRES_MAX_STEPS = 60
@@ -290,14 +287,15 @@ class _MeanField:
         mu = e_kin + e_trap + 2.0 * e_sw + 2.0 * e_grav
         return local, (e_kin, e_trap, e_sw, e_grav), mu, kin + local * vec - mu * vec
 
-    def jacobian(self, vec: np.ndarray, local: np.ndarray, mu: float):
+    def jacobian(self, vec: np.ndarray, local: np.ndarray, mu: float,
+                 shift: float):
         """Product with the bordered Jacobian of ``((T + V[v] - mu) v, v.v)``
-        in ``(v, mu)``, on vectors ``(dv, dmu)`` of length n + 1:
-        ``T + diag(V + 2 g chi^2 - mu)`` plus the Hartree term
-        ``gamma v Phi[2 chi dv/x]``, bordered by ``-v`` and ``2 v^T``.
-        Never forms the n x n matrix."""
+        in ``(v, mu)``, its n x n block shifted by ``shift``, on vectors
+        ``(dv, dmu)`` of length n + 1: ``T + diag(V + 2 g chi^2 - mu + shift)``
+        plus the Hartree term ``gamma v Phi[2 chi dv/x]``, bordered by ``-v``
+        and ``2 v^T``.  Never forms the n x n matrix."""
         chi = vec / self.x
-        diag = local + 2.0 * self.g_sw * chi**2 - mu
+        diag = local + 2.0 * self.g_sw * chi**2 - mu + shift
 
         def product(z: np.ndarray) -> np.ndarray:
             dv = z[:-1]
@@ -309,20 +307,22 @@ class _MeanField:
         return product
 
     def newton_update(self, vec: np.ndarray, local: np.ndarray, mu: float,
-                      residual: np.ndarray, tol: float) -> np.ndarray:
+                      residual: np.ndarray, tol: float,
+                      shift: float) -> np.ndarray:
         """``vec`` plus one Newton step on ``(T + V[v] - mu) v = 0``,
-        ``4 pi h v.v = 1``, its bordered system solved by GMRES to ``tol``.
+        ``4 pi h v.v = 1``, its bordered system, with ``shift >= 0`` added to
+        the diagonal of the n x n block, solved by GMRES to ``tol``.
 
         The preconditioner is the bordered matrix with the Jacobian's n x n
-        block replaced by ``T + diag(V - min V + 2 g chi^2)``: symmetric,
-        with a diagonal of at least twice the off-diagonal and more in the
-        first row, so irreducibly diagonally dominant and positive
-        definite, and its Thomas elimination needs no pivoting.  The border
+        block replaced by ``T + diag(V - min V + 2 g chi^2 + shift)``:
+        symmetric, with a diagonal of at least twice the off-diagonal and
+        more in the first row, so irreducibly diagonally dominant and
+        positive definite, and its Thomas elimination needs no pivoting.  The border
         is eliminated through the Schur complement ``2 v^T P^-1 v``.
         """
         off = -0.5 / self.h**2
         pre_diag = 1.0 / self.h**2 + local - local.min() \
-            + 2.0 * self.g_sw * (vec / self.x) ** 2
+            + 2.0 * self.g_sw * (vec / self.x) ** 2 + shift
         pre_v = _solve_tridiagonal(off, pre_diag, vec)
         schur = 2.0 * float(vec @ pre_v)
 
@@ -332,89 +332,74 @@ class _MeanField:
             return np.append(y + dmu * pre_v, dmu)
 
         rhs = np.append(-residual, 1.0 / (4.0 * math.pi * self.h) - float(vec @ vec))
-        step = _gmres(self.jacobian(vec, local, mu), precondition, rhs, tol)
+        step = _gmres(self.jacobian(vec, local, mu, shift), precondition,
+                      rhs, tol)
         return vec + step[:-1]
 
 
 def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
-                 w_init: float | None = None,
                  on_step=None) -> GroundState:
     """Relax to the mean-field ground state on ``grid``.
 
-    The starting profile is a Gaussian of width ``w_init`` (in wavelength
-    units, positive and finite); when omitted the variational equilibrium
-    width is used if one exists, else 1.  The solve takes Newton steps
-    (:meth:`_MeanField.newton_update`) from the start, renormalizing after
-    each.  A Newton step that does not halve the eigen-residual
-    ``||(T + V - mu) v|| / |mu|`` is dropped, and flow steps
-    ``(1 + dtau (T + V - min V)) v_new = v``, with the whole local potential
-    ``V`` implicit, run until the residual has fallen a decade.  The energy
-    alone sets ``dtau``: a step that raises it is rejected and retried at
-    half ``dtau``, and every accepted step grows it by ``DTAU_GROWTH``.
+    The start is a Gaussian of the variational equilibrium width, or of one
+    wavelength where the variational state is unbound.  Every step is one
+    :meth:`_MeanField.newton_update`, renormalized, with a scalar ``shift``
+    on the Jacobian's diagonal that starts at 0.  A step that raises the
+    energy by more than ``_ENERGY_SLACK`` (relative) or grows the
+    eigen-residual ``||(T + V - mu) v|| / |mu|`` tenfold is rejected and
+    the shift raised to ``max(4 shift, |mu|, E_kin)``; ``E_kin > 0``, so
+    the scale does not vanish where ``mu`` crosses 0.  An accepted step
+    quarters the shift, or sets it to 0 once it is below ``1e-3 |mu|``.
 
-    For a bound state Newton alone converges from the variational start
-    (4-7 steps measured).  The flow is needed in a box below threshold,
-    where the wall holds the cloud (6-59 iterations from 0.3-3 times the
-    variational width), and from starts 0.3-0.6 or 1.7-3 times the
-    equilibrium width (20-1,293 iterations).  The solve stops once the residual is below
-    ``RESIDUAL_TOL`` and the last Newton step cut it by less than a decade,
-    or a Newton step fails there, so a converging solve ends at the rounding
-    floor.  The Hartree operator is symmetric, so the zero of the
-    eigen-residual that Newton aims at is a stationary point of the energy
-    on the grid.
+    For a bound state from the variational start every step is unshifted
+    and accepted (4-7 steps measured).  The shift is needed in a box below
+    threshold, where the wall holds the cloud and plain Newton heads for a
+    noded state of higher energy (11 steps at I/I0 = 0.9 in a 5 um box).
+    The solve stops once an unshifted step lands below ``RESIDUAL_TOL``
+    having cut the residual by less than a decade, or a step is rejected
+    there, so a converging solve ends at the rounding floor.  The Hartree
+    operator is symmetric, so the zero of the eigen-residual that Newton
+    aims at is a stationary point of the energy on the grid.
 
-    ``iterations`` counts flow steps (accepted plus rejected) and Newton
-    steps (accepted plus dropped).  Raises :class:`ConvergenceError` after
-    ``MAX_ITERATIONS`` of them, :class:`CollapseError` when the cloud
-    shrinks below four grid spacings and :class:`NumericsError` when the
-    starting Gaussian is zero on the grid.  The kinetic term is always
-    retained (``cfg.tf_limit`` only affects the variational treatment).
-    ``on_step(iteration, energy_J, mu_J)`` is invoked after every accepted
-    step.  ``potential`` is :func:`hartree_potential` of the final density.
+    ``iterations`` counts the steps accepted plus rejected.  Raises
+    :class:`ConvergenceError` after ``MAX_ITERATIONS`` of them,
+    :class:`CollapseError` when the cloud shrinks below four grid spacings
+    and :class:`NumericsError` when the starting Gaussian is zero on the
+    grid.  The kinetic term is always retained (``cfg.tf_limit`` only
+    affects the variational treatment).  ``on_step(iteration, energy_J,
+    mu_J)`` is invoked after every accepted step.  ``potential`` is
+    :func:`hartree_potential` of the final density.
     """
     lam = cfg.interaction.wavelength
     problem = _MeanField(cfg, grid)
     h, x = problem.h, problem.x
     energy_unit = CONSTANTS.hbar**2 / (cfg.species.mass * lam**2)
 
-    if w_init is None:
-        trial = minimize_width(cfg)
-        w_init = trial.w_star if trial.bound_local else 1.0
-    elif not 0.0 < w_init < math.inf:
-        raise ValueError(f"starting width must be positive and finite, got {w_init}")
-
-    v = x * np.exp(-x**2 / (2.0 * w_init**2))
+    trial = minimize_width(cfg)
+    width = trial.w_star if trial.bound_local else 1.0
+    v = x * np.exp(-x**2 / (2.0 * width**2))
     norm = problem.norm(v)
     if norm == 0.0:
-        raise NumericsError(f"a Gaussian of width {w_init:g} is zero on the grid")
+        raise NumericsError(f"a Gaussian of width {width:g} is zero on the grid")
     v /= norm
-    dtau = 0.1 * h * h
 
     local, terms, mu, r = problem.evaluate(v)
     residual = problem.norm(r) / max(abs(mu), 1e-300)
     energy_prev = sum(terms)
     iterations = 0
-    newton_below = math.inf
+    shift = 0.0
 
     while True:
-        newton = residual < newton_below
-        if not newton and residual < RESIDUAL_TOL:
-            break
         if iterations >= MAX_ITERATIONS:
             raise ConvergenceError(
                 f"no convergence after {MAX_ITERATIONS} iterations "
                 f"(eigen-residual {residual:.3e}, target {RESIDUAL_TOL:g})")
         iterations += 1
-        if newton:
-            # the ground state is nodeless; entries far out in the tail, some
-            # 1e-30 of the peak, can come out of a Newton step either sign
-            # (a linear solve to a tenth of the residual keeps them quadratic)
-            v_new = np.abs(problem.newton_update(v, local, mu, r, 0.1 * residual))
-        else:
-            # diag >= 1 + 2|off| since V >= min V: strictly diagonally
-            # dominant, every pivot is at least 1 + |off|, so no pivoting
-            v_new = _solve_tridiagonal(
-                -0.5 * dtau / h**2, 1.0 + dtau * (1.0 / h**2 + local - local.min()), v)
+        # the ground state is nodeless; entries far out in the tail, some
+        # 1e-30 of the peak, can come out of a Newton step either sign
+        # (a linear solve to a tenth of the residual keeps them quadratic)
+        v_new = np.abs(problem.newton_update(v, local, mu, r, 0.1 * residual,
+                                             shift))
         norm = problem.norm(v_new)
         if not math.isfinite(norm) or norm <= 0.0:
             raise NumericsError("relaxation produced a non-normalizable state")
@@ -423,22 +408,15 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
         local_new, terms_new, mu_new, r_new = problem.evaluate(v_new)
         residual_new = problem.norm(r_new) / max(abs(mu_new), 1e-300)
         energy = sum(terms_new)
-        if newton:
-            if not residual_new < 0.5 * residual:
-                # drop the step; the flow carries on for another decade
-                newton_below = 0.1 * residual
-                continue
-            done = RESIDUAL_TOL > residual_new > 0.1 * residual
-        elif energy > energy_prev + _ENERGY_SLACK * abs(energy_prev):
+        if not (energy <= energy_prev + _ENERGY_SLACK * abs(energy_prev)
+                and residual_new <= 10.0 * residual):
             # reject the step; the potential still belongs to the accepted state
-            dtau *= 0.5
-            if dtau < 1e-9 * h * h:
-                raise ConvergenceError(
-                    f"time step collapsed below {1e-9 * h * h:g} without "
-                    f"monotone energy descent")
+            if residual < RESIDUAL_TOL:
+                break
+            shift = max(4.0 * shift, abs(mu), terms[0])
             continue
-        else:
-            dtau *= DTAU_GROWTH
+        done = shift == 0.0 and RESIDUAL_TOL > residual_new > 0.1 * residual
+        shift = 0.0 if shift < 1e-3 * abs(mu) else 0.25 * shift
 
         v, local, terms, mu, r, residual = \
             v_new, local_new, terms_new, mu_new, r_new, residual_new
@@ -452,7 +430,7 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
             raise CollapseError(
                 f"cloud radius {r_rms_dimless * lam:.3e} m fell below four "
                 f"grid spacings after {iterations} iterations")
-        if newton and done:
+        if done:
             break
 
     r_rms_dimless = math.sqrt(4.0 * math.pi * h * float((x**2 * v) @ v))

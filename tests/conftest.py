@@ -26,26 +26,20 @@ def tf_width_15(na):
     return minimize_width(cfg)
 
 
-def _solve_full(na, n_points, w_init):
+def _solve_full(na, n_points):
     cfg = config_at_ratio(na, 1.5, NA_WAVELENGTH, n_atoms=1e4,
                           use_detuned=True)
     grid = RadialGrid(n_points=n_points, r_max=3.5 * NA_WAVELENGTH)
     t0 = time.perf_counter()
-    state = solve_ground(cfg, grid, w_init=w_init)
+    state = solve_ground(cfg, grid)
     return state, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def gpe_full_512(na, tf_width_15):
-    return _solve_full(na, 512, tf_width_15.w_star)
+def gpe_full_512(na):
+    return _solve_full(na, 512)
 
 
 @pytest.fixture(scope="session")
-def gpe_full_1024(na, tf_width_15):
-    return _solve_full(na, 1024, tf_width_15.w_star)
-
-
-@pytest.fixture(scope="session")
-def solve_full_512(na):
-    """The n=512 full-kernel setup, solved from a chosen starting width."""
-    return lambda w_init: _solve_full(na, 512, w_init)[0]
+def gpe_full_1024(na):
+    return _solve_full(na, 1024)

@@ -395,7 +395,8 @@ def test_gpe_below_threshold_without_box_is_numerical_failure(capsys,
     (["potential", "--rmax=-3"], "--rmax must be positive, got -3"),
     (["potential", "--linear", "--rmin", "0"], "--rmin must be positive, got 0"),
     (["fig2", "--lambda-min", "0"], "--lambda-min must be positive, got 0"),
-    (["fig2", "--lambda-max=-1"], "--lambda-max must be positive, got -1"))])
+    (["fig2", "--lambda-max=-1"], "--lambda-max must be positive, got -1"),
+    (["fig1b", "--ratios", "2:1:0.1"], "ratio range '2:1:0.1' holds no value"))])
 def test_degenerate_inputs_are_usage_errors(argv, message, capsys, monkeypatch):
     # rejected before the solve or the first classification starts
     monkeypatch.setattr(gpe, "solve_ground", _must_not_run)
@@ -519,6 +520,21 @@ def test_config_file_preloads_flags(tmp_path):
     assert data["polarizability"] == "detuned"
 
 
+@pytest.mark.parametrize("lines, argv, message", [
+    ("species = Na\nstatic\n", ["threshold"], "line 2: expected key=value"),
+    ("species = Na\n", [], "--config given without a subcommand")],
+    ids=["line without =", "no subcommand"])
+def test_config_file_errors_are_usage_errors(tmp_path, capsys, lines, argv,
+                                             message):
+    config = tmp_path / "run.cfg"
+    config.write_text(lines)
+    with pytest.raises(SystemExit) as exit_info:
+        run(["--config", str(config), *argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_species_file_from_environment(tmp_path, monkeypatch):
     species = tmp_path / "species.txt"
     species.write_text(
@@ -551,6 +567,14 @@ def test_subcommand_help_shows_defaults(capsys):
         run(["fig1b", "--help"])
     assert exit_info.value.code == 0
     assert "(default: 1.1:5:0.1)" in " ".join(capsys.readouterr().out.split())
+
+
+def test_width_sweep_without_a_minimum_in_range_is_numerical_failure(capsys):
+    # a trap this weak puts the kinetic-trap balance far past 1e3 wavelengths
+    assert run(["width-sweep", "--species", "Na", "--no-tf", "--trap", "1e-3",
+                "--ratios", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert "width minimum outside [1e-6, 1e3] wavelengths" in err
 
 
 def test_width_sweep_schema(tmp_path):
@@ -612,7 +636,7 @@ def test_gpe_default_grid_resolves_the_kernel(argv, n_points, monkeypatch):
     class Solved(Exception):
         pass
 
-    def solve_ground(cfg, grid, w_init):
+    def solve_ground(cfg, grid):
         raise Solved(grid.n_points)
 
     monkeypatch.setattr(gpe, "solve_ground", solve_ground)

@@ -8,7 +8,7 @@ from scipy.linalg import solveh_banded
 from scipy.special import erf
 
 from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
-                       InteractionParams, NumericsError, RadialGrid,
+                       ConvergenceError, InteractionParams, RadialGrid,
                        config_at_ratio, hartree_potential, minimize_width,
                        pair_potential, solve_ground)
 from lasergrav import gpe
@@ -64,24 +64,6 @@ def test_harmonic_oscillator_ground_state(no_contact):
                                                      rel=1e-10, abs=0.0)
 
 
-def test_harmonic_oscillator_relaxes_from_displaced_start(no_contact):
-    # starting 1.7x too wide, the energy falls along the relaxation and the
-    # eigen-residual stop lands on the exact oscillator ground state
-    omega0 = 2 * math.pi * 100.0
-    l0 = math.sqrt(CONSTANTS.hbar / (no_contact.mass * omega0))
-    r_rms_exact = math.sqrt(1.5) * l0
-    cfg = AnsatzConfig(n_atoms=1000.0, species=no_contact,
-                       interaction=_interaction(no_contact, 0.0, 0.0),
-                       trap_frequency=omega0)
-    grid = RadialGrid(n_points=512, r_max=8.0 * r_rms_exact)
-    energies = []
-    state = solve_ground(cfg, grid, w_init=1.7 * l0 / LAM,
-                         on_step=lambda it, e, mu: energies.append(e))
-    assert energies[-1] < energies[0]
-    assert state.mu == pytest.approx(1.5 * CONSTANTS.hbar * omega0, rel=1e-4, abs=0.0)
-    assert state.r_rms == pytest.approx(r_rms_exact, rel=1e-4)
-
-
 def test_normalization_invariant(gpe_full_512):
     state, _ = gpe_full_512
     grid = state.grid
@@ -99,18 +81,6 @@ def test_grid_refinement_convergence(gpe_full_512, gpe_full_1024):
     r512 = gpe_full_512[0].r_rms
     r1024 = gpe_full_1024[0].r_rms
     assert abs(r1024 - r512) / r512 < 5e-3
-
-
-def test_radius_independent_of_starting_width(na, gpe_full_512, tf_width_15,
-                                              solve_full_512):
-    # the eigen-residual stop leaves no trace of the starting profile, and
-    # from every start the state found is the ground state
-    cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
-    r_ref = gpe_full_512[0].r_rms
-    for factor in (0.3, 0.5, 0.6, 2.0, 3.0):
-        state = solve_full_512(factor * tf_width_15.w_star)
-        assert state.r_rms == pytest.approx(r_ref, rel=1e-6, abs=0.0)
-        assert _levels_below_mu(cfg, state) == (0, 1)
 
 
 def _levels_below_mu(cfg, state):
@@ -214,8 +184,14 @@ def test_jacobian_product_matches_finite_differences(na, setup):
     z = np.append(v, mu)
     difference = (residual_map(z + t * direction)
                   - residual_map(z - t * direction)) / (2 * t)
-    product = field.jacobian(v, local, mu)(direction)
+    product = field.jacobian(v, local, mu, 0.0)(direction)
     assert np.linalg.norm(product - difference) < 1e-8 * np.linalg.norm(product)
+    # the shift adds shift * dv to the n-block and leaves the border row alone
+    shift = 3.0 * abs(mu) + 1.0
+    shifted = field.jacobian(v, local, mu, shift)(direction) - product
+    assert np.max(np.abs(shifted[:-1] - shift * direction[:-1])) \
+        <= 1e-12 * np.max(np.abs(shift * direction[:-1]))
+    assert shifted[-1] == 0.0
 
 
 def test_gmres_solves_a_nonsymmetric_system():
@@ -227,7 +203,7 @@ def test_gmres_solves_a_nonsymmetric_system():
     assert np.linalg.norm(matrix @ x - rhs) < 1e-11 * np.linalg.norm(rhs)
 
 
-def test_solve_allocates_no_n_by_n_array(na, tf_width_15):
+def test_solve_allocates_no_n_by_n_array(na):
     # the Hartree operator keeps two transforms of about 2n points and the
     # Newton finish applies its Jacobian as products, so the traced peak of
     # a solve stays far below one n x n array of floats (4.4 MB measured)
@@ -235,7 +211,7 @@ def test_solve_allocates_no_n_by_n_array(na, tf_width_15):
     cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
     tracemalloc.start()
     try:
-        solve_ground(cfg, RadialGrid(n, 3.5 * LAM), w_init=tf_width_15.w_star)
+        solve_ground(cfg, RadialGrid(n, 3.5 * LAM))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,13 +223,13 @@ def test_solve_allocates_no_n_by_n_array(na, tf_width_15):
     ("--ratio", "10", "--atoms", "1e6", "--n", "512")])
 def test_no_step_raises_the_energy(monkeypatch, tmp_path, argv):
     # the Hartree operator is symmetric, so the zero of the eigen-residual
-    # that the Newton finish aims at is a stationary point of the energy,
-    # and its steps, like the flow's, lower the energy down to rounding
+    # that Newton aims at is a stationary point of the energy, and its
+    # accepted steps lower the energy down to rounding
     energies = []
     solve = gpe.solve_ground
 
-    def traced(cfg, grid, w_init):
-        return solve(cfg, grid, w_init,
+    def traced(cfg, grid):
+        return solve(cfg, grid,
                      on_step=lambda it, energy, mu: energies.append(energy))
 
     monkeypatch.setattr(gpe, "solve_ground", traced)
@@ -273,8 +249,8 @@ def gpe_solve(tmp_path_factory):
         if argv not in cache:
             solved = []
 
-            def capture(cfg, grid, w_init):
-                state = solve_ground(cfg, grid, w_init)
+            def capture(cfg, grid):
+                state = solve_ground(cfg, grid)
                 solved.append((cfg, state))
                 return state
 
@@ -298,7 +274,7 @@ def gpe_run(gpe_solve):
 _TRAPPED = ("--atoms", "1e4", "--trap", "628")
 # the hard edges of the PDE (deep TF-G, near threshold), the grid refinement
 # of the standard case, and the trapped-to-self-bound crossover on the
-# default grid, each with a bound on its flow plus Newton steps
+# default grid, each with a bound on its steps
 _CASE_MATRIX = [
     (("--ratio", "100", "--atoms", "1e5", "--n", "512"), 10),
     (("--ratio", "1.02", "--atoms", "1e6", "--n", "1024"), 10),
@@ -323,30 +299,27 @@ def test_case_matrix_converges(na, gpe_solve, argv, max_iterations):
     assert state["r_rms_m"] == pytest.approx(minimize_width(cfg).r_rms, rel=0.10)
 
 
-def test_box_below_threshold_needs_few_flow_steps(gpe_run):
-    # no trap and no bound state: the box wall holds the cloud, Newton from
-    # the start is dropped, and the flow carries the solve.  Its residual
-    # creeps up along a steady energy descent, so only a step set by the
-    # energy alone keeps this short
-    state = gpe_run("--ratio", "0.9", "--rmax", "5e-6")
+_BOX = ("--ratio", "0.9", "--rmax", "5e-6")
+
+
+def test_box_below_threshold_needs_few_shifted_steps(gpe_solve):
+    # no trap and no bound state: the box wall holds the cloud, plain Newton
+    # from the start heads for a noded state of higher energy, and the shift
+    # turns the rejected steps into descent steps (11 steps measured)
+    state, cfg, ground = gpe_solve(*_BOX)
     assert state["residual"] < RESIDUAL_TOL
-    assert state["iterations"] <= 100
+    assert state["iterations"] <= 20
     assert state["r_rms_m"] == pytest.approx(2.863562039982191e-06,
                                              rel=1e-12, abs=0.0)
+    assert _levels_below_mu(cfg, ground) == (0, 1)
 
 
-def test_displaced_trapped_start_needs_few_flow_steps(gpe_solve):
-    # three times too wide past threshold in the trap: Newton is dropped and
-    # the flow, its step set by the energy alone, carries the solve to the
-    # state the CLI's variational start reaches
-    _, cfg, reference = gpe_solve("--ratio", "1.2", *_TRAPPED)
-    state = solve_ground(cfg, reference.grid,
-                         w_init=3.0 * minimize_width(cfg).w_star)
-    assert state.residual < RESIDUAL_TOL
-    assert state.iterations <= 200
-    assert state.r_rms == pytest.approx(reference.r_rms, rel=1e-12, abs=0.0)
-    assert state.mu == pytest.approx(reference.mu, rel=1e-12, abs=0.0)
-    assert _levels_below_mu(cfg, state) == (0, 1)
+def test_step_cap_raises_convergence_error(gpe_solve, monkeypatch):
+    # the box takes 11 steps, so a cap of 3 is reached
+    _, cfg, ground = gpe_solve(*_BOX)
+    monkeypatch.setattr(gpe, "MAX_ITERATIONS", 3)
+    with pytest.raises(ConvergenceError, match="no convergence after 3 iterations"):
+        solve_ground(cfg, ground.grid)
 
 
 def test_trapped_cloud_binds_itself_past_threshold(gpe_run):
@@ -372,21 +345,25 @@ def test_radius_depends_on_the_trap_only_below_threshold(gpe_run):
     assert weak["n_points"] == 4458 and weak["residual"] < RESIDUAL_TOL
 
 
-def _solver_system(n, dtau_over_h2):
-    """Off-diagonal, diagonal and a right-hand side in the solver's form
-    ``1 + dtau (1/h^2 + V - min V)``, with a trap plus a rough potential."""
+def _solver_system(n, shift_h2):
+    """Off-diagonal, diagonal and a right-hand side of the Newton step's
+    preconditioner ``T + diag(V - min V + 2 g chi^2 + shift)``, with a trap
+    plus a rough potential, a Gaussian contact term and
+    ``shift = shift_h2 / h^2``."""
     rng = np.random.default_rng(n)
     h = 3.5 / n
-    local = 50.0 * (h * np.arange(1, n + 1)) ** 2 + 1e3 * rng.random(n)
-    off = -0.5 * dtau_over_h2
-    diag = 1.0 + dtau_over_h2 * h * h * (1.0 / h**2 + local - local.min())
+    x = h * np.arange(1, n + 1)
+    local = 50.0 * x**2 + 1e3 * rng.random(n)
+    contact = 2.0 * 400.0 * np.exp(-x**2 / 0.18)
+    off = -0.5 / h**2
+    diag = 1.0 / h**2 + local - local.min() + contact + shift_h2 / h**2
     return off, diag, rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("dtau_over_h2", [0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("shift_h2", [0.0, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
 @pytest.mark.parametrize("n", [256, 512, 1024])
-def test_solve_tridiagonal_matches_dense_and_banded(n, dtau_over_h2):
-    off, diag, rhs = _solver_system(n, dtau_over_h2)
+def test_solve_tridiagonal_matches_dense_and_banded(n, shift_h2):
+    off, diag, rhs = _solver_system(n, shift_h2)
     x = _solve_tridiagonal(off, diag, rhs)
     dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
     banded = np.vstack((np.full(n, off), diag))
@@ -394,16 +371,16 @@ def test_solve_tridiagonal_matches_dense_and_banded(n, dtau_over_h2):
         assert np.max(np.abs(x - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
-@pytest.mark.parametrize("dtau_over_h2", [0.1, 1.0, 1e2, 1e4, 1e6])
-def test_solve_tridiagonal_pivots_stay_above_one_plus_off(dtau_over_h2):
-    # strict diagonal dominance, diag >= 1 + 2|off|, keeps every pivot at
-    # or above 1 + |off|.  The leading k x k system with right-hand side e_k has
-    # last component exactly 1/pivot_k, so the pivots are read off the
-    # elimination itself.
-    off, diag, _ = _solver_system(256, dtau_over_h2)
+@pytest.mark.parametrize("shift_h2", [0.0, 0.1, 1.0, 1e2, 1e4, 1e6])
+def test_solve_tridiagonal_pivots_stay_above_off(shift_h2):
+    # diagonal dominance, diag >= 2|off| (V >= min V, shift >= 0), keeps
+    # every pivot at or above |off|, so the elimination needs no pivoting.
+    # The leading k x k system with right-hand side e_k has last component
+    # exactly 1/pivot_k, so the pivots are read off the elimination itself.
+    off, diag, _ = _solver_system(256, shift_h2)
     pivots = [1.0 / _solve_tridiagonal(off, diag[:k], np.eye(k)[-1])[-1]
               for k in range(1, len(diag) + 1)]
-    assert min(pivots) >= 1.0 + abs(off)
+    assert min(pivots) >= abs(off)
 
 
 def test_bound_state_has_negative_attraction_energy(gpe_full_512):
@@ -413,18 +390,14 @@ def test_bound_state_has_negative_attraction_energy(gpe_full_512):
     assert np.argmax(state.density) == 0
 
 
-def test_energy_monotone_along_imaginary_time(na, no_contact):
-    omega0 = 2 * math.pi * 100.0
-    l0 = math.sqrt(CONSTANTS.hbar / (no_contact.mass * omega0))
-    cfg = AnsatzConfig(n_atoms=10.0, species=no_contact,
-                       interaction=_interaction(no_contact, 0.0, 0.0),
-                       trap_frequency=omega0)
-    grid = RadialGrid(n_points=256, r_max=8.0 * math.sqrt(1.5) * l0)
+def test_energy_monotone_along_imaginary_time(gpe_solve):
+    # the box below threshold relaxes from its start through shifted steps
+    # (10 accepted), and no accepted step raises the energy
+    _, cfg, ground = gpe_solve(*_BOX)
     energies = []
-    solve_ground(cfg, grid, w_init=2.0 * l0 / LAM,
-                 on_step=lambda it, e, mu: energies.append(e))
+    solve_ground(cfg, ground.grid, on_step=lambda it, e, mu: energies.append(e))
     energies = np.array(energies)
-    assert len(energies) > 10
+    assert len(energies) > 5
     assert np.all(np.diff(energies) <= 1e-12 * np.abs(energies[:-1]))
 
 
@@ -465,16 +438,11 @@ def test_near_zone_energy_scaling_with_atom_number(no_contact):
     assert results[1] / results[0] == pytest.approx(4.0, rel=0.10)
 
 
-@pytest.mark.parametrize("w_init, error, message", [
-    (0.0, ValueError, "positive and finite"),
-    (-0.3, ValueError, "positive and finite"),
-    (math.nan, ValueError, "positive and finite"),
-    (math.inf, ValueError, "positive and finite"),
-    (1e-9, NumericsError, "zero on the grid")])
-def test_starting_width_is_validated(na, w_init, error, message):
-    cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
-    with pytest.raises(error, match=message):
-        solve_ground(cfg, RadialGrid(512, 3.5 * LAM), w_init=w_init)
+def test_start_zero_on_the_grid_is_numerical_failure(capsys):
+    # a variational width of 0.025 wavelengths, nodes 1.3 wavelengths apart
+    assert run(["gpe", "--species", "Na", "--ratio", "100", "--atoms", "1e5",
+                "--kernel", "newton", "--rmax", "2e-4", "--n", "256"]) == 1
+    assert "zero on the grid" in capsys.readouterr().err
 
 
 def test_collapse_detection(no_contact):
@@ -488,7 +456,7 @@ def test_collapse_detection(no_contact):
                        kernel="near_zone")
     grid = RadialGrid(n_points=256, r_max=2.0 * LAM)
     with pytest.raises(CollapseError):
-        solve_ground(cfg, grid, w_init=0.3)
+        solve_ground(cfg, grid)
 
 
 def test_ground_state_potential_is_hartree_of_its_density(na, no_contact,
