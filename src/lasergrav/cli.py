@@ -25,8 +25,8 @@ SPECIES_FILE_ENV = "LASERGRAV_SPECIES_FILE"
 _FLOAT_FORMAT = "{:.12e}"
 _NO_LIGHT = "intensity must be non-zero: without light nothing binds"
 _LENGTHS = ("rmin", "rmax", "lambda_min", "lambda_max")  # options that must be > 0
-# most points gpe picks by itself: a solve at this size takes about 4 s and
-# 93 MB on a 2-core host, so wider boxes need an explicit --n
+# most points gpe picks by itself: a solve at this size takes about 1.2 s and
+# 92 MB on a 2-core host, so wider boxes need an explicit --n
 _MAX_DEFAULT_POINTS = 65_536
 
 PLOT_SCRIPT = """\
@@ -462,7 +462,7 @@ def _dispatch(args):
             # the full kernel needs a spacing of lam/40 at most; past the
             # cap the operator's "too coarse" error asks for an explicit --n
             n_points = 512 if args.kernel == "newton" else min(max(
-                512, math.ceil(2 * gpe._MIN_POINTS_PER_HALF_WAVE * r_max / lam)),
+                512, math.ceil(2 * gpe.MIN_POINTS_PER_HALF_WAVE * r_max / lam)),
                 _MAX_DEFAULT_POINTS)
         grid = gpe.RadialGrid(n_points=n_points, r_max=r_max)
         state = gpe.solve_ground(cfg, grid)

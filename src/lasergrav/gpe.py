@@ -19,8 +19,8 @@ The solver takes Newton steps on the discrete eigenproblem
 (H[rho] - mu) v = 0, |v| = 1 for v = R * Psi (which makes the radial
 Laplacian tridiagonal), with Dirichlet ends v(0) = v(R_max) = 0.  Each step
 solves its bordered Jacobian system by GMRES to a tenth of the eigen-residual
-||(H[rho] - mu) v|| / |mu| (an inexact-Newton forcing term: Eisenstat &
-Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the Jacobian applied as a
+||(H[rho] - mu) v|| / sum |E_term| (an inexact-Newton forcing term: Eisenstat
+& Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the Jacobian applied as a
 product, never formed, and preconditioned by its tridiagonal part.  Where
 Newton heads for a noded state of higher energy (in a box below threshold,
 where the wall holds the cloud), a Levenberg-Marquardt shift on the
@@ -41,21 +41,21 @@ from .errors import CollapseError, ConvergenceError, NumericsError
 from .interaction import kernel_shape
 from .variational import AnsatzConfig, minimize_width
 
-# full kernel needs >= 20 grid points per lam/2 oscillation
-_MIN_POINTS_PER_HALF_WAVE = 20
 # 6-point Gauss-Legendre rule per J-table cell: numpy's leggauss(6) bit for bit,
-# without loading numpy.polynomial.  The check above keeps a full-kernel cell at
-# most lam/40 wide, 1/20 of the lam/2 period of t U(t); there the rule's error is
-# about 1e-17 of u lam (4 nodes: 5e-16), below the rounding of the values it sums.
+# without loading numpy.polynomial.  A full-kernel cell is at most lam/40 wide,
+# 1/20 of the lam/2 period of t U(t); there the rule's error is about 1e-17 of
+# u lam (4 nodes: 5e-16), below the rounding of the values it sums.
 _J_RULE_NODES = (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
                  0.2386191860831969, 0.6612093864662645, 0.9324695142031519)
 _J_RULE_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
                    0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
 
-# stop when ||(H[rho] - mu) v|| / |mu| falls below this
+# full kernel needs >= 20 grid points per lam/2 oscillation
+MIN_POINTS_PER_HALF_WAVE = 20
+# stop when ||(H[rho] - mu) v|| / sum |E_term| falls below this
 RESIDUAL_TOL = 1e-8
-MAX_ITERATIONS = 1_000
-# relative energy rise that rejects a step
+MAX_ITERATIONS = 100
+# energy rise, over the residual's scale, that rejects a step
 _ENERGY_SLACK = 1e-12
 # Krylov steps at most per Newton step
 _GMRES_MAX_STEPS = 60
@@ -92,7 +92,7 @@ class GroundState(Record):
     mu: float                # J
     r_rms: float             # m
     iterations: int
-    residual: float          # eigen-residual ||(H[rho] - mu) v|| / |mu|
+    residual: float          # eigen-residual ||(H[rho] - mu) v|| / sum |E_term|
     n_atoms: float
     energies: dict           # per-term totals, J
 
@@ -120,11 +120,11 @@ class _HartreeOperator:
             raise ValueError(f"unknown kernel {kernel!r}")
         n = grid.n_points
         h = grid.spacing / wavelength
-        if kernel == "full" and h > 0.5 / _MIN_POINTS_PER_HALF_WAVE:
+        if kernel == "full" and h > 0.5 / MIN_POINTS_PER_HALF_WAVE:
             raise ValueError(
                 f"grid too coarse for the oscillatory kernel: spacing "
                 f"{grid.spacing:.3e} m resolves fewer than "
-                f"{_MIN_POINTS_PER_HALF_WAVE} points per half-oscillation")
+                f"{MIN_POINTS_PER_HALF_WAVE} points per half-oscillation")
         self._x = grid.nodes / wavelength
         self._h = h
         j_tab = _j_table(n, h, kernel)
@@ -344,17 +344,18 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     The start is a Gaussian of the variational equilibrium width, or of one
     wavelength where the variational state is unbound.  Every step is one
     :meth:`_MeanField.newton_update`, renormalized, with a scalar ``shift``
-    on the Jacobian's diagonal that starts at 0.  A step that raises the
-    energy by more than ``_ENERGY_SLACK`` (relative) or grows the
-    eigen-residual ``||(T + V - mu) v|| / |mu|`` tenfold is rejected and
-    the shift raised to ``max(4 shift, |mu|, E_kin)``; ``E_kin > 0``, so
-    the scale does not vanish where ``mu`` crosses 0.  An accepted step
-    quarters the shift, or sets it to 0 once it is below ``1e-3 |mu|``.
+    on the Jacobian's diagonal that starts at 0.  The eigen-residual is
+    ``||(T + V - mu) v||`` over ``scale = sum |E_term|`` per atom, which
+    bounds the energy's rounding and, as ``E_kin > 0``, does not vanish
+    where ``mu`` and ``E`` cross 0.  A step that raises the energy by more
+    than ``_ENERGY_SLACK scale`` is rejected and the shift raised to
+    ``max(4 shift, scale)``; an accepted step quarters it, or sets it to 0
+    once it is below ``1e-3 scale``.
 
     For a bound state from the variational start every step is unshifted
-    and accepted (4-7 steps measured).  The shift is needed in a box below
+    and accepted (3-8 steps measured).  The shift is needed in a box below
     threshold, where the wall holds the cloud and plain Newton heads for a
-    noded state of higher energy (11 steps at I/I0 = 0.9 in a 5 um box).
+    noded state of higher energy (12 steps at I/I0 = 0.9 in a 5 um box).
     The solve stops once an unshifted step lands below ``RESIDUAL_TOL``
     having cut the residual by less than a decade, or a step is rejected
     there, so a converging solve ends at the rounding floor.  The Hartree
@@ -384,8 +385,8 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     v /= norm
 
     local, terms, mu, r = problem.evaluate(v)
-    residual = problem.norm(r) / max(abs(mu), 1e-300)
-    energy_prev = sum(terms)
+    scale = sum(map(abs, terms))
+    residual = problem.norm(r) / scale
     iterations = 0
     shift = 0.0
 
@@ -406,23 +407,21 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
         v_new /= norm
 
         local_new, terms_new, mu_new, r_new = problem.evaluate(v_new)
-        residual_new = problem.norm(r_new) / max(abs(mu_new), 1e-300)
-        energy = sum(terms_new)
-        if not (energy <= energy_prev + _ENERGY_SLACK * abs(energy_prev)
-                and residual_new <= 10.0 * residual):
+        scale_new = sum(map(abs, terms_new))
+        residual_new = problem.norm(r_new) / scale_new
+        if not sum(terms_new) <= sum(terms) + _ENERGY_SLACK * scale:
             # reject the step; the potential still belongs to the accepted state
             if residual < RESIDUAL_TOL:
                 break
-            shift = max(4.0 * shift, abs(mu), terms[0])
+            shift = max(4.0 * shift, scale)
             continue
         done = shift == 0.0 and RESIDUAL_TOL > residual_new > 0.1 * residual
-        shift = 0.0 if shift < 1e-3 * abs(mu) else 0.25 * shift
+        shift = 0.0 if shift < 1e-3 * scale else 0.25 * shift
 
-        v, local, terms, mu, r, residual = \
-            v_new, local_new, terms_new, mu_new, r_new, residual_new
-        energy_prev = energy
+        v, local, terms, mu, r, residual, scale = \
+            v_new, local_new, terms_new, mu_new, r_new, residual_new, scale_new
         if on_step is not None:
-            on_step(iterations, cfg.n_atoms * energy * energy_unit,
+            on_step(iterations, cfg.n_atoms * sum(terms) * energy_unit,
                     mu * energy_unit)
 
         r_rms_dimless = math.sqrt(4.0 * math.pi * h * float((x**2 * v) @ v))
