@@ -25,9 +25,6 @@ SPECIES_FILE_ENV = "LASERGRAV_SPECIES_FILE"
 _FLOAT_FORMAT = "{:.12e}"
 _NO_LIGHT = "intensity must be non-zero: without light nothing binds"
 _LENGTHS = ("rmin", "rmax", "lambda_min", "lambda_max")  # options that must be > 0
-# most points gpe picks by itself: a solve at this size takes about 1.2 s and
-# 92 MB on a 2-core host, so wider boxes need an explicit --n
-_MAX_DEFAULT_POINTS = 65_536
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
@@ -84,13 +81,14 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
-def _get_species(args):
+def _species_file(args) -> dict:
+    """The species of --species-file (or $LASERGRAV_SPECIES_FILE) by name."""
     path = args.species_file or os.environ.get(SPECIES_FILE_ENV)
-    if path:
-        table = load_species_file(path)
-        if args.species in table:
-            return table[args.species]
-    return catalog_lookup(args.species)
+    return load_species_file(path) if path else {}
+
+
+def _get_species(args):
+    return _species_file(args).get(args.species) or catalog_lookup(args.species)
 
 
 def _resolve_wavelength(args, species) -> float:
@@ -118,6 +116,8 @@ def _parse_ratio_spec(text: str) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"--ratios must be finite, got {text!r}")
     if ":" in text:
+        if len(values) != 3:
+            raise ValueError(f"ratio range {text!r} must be start:stop:step")
         start, stop, step = values
         if not step > 0.0:
             raise ValueError("ratio step must be positive")
@@ -360,10 +360,11 @@ def _dispatch(args):
         if name in _LENGTHS and not (value is None or value > 0.0):
             raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value:g}")
     if cmd == "catalog":
+        from_file = _species_file(args)
+        names = [args.species] if args.species else sorted({*catalog_names(), *from_file})
         table = {}
-        for name in [args.species] if args.species else catalog_names():
-            sp = _get_species(argparse.Namespace(species=name,
-                                                 species_file=args.species_file))
+        for name in names:
+            sp = from_file.get(name) or catalog_lookup(name)
             table[name] = {**sp.asdict(), "contact_coupling_J_m3": sp.contact_coupling}
         emit_json(table, args.out)
 
@@ -452,28 +453,19 @@ def _dispatch(args):
             n_atoms=args.atoms, species=species, interaction=params,
             trap_frequency=args.trap,
             kernel="full" if args.kernel == "full" else "near_zone")
-        trial = variational.minimize_width(cfg)
-        if not trial.bound_local and args.rmax is None:
+        try:
+            state = gpe.solve_ground(cfg, args.n, args.rmax)
+        except UnboundError:
             raise UnboundError(f"no bound state at I/I0 = {ratio:g}; pass "
-                               "--rmax to solve in an explicit box")
-        r_max = args.rmax if args.rmax is not None else 8.0 * trial.r_rms
-        n_points = args.n
-        if n_points is None:
-            # the full kernel needs a spacing of lam/40 at most; past the
-            # cap the operator's "too coarse" error asks for an explicit --n
-            n_points = 512 if args.kernel == "newton" else min(max(
-                512, math.ceil(2 * gpe.MIN_POINTS_PER_HALF_WAVE * r_max / lam)),
-                _MAX_DEFAULT_POINTS)
-        grid = gpe.RadialGrid(n_points=n_points, r_max=r_max)
-        state = gpe.solve_ground(cfg, grid)
+                               "--rmax to solve in an explicit box") from None
         rho_peak = float(state.density[0])
         summary = {
             "species": species.name,
             "ratio": ratio,
             "atoms": args.atoms,
             "kernel": args.kernel,
-            "n_points": grid.n_points,
-            "r_max_m": grid.r_max,
+            "n_points": state.grid.n_points,
+            "r_max_m": state.grid.r_max,
             "mu_J": state.mu,
             "r_rms_m": state.r_rms,
             "iterations": state.iterations,
@@ -487,7 +479,7 @@ def _dispatch(args):
         if args.profile:
             rows = [{"R_m": float(r), "psi": float(p), "rho_m3": float(d),
                      "phi_J": float(ph)}
-                    for r, p, d, ph in zip(grid.nodes, state.psi,
+                    for r, p, d, ph in zip(state.grid.nodes, state.psi,
                                            state.density, state.potential)]
             emit_csv(rows, args.profile)
 

@@ -27,6 +27,10 @@ where the wall holds the cloud), a Levenberg-Marquardt shift on the
 Jacobian's diagonal (Marquardt, J. SIAM 11, 431 (1963)) turns the rejected
 step into a descent step, and the shift is let go again as the steps are
 accepted.  The iteration count does not grow with the grid.
+
+One variational solve gives the start and, unless the caller fixes it, the
+grid: 8 variational radii at a spacing of at most lam/40 for the full
+kernel.  An unbound variational state gives no radius, so it needs a box.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from ._record import Record
 from .constants import CONSTANTS
-from .errors import CollapseError, ConvergenceError, NumericsError
+from .errors import CollapseError, ConvergenceError, NumericsError, UnboundError
 from .interaction import kernel_shape
 from .variational import AnsatzConfig, minimize_width
 
@@ -51,7 +55,10 @@ _J_RULE_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
                    0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
 
 # full kernel needs >= 20 grid points per lam/2 oscillation
-MIN_POINTS_PER_HALF_WAVE = 20
+_MIN_POINTS_PER_HALF_WAVE = 20
+# most points solve_ground picks by itself: a solve at this size takes about
+# 1.2 s and 92 MB on a 2-core host, so wider boxes need an explicit n_points
+_MAX_DEFAULT_POINTS = 65_536
 # stop when ||(H[rho] - mu) v|| / sum |E_term| falls below this
 RESIDUAL_TOL = 1e-8
 MAX_ITERATIONS = 100
@@ -68,6 +75,8 @@ class RadialGrid(Record):
     r_max: float
 
     def _check(self):
+        if not isinstance(self.n_points, int):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 256:
             raise ValueError(f"need at least 256 points, got {self.n_points}")
         if not self.r_max > 0.0:
@@ -120,11 +129,11 @@ class _HartreeOperator:
             raise ValueError(f"unknown kernel {kernel!r}")
         n = grid.n_points
         h = grid.spacing / wavelength
-        if kernel == "full" and h > 0.5 / MIN_POINTS_PER_HALF_WAVE:
+        if kernel == "full" and h > 0.5 / _MIN_POINTS_PER_HALF_WAVE:
             raise ValueError(
                 f"grid too coarse for the oscillatory kernel: spacing "
                 f"{grid.spacing:.3e} m resolves fewer than "
-                f"{MIN_POINTS_PER_HALF_WAVE} points per half-oscillation")
+                f"{_MIN_POINTS_PER_HALF_WAVE} points per half-oscillation")
         self._x = grid.nodes / wavelength
         self._h = h
         j_tab = _j_table(n, h, kernel)
@@ -337,9 +346,20 @@ class _MeanField:
         return vec + step[:-1]
 
 
-def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
-                 on_step=None) -> GroundState:
-    """Relax to the mean-field ground state on ``grid``.
+def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,
+                 r_max: float | None = None, on_step=None) -> GroundState:
+    """Relax to the mean-field ground state on a grid of ``n_points`` nodes
+    out to ``r_max`` (m), returned as ``GroundState.grid``.
+
+    One :func:`minimize_width` sizes the grid and sets the start.  ``r_max``
+    defaults to 8 times the variational ``r_rms``; where the variational
+    state is unbound there is no radius to size the box by, and without an
+    explicit ``r_max`` :class:`UnboundError` is raised before any solve.
+    ``n_points`` defaults to 512 for the ``-u/r`` kernel, and for the full
+    kernel to as many as a spacing of ``lam/40`` needs over the box, at
+    least 512 and at most ``_MAX_DEFAULT_POINTS``; past that cap the
+    Hartree operator's "too coarse" ``ValueError`` asks for an explicit
+    ``n_points``.
 
     The start is a Gaussian of the variational equilibrium width, or of one
     wavelength where the variational state is unbound.  Every step is one
@@ -372,11 +392,19 @@ def solve_ground(cfg: AnsatzConfig, grid: RadialGrid,
     :func:`hartree_potential` of the final density.
     """
     lam = cfg.interaction.wavelength
+    trial = minimize_width(cfg)
+    if r_max is None and not trial.bound_local:
+        raise UnboundError("no bound variational state to size the box; pass r_max")
+    r_max = 8.0 * trial.r_rms if r_max is None else r_max
+    if n_points is None:
+        n_points = 512 if cfg.kernel == "near_zone" else min(max(
+            512, math.ceil(2 * _MIN_POINTS_PER_HALF_WAVE * r_max / lam)),
+            _MAX_DEFAULT_POINTS)
+    grid = RadialGrid(n_points=n_points, r_max=r_max)
     problem = _MeanField(cfg, grid)
     h, x = problem.h, problem.x
     energy_unit = CONSTANTS.hbar**2 / (cfg.species.mass * lam**2)
 
-    trial = minimize_width(cfg)
     width = trial.w_star if trial.bound_local else 1.0
     v = x * np.exp(-x**2 / (2.0 * width**2))
     norm = problem.norm(v)

@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from lasergrav import (RadialGrid, catalog_lookup, config_at_ratio,
-                       minimize_width, solve_ground)
+from lasergrav import (catalog_lookup, config_at_ratio, minimize_width,
+                       solve_ground)
 
 NA_WAVELENGTH = 589e-9
 
@@ -29,9 +29,8 @@ def tf_width_15(na):
 def _solve_full(na, n_points):
     cfg = config_at_ratio(na, 1.5, NA_WAVELENGTH, n_atoms=1e4,
                           use_detuned=True)
-    grid = RadialGrid(n_points=n_points, r_max=3.5 * NA_WAVELENGTH)
     t0 = time.perf_counter()
-    state = solve_ground(cfg, grid)
+    state = solve_ground(cfg, n_points, 3.5 * NA_WAVELENGTH)
     return state, time.perf_counter() - t0
 
 

@@ -194,8 +194,7 @@ def test_criterion_8_property_suite(na):
                                alpha_si=species.alpha_si())
     cfg = AnsatzConfig(n_atoms=100.0, species=species, interaction=params,
                        trap_frequency=omega0)
-    grid = RadialGrid(n_points=512, r_max=8.0 * math.sqrt(1.5) * l0)
-    state = solve_ground(cfg, grid)
+    state = solve_ground(cfg, 512, 8.0 * math.sqrt(1.5) * l0)
     mu_err = abs(state.mu / (1.5 * CONSTANTS.hbar * omega0) - 1)
     r_err = abs(state.r_rms / (math.sqrt(1.5) * l0) - 1)
     _check(results, "8c harmonic-oscillator exactness",

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lasergrav import gpe, regimes
+from lasergrav import gpe, regimes, variational
 from lasergrav.cli import _linspace, _parse_ratio_spec, _resolve_intensity, run
 
 def _run_cli(*argv):
@@ -218,11 +218,33 @@ def test_potential_csv_format(tmp_path):
         assert len(mantissa.split(".")[1]) == 12
 
 
-def test_outputs_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for path in (a, b):
-        assert run(["potential", "--samples", "64", "--out", str(path)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+_EVERY_COMMAND = [
+    ["catalog"],
+    ["potential", "--samples", "64"],
+    ["threshold"],
+    ["fig1a", "--samples", "20"],
+    ["fig1b", "--ratios", "1.1:1.5:0.2"],
+    ["width-sweep", "--no-tf", "--ratios", "0.9,1.5"],
+    ["phase-map", "--nx", "5", "--ny", "4"],
+    ["fig2", "--points", "3"],
+    ["gpe", "--ratio", "1.5", "--n", "256", "--profile", "profile.csv"],
+    ["losses"],
+    ["atom-count", "--wavelength", "589e-9", "--rho-peak", "1e21"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_outputs_are_byte_identical(tmp_path, monkeypatch, argv):
+    # every file a command writes, gpe's profile included, comes out the
+    # same on a second run
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run([*argv, "--out", "out"]) == 0
+        runs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == (2 if "--profile" in argv else 1)
 
 
 def test_fig1b_width_column_decreases(tmp_path):
@@ -368,7 +390,7 @@ def test_gpe_below_threshold_without_box_is_numerical_failure(capsys,
                                                               monkeypatch):
     # no bound variational state gives no radius to size the grid by; the
     # solve would only find the cloud the Dirichlet wall holds
-    monkeypatch.setattr(gpe, "solve_ground", _must_not_run)
+    monkeypatch.setattr(gpe, "_MeanField", _must_not_run)
     assert run(["gpe", "--species", "Na", "--ratio", "0.5"]) == 1
     err = capsys.readouterr().err
     assert "no bound" in err and "--rmax" in err and "Traceback" not in err
@@ -396,7 +418,9 @@ def test_gpe_below_threshold_without_box_is_numerical_failure(capsys,
     (["potential", "--linear", "--rmin", "0"], "--rmin must be positive, got 0"),
     (["fig2", "--lambda-min", "0"], "--lambda-min must be positive, got 0"),
     (["fig2", "--lambda-max=-1"], "--lambda-max must be positive, got -1"),
-    (["fig1b", "--ratios", "2:1:0.1"], "ratio range '2:1:0.1' holds no value"))])
+    (["fig1b", "--ratios", "2:1:0.1"], "ratio range '2:1:0.1' holds no value"),
+    (["fig1b", "--ratios", "1:2"], "ratio range '1:2' must be start:stop:step"),
+    (["fig1b", "--ratios", "1:2:3:4"], "ratio range '1:2:3:4' must be start:stop:step"))])
 def test_degenerate_inputs_are_usage_errors(argv, message, capsys, monkeypatch):
     # rejected before the solve or the first classification starts
     monkeypatch.setattr(gpe, "solve_ground", _must_not_run)
@@ -560,6 +584,11 @@ def test_catalog_reads_species_file_from_environment(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["K39"]["mass"] == 6.4697e-26
     assert run(["threshold", "--species", "K39", "--static",
                 "--out", str(tmp_path / "t.json")]) == 0
+    # and lists it with the catalog's own species
+    assert run(["catalog", "--out", str(out)]) == 0
+    listed = json.loads(out.read_text())
+    assert list(listed) == ["K39", "Na", "Rb87"]
+    assert listed["K39"]["mass"] == 6.4697e-26
 
 
 def test_subcommand_help_shows_defaults(capsys):
@@ -636,13 +665,29 @@ def test_gpe_default_grid_resolves_the_kernel(argv, n_points, monkeypatch):
     class Solved(Exception):
         pass
 
-    def solve_ground(cfg, grid):
+    def mean_field(cfg, grid):
         raise Solved(grid.n_points)
 
-    monkeypatch.setattr(gpe, "solve_ground", solve_ground)
+    monkeypatch.setattr(gpe, "_MeanField", mean_field)
     with pytest.raises(Solved) as solved:
         run(["gpe", "--species", "Na", *argv])
     assert solved.value.args == (n_points,)
+
+
+def test_gpe_runs_one_variational_solve(tmp_path, monkeypatch):
+    # the one minimize_width sizes the box and sets the solver's start
+    calls = []
+    minimize = variational.minimize_width
+
+    def counted(cfg):
+        calls.append(cfg)
+        return minimize(cfg)
+
+    monkeypatch.setattr(variational, "minimize_width", counted)
+    monkeypatch.setattr(gpe, "minimize_width", counted)
+    assert run(["gpe", "--species", "Na", "--ratio", "1.5", "--atoms", "1e4",
+                "--n", "256", "--out", str(tmp_path / "gpe.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_gpe_default_grid_stops_growing(capsys):

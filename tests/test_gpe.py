@@ -9,8 +9,8 @@ from scipy.special import erf
 
 from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        ConvergenceError, InteractionParams, RadialGrid,
-                       config_at_ratio, hartree_potential, minimize_width,
-                       pair_potential, solve_ground)
+                       UnboundError, config_at_ratio, hartree_potential,
+                       minimize_width, pair_potential, solve_ground)
 from lasergrav import gpe
 from lasergrav.cli import run
 from lasergrav.gpe import (RESIDUAL_TOL, _gmres, _HartreeOperator, _j_table,
@@ -38,6 +38,10 @@ def test_grid_validation():
         RadialGrid(n_points=128, r_max=1e-6)
     with pytest.raises(ValueError):
         RadialGrid(n_points=512, r_max=0.0)
+    # a fractional count would put the last node past r_max
+    for n_points in (512.5, 512.0):
+        with pytest.raises(ValueError, match="integer"):
+            RadialGrid(n_points=n_points, r_max=1e-6)
     grid = RadialGrid(n_points=512, r_max=1.024e-6)
     assert grid.spacing == pytest.approx(2e-9, abs=0.0)
     assert grid.nodes[0] == pytest.approx(grid.spacing, abs=0.0)
@@ -53,8 +57,7 @@ def test_harmonic_oscillator_ground_state(no_contact):
     cfg = AnsatzConfig(n_atoms=1000.0, species=no_contact,
                        interaction=_interaction(no_contact, 0.0, 0.0),
                        trap_frequency=omega0)
-    grid = RadialGrid(n_points=512, r_max=8.0 * r_rms_exact)
-    state = solve_ground(cfg, grid)
+    state = solve_ground(cfg, 512, 8.0 * r_rms_exact)
     assert state.mu == pytest.approx(1.5 * CONSTANTS.hbar * omega0, rel=1e-4, abs=0.0)
     assert state.r_rms == pytest.approx(r_rms_exact, rel=1e-4)
     energies = state.energies
@@ -211,7 +214,7 @@ def test_solve_allocates_no_n_by_n_array(na):
     cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
     tracemalloc.start()
     try:
-        solve_ground(cfg, RadialGrid(n, 3.5 * LAM))
+        solve_ground(cfg, n, 3.5 * LAM)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -232,8 +235,8 @@ def test_no_step_raises_the_energy(monkeypatch, tmp_path, argv):
     energies = []
     solve = gpe.solve_ground
 
-    def traced(cfg, grid):
-        return solve(cfg, grid,
+    def traced(cfg, n_points, r_max):
+        return solve(cfg, n_points, r_max,
                      on_step=lambda it, energy, mu: energies.append(energy))
 
     monkeypatch.setattr(gpe, "solve_ground", traced)
@@ -259,8 +262,8 @@ def gpe_solve(tmp_path_factory):
         if argv not in cache:
             solved = []
 
-            def capture(cfg, grid):
-                state = solve_ground(cfg, grid)
+            def capture(cfg, n_points, r_max):
+                state = solve_ground(cfg, n_points, r_max)
                 solved.append((cfg, state))
                 return state
 
@@ -342,7 +345,7 @@ def test_step_cap_raises_convergence_error(gpe_solve, monkeypatch):
     _, cfg, ground = gpe_solve(*_BOX)
     monkeypatch.setattr(gpe, "MAX_ITERATIONS", 3)
     with pytest.raises(ConvergenceError, match="no convergence after 3 iterations"):
-        solve_ground(cfg, ground.grid)
+        solve_ground(cfg, ground.grid.n_points, ground.grid.r_max)
 
 
 def test_trapped_cloud_binds_itself_past_threshold(gpe_run):
@@ -366,6 +369,20 @@ def test_radius_depends_on_the_trap_only_below_threshold(gpe_run):
     assert trapped[0] < trapped[1] < trapped[2]
     weak = gpe_run("--ratio", "0.5", "--atoms", "1e4", "--trap", "100")
     assert weak["n_points"] == 4458 and weak["residual"] < RESIDUAL_TOL
+
+
+def test_solve_ground_sizes_its_own_grid(na, gpe_run):
+    # without grid arguments the library applies the rule the gpe command
+    # relies on, from the same variational solve
+    state = gpe_run("--ratio", "1.5")
+    ground = solve_ground(config_at_ratio(na, 1.5, LAM, n_atoms=1e4,
+                                          use_detuned=True))
+    assert (ground.grid.n_points, ground.grid.r_max, ground.r_rms) == \
+        (state["n_points"], state["r_max_m"], state["r_rms_m"])
+    # below threshold there is no radius to size the box by
+    with pytest.raises(UnboundError, match="r_max"):
+        solve_ground(config_at_ratio(na, 0.5, LAM, n_atoms=1e4,
+                                     use_detuned=True))
 
 
 def _solver_system(n, shift_h2):
@@ -418,7 +435,8 @@ def test_energy_monotone_along_imaginary_time(gpe_solve):
     # (11 accepted), and no accepted step raises the energy
     _, cfg, ground = gpe_solve(*_BOX)
     energies = []
-    solve_ground(cfg, ground.grid, on_step=lambda it, e, mu: energies.append(e))
+    solve_ground(cfg, ground.grid.n_points, ground.grid.r_max,
+                 on_step=lambda it, e, mu: energies.append(e))
     energies = np.array(energies)
     assert len(energies) > 5
     assert np.all(np.diff(energies) <= 1e-12 * np.abs(energies[:-1]))
@@ -434,8 +452,7 @@ def test_near_zone_solution_matches_calculus_oracle(no_contact):
                        kernel="near_zone")
     b_star = 3 * math.sqrt(2 * math.pi) * CONSTANTS.hbar**2 / (
         2 * no_contact.mass * coupling * n_atoms)
-    grid = RadialGrid(n_points=512, r_max=8.0 * math.sqrt(1.5) * b_star)
-    state = solve_ground(cfg, grid)
+    state = solve_ground(cfg, 512, 8.0 * math.sqrt(1.5) * b_star)
     # width and total energy of the PDE ground state track the Gaussian oracle
     assert state.r_rms == pytest.approx(math.sqrt(1.5) * b_star, rel=0.10)
     e_oracle = n_atoms * (
@@ -455,8 +472,7 @@ def test_near_zone_energy_scaling_with_atom_number(no_contact):
                            kernel="near_zone")
         b_star = 3 * math.sqrt(2 * math.pi) * CONSTANTS.hbar**2 / (
             2 * no_contact.mass * coupling * n_atoms)
-        grid = RadialGrid(n_points=512, r_max=8.0 * math.sqrt(1.5) * b_star)
-        state = solve_ground(cfg, grid)
+        state = solve_ground(cfg, 512, 8.0 * math.sqrt(1.5) * b_star)
         results.append(state.energies["total"])
     assert results[1] / results[0] == pytest.approx(4.0, rel=0.10)
 
@@ -477,9 +493,8 @@ def test_collapse_detection(no_contact):
     cfg = AnsatzConfig(n_atoms=n_atoms, species=no_contact,
                        interaction=_interaction(no_contact, coupling),
                        kernel="near_zone")
-    grid = RadialGrid(n_points=256, r_max=2.0 * LAM)
     with pytest.raises(CollapseError):
-        solve_ground(cfg, grid)
+        solve_ground(cfg, 256, 2.0 * LAM)
 
 
 def test_ground_state_potential_is_hartree_of_its_density(na, no_contact,
@@ -494,7 +509,7 @@ def test_ground_state_potential_is_hartree_of_its_density(na, no_contact,
     cfg = AnsatzConfig(n_atoms=1000.0, species=no_contact,
                        interaction=_interaction(no_contact, coupling),
                        kernel="near_zone")
-    near = solve_ground(cfg, RadialGrid(n_points=256, r_max=2.0 * LAM))
+    near = solve_ground(cfg, 256, 2.0 * LAM)
     assert np.array_equal(near.potential, hartree_potential(
         near.density, near.grid, coupling, LAM, kernel="near_zone"))
 
@@ -504,7 +519,7 @@ def test_ground_state_potential_is_hartree_of_its_density(na, no_contact,
                        interaction=_interaction(no_contact, 0.0, 0.0),
                        trap_frequency=omega0)
     l0 = math.sqrt(CONSTANTS.hbar / (no_contact.mass * omega0))
-    still = solve_ground(cfg, RadialGrid(n_points=256, r_max=10.0 * l0))
+    still = solve_ground(cfg, 256, 10.0 * l0)
     assert still.potential.shape == (256,) and not still.potential.any()
 
 
