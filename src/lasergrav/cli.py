@@ -18,7 +18,7 @@ from . import variational
 from .constants import intensity_in, intensity_si
 from .errors import LaserGravError, NumericsError, UnboundError
 from .interaction import InteractionParams, kernel_shape
-from .species import catalog_lookup, catalog_names, load_species_file
+from .species import SpeciesTable, catalog_names
 
 SPECIES_FILE_ENV = "LASERGRAV_SPECIES_FILE"
 
@@ -81,16 +81,6 @@ def _write(text: str, path: str | None):
             fh.write(text)
 
 
-def _species_file(args) -> dict:
-    """The species of --species-file (or $LASERGRAV_SPECIES_FILE) by name."""
-    path = args.species_file or os.environ.get(SPECIES_FILE_ENV)
-    return load_species_file(path) if path else {}
-
-
-def _get_species(args):
-    return _species_file(args).get(args.species) or catalog_lookup(args.species)
-
-
 def _resolve_wavelength(args, species) -> float:
     if args.wavelength is not None:
         return args.wavelength
@@ -112,7 +102,10 @@ def _resolve_intensity(args, species) -> tuple[float, float]:
 
 def _parse_ratio_spec(text: str) -> list[float]:
     """Either comma-separated values or start:stop:step (inclusive stop)."""
-    values = [float(p) for p in text.split(":" if ":" in text else ",")]
+    try:
+        values = [float(p) for p in text.split(":" if ":" in text else ",")]
+    except ValueError:
+        raise ValueError(f"--ratios must be numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"--ratios must be finite, got {text!r}")
     if ":" in text:
@@ -143,11 +136,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _DefaultsHelp(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends a value option's default; the help of a flag, or of an option
+    whose default is None, states its own rule."""
+
+    def _get_help_string(self, action):
+        if action.default is None or isinstance(action.default, bool):
+            return action.help
+        return super()._get_help_string(action)
+
+
+def _add_species_file(p):
+    p.add_argument("--species-file",
+                   help=f"key=value species file (or ${SPECIES_FILE_ENV})")
+
+
 def _add_species_options(p):
     p.add_argument("--species", default="Na",
                    help=f"species name (catalog: {', '.join(catalog_names())})")
-    p.add_argument("--species-file",
-                   help=f"key=value species file (or ${SPECIES_FILE_ENV})")
+    _add_species_file(p)
     # plain flags on one dest so a later flag overrides an earlier one
     # (needed for config-file preloading)
     p.add_argument("--detuned", action="store_true", default=True,
@@ -157,7 +164,7 @@ def _add_species_options(p):
 
 
 def _add_common(p):
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for any stochastic auxiliary (outputs are "
                         "deterministic either way)")
@@ -176,18 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     # every subcommand shows its defaults in --help
-    add_parser = functools.partial(
-        subparsers.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    add_parser = functools.partial(subparsers.add_parser, formatter_class=_DefaultsHelp)
 
     p = add_parser("catalog", help="dump species data")
     p.add_argument("--species", default=None, help="single species (default: all)")
-    p.add_argument("--species-file")
+    _add_species_file(p)
     _add_common(p)
 
     p = add_parser("potential", help="pair potential samples (CSV)")
-    p.add_argument("--rmin", type=float, default=1e-3)
-    p.add_argument("--rmax", type=float, default=3.0)
-    p.add_argument("--samples", type=_positive_int, default=600)
+    p.add_argument("--rmin", type=float, default=1e-3, help="smallest r/lam")
+    p.add_argument("--rmax", type=float, default=3.0, help="largest r/lam")
+    p.add_argument("--samples", type=_positive_int, default=600,
+                   help="number of r samples")
     p.add_argument("--linear", action="store_true",
                    help="linear instead of log spacing in r/lam")
     _add_common(p)
@@ -236,20 +243,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("phase-map", help="regime label grid (CSV)")
     _add_species_options(p)
-    p.add_argument("--nx", type=int, default=51)
-    p.add_argument("--ny", type=int, default=41)
+    p.add_argument("--nx", type=int, default=51, help="points of x over [-2, 3]")
+    p.add_argument("--ny", type=int, default=41, help="points of y over [-1, 3]")
     _add_common(p)
 
     p = add_parser("fig2", help="atom capacity band vs wavelength (CSV)")
     _add_species_options(p)
-    p.add_argument("--ratio", type=float, default=1.5)
+    p.add_argument("--ratio", type=float, default=1.5, help="I/I0")
     p.add_argument("--rho-low", type=float, default=1e21,
                    help="lower peak density (m^-3)")
     p.add_argument("--rho-high", type=float, default=1e22,
                    help="upper peak density (m^-3)")
-    p.add_argument("--lambda-min", type=float, default=0.4e-6)
-    p.add_argument("--lambda-max", type=float, default=20e-6)
-    p.add_argument("--points", type=_positive_int, default=20)
+    p.add_argument("--lambda-min", type=float, default=0.4e-6,
+                   help="shortest laser wavelength in m")
+    p.add_argument("--lambda-max", type=float, default=20e-6,
+                   help="longest laser wavelength in m")
+    p.add_argument("--points", type=_positive_int, default=20,
+                   help="number of wavelengths, log-spaced")
     _add_common(p)
 
     p = add_parser("gpe", help="mean-field ground state (JSON + CSV profile)")
@@ -259,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--intensity", type=float, help="absolute total intensity")
     p.add_argument("--unit", default="W/m^2",
                    choices=["W/m^2", "W/cm^2", "mW/cm^2"],
-                   help="unit of --intensity (default W/m^2)")
+                   help="unit of --intensity")
     p.add_argument("--wavelength", type=float, default=None,
                    help="laser wavelength in m (default: transition wavelength)")
     p.add_argument("--atoms", type=float, default=1e4,
@@ -267,11 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="full", choices=["full", "newton"],
                    help="pair interaction: full oscillatory or pure -u/r")
     p.add_argument("--n", type=int, default=None,
-                   help="grid points (default: 512, or up to 65536 where the "
-                        "full kernel needs a spacing of lam/40)")
+                   help="grid points, at least 256 (default: 512, or up to 65536 "
+                        "where the full kernel needs a spacing of lam/40)")
     p.add_argument("--rmax", type=float, default=None,
-                   help="grid extent in m (default 8x expected radius)")
-    p.add_argument("--trap", type=float, default=0.0)
+                   help="grid extent in m (default: 8x expected radius)")
+    p.add_argument("--trap", type=float, default=0.0,
+                   help="trap angular frequency omega0 (rad/s)")
     p.add_argument("--profile", default=None,
                    help="write the radial profile CSV here")
     _add_common(p)
@@ -288,11 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("atom-count", help="capacity at one wavelength (JSON)")
     _add_species_options(p)
-    p.add_argument("--wavelength", type=float, required=True)
+    p.add_argument("--wavelength", type=float, required=True,
+                   help="laser wavelength in m")
     p.add_argument("--rho-peak", type=float, required=True,
                    help="peak density (m^-3)")
-    p.add_argument("--ratio", type=float, default=1.5)
-    p.add_argument("--self-consistent", action="store_true")
+    p.add_argument("--ratio", type=float, default=1.5, help="I/I0")
+    p.add_argument("--self-consistent", action="store_true",
+                   help="retain the kinetic term and iterate over N")
     _add_common(p)
 
     return parser
@@ -341,12 +354,12 @@ def run(argv: list[str]) -> int:
     except (NumericsError, ArithmeticError) as exc:
         print(f"lasergrav: numerical failure: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:  # a SpeciesFileError included
+        print(f"lasergrav: {exc}", file=sys.stderr)
+        return 2
     except LaserGravError as exc:
         print(f"lasergrav: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"lasergrav: {exc}", file=sys.stderr)
-        return 2
     if args.plot_script:
         _write(PLOT_SCRIPT, args.plot_script)
     return 0
@@ -359,14 +372,13 @@ def _dispatch(args):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
         if name in _LENGTHS and not (value is None or value > 0.0):
             raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value:g}")
+    if hasattr(args, "species_file"):  # every command but potential
+        table = SpeciesTable(args.species_file or os.environ.get(SPECIES_FILE_ENV))
+        species = table[args.species] if args.species else None
     if cmd == "catalog":
-        from_file = _species_file(args)
-        names = [args.species] if args.species else sorted({*catalog_names(), *from_file})
-        table = {}
-        for name in names:
-            sp = from_file.get(name) or catalog_lookup(name)
-            table[name] = {**sp.asdict(), "contact_coupling_J_m3": sp.contact_coupling}
-        emit_json(table, args.out)
+        chosen = {args.species: species} if species else dict(sorted(table.items()))
+        emit_json({name: {**sp.asdict(), "contact_coupling_J_m3": sp.contact_coupling}
+                   for name, sp in chosen.items()}, args.out)
 
     elif cmd == "potential":
         r = (_linspace(args.rmin, args.rmax, args.samples) if args.linear
@@ -376,7 +388,6 @@ def _dispatch(args):
                   for ri in r], args.out)
 
     elif cmd == "threshold":
-        species = _get_species(args)
         i0 = variational.threshold_intensity(species, use_detuned=args.detuned)
         emit_json({
             "species": species.name,
@@ -386,7 +397,6 @@ def _dispatch(args):
         }, args.out)
 
     elif cmd == "fig1a":
-        species = _get_species(args)
         lam = _resolve_wavelength(args, species)
         ratios = _parse_ratio_spec(args.ratios)
         if 0.0 in ratios:  # the curves are in units of N u/lam
@@ -406,7 +416,6 @@ def _dispatch(args):
         emit_csv(rows, args.out)
 
     elif cmd in ("fig1b", "width-sweep"):
-        species = _get_species(args)
         lam = _resolve_wavelength(args, species)
         ratios = _parse_ratio_spec(args.ratios)
         cfg = variational.config_at_ratio(
@@ -428,7 +437,6 @@ def _dispatch(args):
 
     elif cmd == "phase-map":
         from . import regimes
-        species = _get_species(args)
         rows = regimes.phase_map(species, nx=args.nx, ny=args.ny,
                                  use_detuned=args.detuned)
         emit_csv(rows, args.out)
@@ -438,13 +446,14 @@ def _dispatch(args):
         ys = _linspace(math.log10(args.lambda_min), math.log10(args.lambda_max),
                        args.points)
         rows = regimes.capacity_band([10.0 ** y for y in ys], args.rho_low,
-                                     args.rho_high, args.ratio, _get_species(args),
+                                     args.rho_high, args.ratio, species,
                                      use_detuned=args.detuned)
         emit_csv(rows, args.out)
 
     elif cmd == "gpe":
         from . import gpe
-        species = _get_species(args)
+        if args.n is not None and args.n < gpe.MIN_POINTS:
+            raise ValueError(f"--n must be at least {gpe.MIN_POINTS}, got {args.n}")
         lam = _resolve_wavelength(args, species)
         intensity, ratio = _resolve_intensity(args, species)
         params = InteractionParams.from_intensity(species, intensity, lam,
@@ -485,7 +494,6 @@ def _dispatch(args):
 
     elif cmd == "losses":
         from . import losses
-        species = _get_species(args)
         report = losses.loss_report(
             species, args.ratio, args.n, _resolve_wavelength(args, species),
             use_detuned=args.detuned, omega_triad=args.omega_triad)
@@ -501,7 +509,6 @@ def _dispatch(args):
 
     elif cmd == "atom-count":
         from . import regimes
-        species = _get_species(args)
         n = regimes.atom_capacity(args.wavelength, args.rho_peak, args.ratio,
                                   species, use_detuned=args.detuned,
                                   self_consistent=args.self_consistent)

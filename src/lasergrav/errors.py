@@ -1,4 +1,4 @@
-"""Exception hierarchy: usage errors are plain ValueError, numerical failures
+"""Exception hierarchy: usage errors are ValueErrors, numerical failures
 get their own classes so the CLI can map them to a distinct exit code."""
 
 
@@ -22,5 +22,6 @@ class UnboundError(LaserGravError):
     """No self-bound solution exists at the requested parameters."""
 
 
-class SpeciesFileError(LaserGravError):
-    """A species file could not be parsed; the message names the line."""
+class SpeciesFileError(LaserGravError, ValueError):
+    """A species file could not be parsed; the message names the line.  Like a
+    missing file it is a usage error, so it is also a ValueError."""

@@ -54,6 +54,8 @@ _J_RULE_NODES = (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
 _J_RULE_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
                    0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
 
+# fewest grid points a solve takes
+MIN_POINTS = 256
 # full kernel needs >= 20 grid points per lam/2 oscillation
 _MIN_POINTS_PER_HALF_WAVE = 20
 # most points solve_ground picks by itself: a solve at this size takes about
@@ -77,8 +79,8 @@ class RadialGrid(Record):
     def _check(self):
         if not isinstance(self.n_points, int):
             raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 256:
-            raise ValueError(f"need at least 256 points, got {self.n_points}")
+        if self.n_points < MIN_POINTS:
+            raise ValueError(f"n_points must be at least {MIN_POINTS}, got {self.n_points}")
         if not self.r_max > 0.0:
             raise ValueError("r_max must be positive")
 

@@ -107,93 +107,83 @@ def catalog_names() -> list[str]:
     return sorted(_CATALOG)
 
 
+class SpeciesTable(dict):
+    """Name -> species: the catalog plus the species of the file at ``path``,
+    a file entry replacing the catalog entry of the same name.  Looking up a
+    name the table does not hold is the one "unknown species" error."""
+
+    def __init__(self, path: str | None = None):
+        super().__init__(_CATALOG)
+        if path:
+            self.update(load_species_file(path))
+
+    def __missing__(self, name):
+        raise ValueError(f"unknown species {name!r}; known species: {sorted(self)}")
+
+
 def catalog_lookup(name: str) -> AtomSpecies:
     """Return the catalog species called ``name`` (``Na`` or ``Rb87``)."""
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown species {name!r}; catalog has {catalog_names()}"
-        ) from None
+    return SpeciesTable()[name]
 
 
-# keys accepted in a species file; detuned_* lines populate a DetunedContext
-_BASE_KEYS = {"name", "mass_kg", "a_m", "alpha_v_m3"}
-_DETUNED_KEYS = {
-    "detuned_transition_wavelength_m",
-    "detuned_delta_rad_s",
-    "detuned_gamma_rad_s",
-    "detuned_d_Cm",
-    "detuned_alpha_v_m3",
-}
+# species-file key -> field; the detuned_* keys fill a DetunedContext
+_BASE_KEYS = {"name": "name", "mass_kg": "mass", "a_m": "scattering_length",
+              "alpha_v_m3": "polarizability_volume"}
+_DETUNED_KEYS = {"detuned_transition_wavelength_m": "transition_wavelength",
+                 "detuned_delta_rad_s": "detuning", "detuned_gamma_rad_s": "linewidth",
+                 "detuned_d_Cm": "dipole_moment",
+                 "detuned_alpha_v_m3": "polarizability_volume"}
 
 
 def parse_species_file(text: str, source: str = "<species file>") -> dict[str, AtomSpecies]:
-    """Parse key=value species records separated by blank lines.
+    """Parse key=value species records separated by blank lines; a ``#`` line
+    is a comment, also inside a record.
 
     Returns a name -> species mapping.  Raises :class:`SpeciesFileError`
-    naming the offending line on any malformed input.
+    naming the offending line on any malformed input, a name given to two
+    records included.
     """
     species: dict[str, AtomSpecies] = {}
-    record: dict[str, str] = {}
-
-    def flush(end_line: int):
-        nonlocal record
-        if not record:
-            return
-        missing = _BASE_KEYS - set(record)
-        if missing:
-            raise SpeciesFileError(
-                f"{source}, record ending at line {end_line}: missing keys {sorted(missing)}"
-            )
-        detuned_present = set(record) & _DETUNED_KEYS
-        detuned = None
-        if detuned_present:
-            missing_d = _DETUNED_KEYS - set(record)
-            if missing_d:
-                raise SpeciesFileError(
-                    f"{source}, record ending at line {end_line}: incomplete detuned "
-                    f"block, missing {sorted(missing_d)}"
-                )
-            detuned = DetunedContext(
-                transition_wavelength=float(record["detuned_transition_wavelength_m"]),
-                detuning=float(record["detuned_delta_rad_s"]),
-                linewidth=float(record["detuned_gamma_rad_s"]),
-                dipole_moment=float(record["detuned_d_Cm"]),
-                polarizability_volume=float(record["detuned_alpha_v_m3"]),
-            )
-        sp = AtomSpecies(
-            name=record["name"],
-            mass=float(record["mass_kg"]),
-            scattering_length=float(record["a_m"]),
-            polarizability_volume=float(record["alpha_v_m3"]),
-            detuned=detuned,
-        )
-        species[sp.name] = sp
-        record = {}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    record: dict[str, str | float] = {}
+    lines = text.splitlines()
+    # a blank line past the end closes the last record
+    for lineno, raw in enumerate([*lines, ""], start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            flush(lineno)
+        if line.startswith("#") or not (line or record):
+            continue
+        if not line:  # a blank line ends the record
+            where = f"{source}, record ending at line {min(lineno, len(lines))}"
+            missing = _BASE_KEYS.keys() - record.keys()
+            if missing:
+                raise SpeciesFileError(f"{where}: missing keys {sorted(missing)}")
+            missing = _DETUNED_KEYS.keys() - record.keys()
+            if 0 < len(missing) < len(_DETUNED_KEYS):
+                raise SpeciesFileError(
+                    f"{where}: incomplete detuned block, missing {sorted(missing)}")
+            detuned = None if missing else DetunedContext(
+                **{field: record[key] for key, field in _DETUNED_KEYS.items()})
+            species[record["name"]] = AtomSpecies(
+                **{field: record[key] for key, field in _BASE_KEYS.items()}, detuned=detuned)
+            record = {}
             continue
         if "=" not in line:
             raise SpeciesFileError(f"{source}, line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _BASE_KEYS | _DETUNED_KEYS:
+        if key not in _BASE_KEYS and key not in _DETUNED_KEYS:
             raise SpeciesFileError(f"{source}, line {lineno}: unknown key {key!r}")
         if key in record:
             raise SpeciesFileError(f"{source}, line {lineno}: duplicate key {key!r}")
+        if key == "name" and value in species:
+            raise SpeciesFileError(f"{source}, line {lineno}: species {value!r} is defined twice")
         if key != "name":
             try:
-                float(value)
+                value = float(value)
             except ValueError:
                 raise SpeciesFileError(
                     f"{source}, line {lineno}: value for {key!r} is not a number: {value!r}"
                 ) from None
         record[key] = value
-    flush(lineno if text else 0)
     return species
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from lasergrav import gpe, regimes, variational
-from lasergrav.cli import _linspace, _parse_ratio_spec, _resolve_intensity, run
+from lasergrav.cli import (_linspace, _parse_ratio_spec, _resolve_intensity,
+                           build_parser, run)
 
 def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "lasergrav.cli", *argv],
@@ -364,6 +366,58 @@ def test_atom_count_needs_a_threshold(tmp_path, capsys):
     assert "non-positive scattering length" in capsys.readouterr().err
 
 
+_K39 = "name = K39\nmass_kg = 6.4697e-26\na_m = 2e-9\nalpha_v_m3 = 42.9e-30\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file or directory"),
+    (f"{_K39}\n{_K39}", "line 6: species 'K39' is defined twice"),
+    ("name = K39\nmass_kg = heavy\n", "line 2: value for 'mass_kg' is not a number")],
+    ids=["missing", "duplicate name", "malformed"])
+@pytest.mark.parametrize("via", ["option", "environment"])
+def test_bad_species_files_are_usage_errors(tmp_path, capsys, monkeypatch, text,
+                                            message, via):
+    species = tmp_path / "species.txt"
+    if text is not None:
+        species.write_text(text)
+    argv = ["threshold", "--species", "K39", "--static"]
+    if via == "option":
+        argv += ["--species-file", str(species)]
+    else:
+        monkeypatch.setenv("LASERGRAV_SPECIES_FILE", str(species))
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("lasergrav: ") and message in err
+    assert str(species) in err
+
+
+def test_unknown_species_lists_the_whole_table(tmp_path, capsys):
+    species = tmp_path / "species.txt"
+    species.write_text(_K39)
+    assert run(["threshold", "--species", "K40", "--species-file", str(species)]) == 2
+    assert capsys.readouterr().err == (
+        "lasergrav: unknown species 'K40'; known species: ['K39', 'Na', 'Rb87']\n")
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["catalog", "--species", "K39"],
+                                  ["threshold", "--species", "K39", "--static"]],
+                         ids=" ".join)
+def test_species_file_is_read_once_per_run(tmp_path, monkeypatch, argv):
+    species = tmp_path / "species.txt"
+    species.write_text(_K39)
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert run([*argv, "--species-file", str(species),
+                "--out", str(tmp_path / "out.json")]) == 0
+    assert opened.count(str(species)) == 1
+
+
 def test_gpe_missing_intensity_is_usage_error():
     proc = _run_cli("gpe", "--species", "Na")
     assert proc.returncode == 2
@@ -420,7 +474,12 @@ def test_gpe_below_threshold_without_box_is_numerical_failure(capsys,
     (["fig2", "--lambda-max=-1"], "--lambda-max must be positive, got -1"),
     (["fig1b", "--ratios", "2:1:0.1"], "ratio range '2:1:0.1' holds no value"),
     (["fig1b", "--ratios", "1:2"], "ratio range '1:2' must be start:stop:step"),
-    (["fig1b", "--ratios", "1:2:3:4"], "ratio range '1:2:3:4' must be start:stop:step"))])
+    (["fig1b", "--ratios", "1:2:3:4"], "ratio range '1:2:3:4' must be start:stop:step"),
+    # a field that is no number, or none at all, names the option
+    (["fig1b", "--ratios", "abc"], "--ratios must be numbers, got 'abc'"),
+    (["fig1b", "--ratios", "1::0.1"], "--ratios must be numbers, got '1::0.1'"),
+    (["fig1a", "--ratios", "1.5,"], "--ratios must be numbers, got '1.5,'"),
+    (["gpe", "--ratio", "1.5", "--n", "100"], "--n must be at least 256, got 100"))])
 def test_degenerate_inputs_are_usage_errors(argv, message, capsys, monkeypatch):
     # rejected before the solve or the first classification starts
     monkeypatch.setattr(gpe, "solve_ground", _must_not_run)
@@ -596,6 +655,28 @@ def test_subcommand_help_shows_defaults(capsys):
         run(["fig1b", "--help"])
     assert exit_info.value.code == 0
     assert "(default: 1.1:5:0.1)" in " ".join(capsys.readouterr().out.split())
+
+
+_SUBCOMMANDS = build_parser()._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_every_option_has_help_stating_its_default_once(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--help"])
+    assert exit_info.value.code == 0
+    options = capsys.readouterr().out.split("options:\n")[1]
+    # one entry per option: its first line starts "  -", the rest indent deeper
+    entries = [" ".join(e.split()) for e in re.split(r"\n(?=  -)", options)]
+    subparser = _SUBCOMMANDS[command]
+    assert all(action.help for action in subparser._actions), command
+    assert len(entries) == len(subparser._actions)
+    for entry in entries:
+        assert entry.count("default") <= 1, f"{command} {entry}"
+        for wrong in ("(default: None)", "(default: True)", "(default: False)"):
+            assert wrong not in entry, f"{command} {entry}"
+    if command == "gpe":  # the grid's floor is the solver's own
+        assert f"grid points, at least {gpe.MIN_POINTS} " in " ".join(entries)
 
 
 def test_width_sweep_without_a_minimum_in_range_is_numerical_failure(capsys):

@@ -6,6 +6,7 @@ from lasergrav import (CONSTANTS, SpeciesFileError, catalog_lookup,
                        intensity_in, intensity_si, parse_species_file,
                        polarizability_si, polarizability_volume,
                        threshold_intensity)
+from lasergrav.species import SpeciesTable
 
 
 def test_h_is_two_pi_hbar():
@@ -105,6 +106,9 @@ def test_species_file_parses_records():
     assert table["Y"].detuned.detuning == 1e10
 
 
+_X = "name = X\nmass_kg = 1e-26\na_m = 1e-9\nalpha_v_m3 = 1e-29\n"
+
+
 def test_species_file_errors_name_the_line():
     with pytest.raises(SpeciesFileError, match="line 2"):
         parse_species_file("name = X\nmass_kg : 1e-26\n", source="bad")
@@ -118,3 +122,24 @@ def test_species_file_errors_name_the_line():
         parse_species_file(
             "name = X\nmass_kg = 1e-26\na_m = 1e-9\nalpha_v_m3 = 1e-29\n"
             "detuned_delta_rad_s = 1e10\n", source="bad")
+    # a second record of one name would silently replace the first
+    with pytest.raises(SpeciesFileError, match=r"^bad, line 6: species 'X' is defined twice$"):
+        parse_species_file(f"{_X}\n{_X}", source="bad")
+
+
+def test_species_file_comments_do_not_end_a_record():
+    # only a blank line ends a record; a # line anywhere is skipped
+    table = parse_species_file("name = X\n# mass from NIST\nmass_kg = 1e-26\n"
+                               "  # indented\na_m = 1e-9\nalpha_v_m3 = 1e-29\n# end\n")
+    assert table == parse_species_file(_X)
+    assert table["X"].mass == 1e-26
+
+
+def test_species_table_file_entry_replaces_catalog_entry(tmp_path):
+    path = tmp_path / "species.txt"
+    path.write_text(_X.replace("name = X", "name = Na"))
+    table = SpeciesTable(str(path))
+    assert list(table) == ["Na", "Rb87"]
+    assert table["Na"].mass == 1e-26 and table["Rb87"] == catalog_lookup("Rb87")
+    with pytest.raises(ValueError, match=r"^unknown species 'X'; known species: \['Na', 'Rb87'\]$"):
+        table["X"]
