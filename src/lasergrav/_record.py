@@ -8,14 +8,18 @@ class Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._field_set = frozenset(cls._fields)
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        if (len(args) > len(fields) or not kwargs.keys().isdisjoint(fields[:len(args)])
-                or values.keys() != set(fields)):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}; "
+        values = {**self._defaults, **kwargs}
+        clash = False
+        if args:  # positional values may neither outnumber the fields nor repeat a keyword
+            named = self._fields[:len(args)]
+            clash = len(args) > len(named) or not kwargs.keys().isdisjoint(named)
+            values.update(zip(named, args))
+        if clash or values.keys() != self._field_set:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}; "
                             f"got {len(args)} positional and {sorted(kwargs)}")
         self.__dict__.update(values)
         self._check()

@@ -146,30 +146,40 @@ class _DefaultsHelp(argparse.ArgumentDefaultsHelpFormatter):
         return super()._get_help_string(action)
 
 
-def _add_species_file(p):
-    p.add_argument("--species-file",
-                   help=f"key=value species file (or ${SPECIES_FILE_ENV})")
+# options that several subcommands share, each declared once: flag ->
+# add_argument keywords
+_SHARED = {
+    "--species-file": dict(help=f"key=value species file (or ${SPECIES_FILE_ENV})"),
+    "--ratio": dict(type=float, default=1.5, help="I/I0"),
+    "--ratios": dict(default="1.1:5:0.1", help="comma list or start:stop:step of I/I0"),
+    "--wavelength": dict(type=float, default=None,
+                         help="laser wavelength in m (default: transition wavelength)"),
+    "--atoms": dict(type=float, default=1e4, help="atom number N"),
+    "--trap": dict(type=float, default=0.0, help="trap angular frequency omega0 (rad/s)"),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+    "--seed": dict(type=int, default=0, help="seed for any stochastic auxiliary "
+                                            "(outputs are deterministic either way)"),
+    "--plot-script": dict(default=None,
+                          help="also write a small matplotlib companion script here"),
+}
+
+
+def _add(p, *names, **overrides):
+    """Attach the shared options ``--<name>``; ``overrides`` replace their keywords."""
+    for flag in ("--" + name for name in names):
+        p.add_argument(flag, **{**_SHARED[flag], **overrides})
 
 
 def _add_species_options(p):
     p.add_argument("--species", default="Na",
                    help=f"species name (catalog: {', '.join(catalog_names())})")
-    _add_species_file(p)
+    _add(p, "species-file")
     # plain flags on one dest so a later flag overrides an earlier one
     # (needed for config-file preloading)
     p.add_argument("--detuned", action="store_true", default=True,
                    help="use the near-resonant polarizability (default)")
     p.add_argument("--static", dest="detuned", action="store_false",
                    help="use the static polarizability")
-
-
-def _add_common(p):
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any stochastic auxiliary (outputs are "
-                        "deterministic either way)")
-    p.add_argument("--plot-script", default=None,
-                   help="also write a small matplotlib companion script here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("catalog", help="dump species data")
     p.add_argument("--species", default=None, help="single species (default: all)")
-    _add_species_file(p)
-    _add_common(p)
+    _add(p, "species-file")
 
     p = add_parser("potential", help="pair potential samples (CSV)")
     p.add_argument("--rmin", type=float, default=1e-3, help="smallest r/lam")
@@ -197,59 +206,41 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of r samples")
     p.add_argument("--linear", action="store_true",
                    help="linear instead of log spacing in r/lam")
-    _add_common(p)
 
     p = add_parser("threshold", help="self-binding threshold intensity (JSON)")
     _add_species_options(p)
-    _add_common(p)
 
     p = add_parser("fig1a", help="TF energy curves E/N vs width (CSV)")
     _add_species_options(p)
-    p.add_argument("--ratios", default="0.5,0.8,1.0,1.2,1.5,2.0",
-                   help="comma list or start:stop:step of I/I0")
+    _add(p, "ratios", default="0.5,0.8,1.0,1.2,1.5,2.0")
     p.add_argument("--wmin", type=float, default=0.05,
                    help="smallest trial width w")
     p.add_argument("--wmax", type=float, default=2.0,
                    help="largest trial width w")
     p.add_argument("--samples", type=_positive_int, default=200,
                    help="number of width samples")
-    p.add_argument("--wavelength", type=float, default=None,
-                   help="laser wavelength in m (default: transition wavelength)")
-    _add_common(p)
+    _add(p, "wavelength")
 
     p = add_parser("fig1b", help="equilibrium width vs I/I0 (CSV)")
     _add_species_options(p)
-    p.add_argument("--ratios", default="1.1:5:0.1",
-                   help="comma list or start:stop:step of I/I0")
-    p.add_argument("--wavelength", type=float, default=None,
-                   help="laser wavelength in m (default: transition wavelength)")
-    _add_common(p)
+    _add(p, "ratios", "wavelength")
     # the width-sweep of one trap-free TF atom, cut to three columns
     p.set_defaults(atoms=1.0, trap=0.0, tf_limit=True)
 
     p = add_parser("width-sweep", help="full variational sweep (CSV)")
     _add_species_options(p)
-    p.add_argument("--ratios", default="1.1:5:0.1",
-                   help="comma list or start:stop:step of I/I0")
-    p.add_argument("--wavelength", type=float, default=None,
-                   help="laser wavelength in m (default: transition wavelength)")
-    p.add_argument("--atoms", type=float, default=1e4,
-                   help="atom number N")
-    p.add_argument("--trap", type=float, default=0.0,
-                   help="trap angular frequency omega0 (rad/s)")
+    _add(p, "ratios", "wavelength", "atoms", "trap")
     p.add_argument("--no-tf", dest="tf_limit", action="store_false",
                    help="retain the kinetic term")
-    _add_common(p)
 
     p = add_parser("phase-map", help="regime label grid (CSV)")
     _add_species_options(p)
     p.add_argument("--nx", type=int, default=51, help="points of x over [-2, 3]")
     p.add_argument("--ny", type=int, default=41, help="points of y over [-1, 3]")
-    _add_common(p)
 
     p = add_parser("fig2", help="atom capacity band vs wavelength (CSV)")
     _add_species_options(p)
-    p.add_argument("--ratio", type=float, default=1.5, help="I/I0")
+    _add(p, "ratio")
     p.add_argument("--rho-low", type=float, default=1e21,
                    help="lower peak density (m^-3)")
     p.add_argument("--rho-high", type=float, default=1e22,
@@ -260,20 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="longest laser wavelength in m")
     p.add_argument("--points", type=_positive_int, default=20,
                    help="number of wavelengths, log-spaced")
-    _add_common(p)
 
     p = add_parser("gpe", help="mean-field ground state (JSON + CSV profile)")
     _add_species_options(p)
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--ratio", type=float, help="intensity as I/I0")
+    _add(g, "ratio", default=None, help="intensity as I/I0")
     g.add_argument("--intensity", type=float, help="absolute total intensity")
     p.add_argument("--unit", default="W/m^2",
                    choices=["W/m^2", "W/cm^2", "mW/cm^2"],
                    help="unit of --intensity")
-    p.add_argument("--wavelength", type=float, default=None,
-                   help="laser wavelength in m (default: transition wavelength)")
-    p.add_argument("--atoms", type=float, default=1e4,
-                   help="atom number N")
+    _add(p, "wavelength", "atoms")
     p.add_argument("--kernel", default="full", choices=["full", "newton"],
                    help="pair interaction: full oscillatory or pure -u/r")
     p.add_argument("--n", type=int, default=None,
@@ -281,33 +268,29 @@ def build_parser() -> argparse.ArgumentParser:
                         "where the full kernel needs a spacing of lam/40)")
     p.add_argument("--rmax", type=float, default=None,
                    help="grid extent in m (default: 8x expected radius)")
-    p.add_argument("--trap", type=float, default=0.0,
-                   help="trap angular frequency omega0 (rad/s)")
+    _add(p, "trap")
     p.add_argument("--profile", default=None,
                    help="write the radial profile CSV here")
-    _add_common(p)
 
     p = add_parser("losses", help="loss-rate budget (JSON)")
     _add_species_options(p)
-    p.add_argument("--ratio", type=float, default=1.5, help="I/I0")
+    _add(p, "ratio")
     p.add_argument("--n", type=float, default=40.0, help="atom number")
-    p.add_argument("--wavelength", type=float, default=None,
-                   help="laser wavelength in m (default: transition wavelength)")
+    _add(p, "wavelength")
     p.add_argument("--omega-triad", type=float, default=None,
                    help="triad relative detuning (default: plasma frequency)")
-    _add_common(p)
 
     p = add_parser("atom-count", help="capacity at one wavelength (JSON)")
     _add_species_options(p)
-    p.add_argument("--wavelength", type=float, required=True,
-                   help="laser wavelength in m")
+    _add(p, "wavelength", required=True, help="laser wavelength in m")
     p.add_argument("--rho-peak", type=float, required=True,
                    help="peak density (m^-3)")
-    p.add_argument("--ratio", type=float, default=1.5, help="I/I0")
+    _add(p, "ratio")
     p.add_argument("--self-consistent", action="store_true",
                    help="retain the kinetic term and iterate over N")
-    _add_common(p)
 
+    for p in subparsers.choices.values():  # every subcommand ends with these
+        _add(p, "out", "seed", "plot-script")
     return parser
 
 

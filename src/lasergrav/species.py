@@ -141,7 +141,7 @@ def parse_species_file(text: str, source: str = "<species file>") -> dict[str, A
 
     Returns a name -> species mapping.  Raises :class:`SpeciesFileError`
     naming the offending line on any malformed input, a name given to two
-    records included.
+    records, a non-finite value and a value the species rejects included.
     """
     species: dict[str, AtomSpecies] = {}
     record: dict[str, str | float] = {}
@@ -160,10 +160,14 @@ def parse_species_file(text: str, source: str = "<species file>") -> dict[str, A
             if 0 < len(missing) < len(_DETUNED_KEYS):
                 raise SpeciesFileError(
                     f"{where}: incomplete detuned block, missing {sorted(missing)}")
-            detuned = None if missing else DetunedContext(
-                **{field: record[key] for key, field in _DETUNED_KEYS.items()})
-            species[record["name"]] = AtomSpecies(
-                **{field: record[key] for key, field in _BASE_KEYS.items()}, detuned=detuned)
+            try:
+                detuned = None if missing else DetunedContext(
+                    **{field: record[key] for key, field in _DETUNED_KEYS.items()})
+                species[record["name"]] = AtomSpecies(
+                    **{field: record[key] for key, field in _BASE_KEYS.items()},
+                    detuned=detuned)
+            except ValueError as exc:
+                raise SpeciesFileError(f"{where}: {exc}") from None
             record = {}
             continue
         if "=" not in line:
@@ -183,6 +187,9 @@ def parse_species_file(text: str, source: str = "<species file>") -> dict[str, A
                 raise SpeciesFileError(
                     f"{source}, line {lineno}: value for {key!r} is not a number: {value!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise SpeciesFileError(
+                    f"{source}, line {lineno}: value for {key!r} must be finite, got {value}")
         record[key] = value
     return species
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from lasergrav import gpe, regimes, variational
-from lasergrav.cli import (_linspace, _parse_ratio_spec, _resolve_intensity,
-                           build_parser, run)
+from lasergrav.cli import (_SHARED, _linspace, _parse_ratio_spec,
+                           _resolve_intensity, build_parser, run)
 
 def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "lasergrav.cli", *argv],
@@ -372,8 +372,10 @@ _K39 = "name = K39\nmass_kg = 6.4697e-26\na_m = 2e-9\nalpha_v_m3 = 42.9e-30\n"
 @pytest.mark.parametrize("text, message", [
     (None, "No such file or directory"),
     (f"{_K39}\n{_K39}", "line 6: species 'K39' is defined twice"),
-    ("name = K39\nmass_kg = heavy\n", "line 2: value for 'mass_kg' is not a number")],
-    ids=["missing", "duplicate name", "malformed"])
+    ("name = K39\nmass_kg = heavy\n", "line 2: value for 'mass_kg' is not a number"),
+    (_K39.replace("6.4697e-26", "inf"), "line 2: value for 'mass_kg' must be finite, got inf"),
+    (_K39.replace("6.4697e-26", "0"), "record ending at line 4: mass must be positive")],
+    ids=["missing", "duplicate name", "malformed", "infinite", "out of range"])
 @pytest.mark.parametrize("via", ["option", "environment"])
 def test_bad_species_files_are_usage_errors(tmp_path, capsys, monkeypatch, text,
                                             message, via):
@@ -677,6 +679,33 @@ def test_every_option_has_help_stating_its_default_once(command, capsys):
             assert wrong not in entry, f"{command} {entry}"
     if command == "gpe":  # the grid's floor is the solver's own
         assert f"grid points, at least {gpe.MIN_POINTS} " in " ".join(entries)
+
+
+# the only places where a subcommand's shared option differs from the table
+_SHARED_OVERRIDES = {
+    ("fig1a", "--ratios"): {"default": "0.5,0.8,1.0,1.2,1.5,2.0"},
+    ("atom-count", "--wavelength"): {"required": True, "help": "laser wavelength in m"},
+    ("gpe", "--ratio"): {"default": None, "help": "intensity as I/I0"},
+}
+
+
+def test_shared_options_match_their_one_declaration():
+    # a second declaration of a shared option would drift from the table
+    takers = {flag: [] for flag in _SHARED}
+    for command, subparser in _SUBCOMMANDS.items():
+        for action in subparser._actions:
+            flag = action.option_strings[0]
+            if flag not in _SHARED:
+                continue
+            takers[flag].append(command)
+            expected = {"type": None, "default": None, "required": False,
+                        **_SHARED[flag], **_SHARED_OVERRIDES.get((command, flag), {})}
+            assert {key: getattr(action, key) for key in expected} == expected, \
+                f"{command} {flag}"
+    assert all(len(commands) > 1 for commands in takers.values()), takers
+    for flag in ("--out", "--seed", "--plot-script"):
+        assert takers[flag] == list(_SUBCOMMANDS)
+    assert all(command in takers[flag] for command, flag in _SHARED_OVERRIDES)
 
 
 def test_width_sweep_without_a_minimum_in_range_is_numerical_failure(capsys):

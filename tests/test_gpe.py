@@ -477,6 +477,35 @@ def test_near_zone_energy_scaling_with_atom_number(no_contact):
     assert results[1] / results[0] == pytest.approx(4.0, rel=0.10)
 
 
+def _tf_g_errors(na, n_atoms, n_points):
+    """(r_rms/r_TF - 1, mu/mu_TF - 1) of the -u/r ground state at I/I0 = 1.5
+    against the TF-G limit: without the kinetic term the mean-field equation
+    is nabla^2 rho + k^2 rho = 0, so rho ~ sin(kr)/(kr) out to
+    R = pi/k = pi sqrt(hbar^2 a/(m u)), with r_rms = R sqrt(1 - 6/pi^2) and
+    mu = -u N/R."""
+    cfg = config_at_ratio(na, 1.5, LAM, n_atoms=n_atoms,
+                          use_detuned=True).replace(kernel="near_zone")
+    u = cfg.interaction.coupling
+    radius = math.pi * math.sqrt(CONSTANTS.hbar**2 * na.scattering_length / (na.mass * u))
+    state = solve_ground(cfg, n_points, 5.4 * radius)
+    return (state.r_rms / (radius * math.sqrt(1.0 - 6.0 / math.pi**2)) - 1.0,
+            state.mu / (-u * n_atoms / radius) - 1.0)
+
+
+def test_contact_pressure_limit_matches_tf_g_oracle(na):
+    # the kinetic pressure fades as N grows: measured r_rms errors 6.4e-3,
+    # 8.1e-4, 9.9e-5 and 1.0e-5, mu errors -3.8e-3 to -5.9e-6
+    errors = [_tf_g_errors(na, n_atoms, 512) for n_atoms in (1e4, 1e5, 1e6, 1e7)]
+    for (r_err, mu_err), (r_next, mu_next) in zip(errors, errors[1:]):
+        assert r_err > r_next > 0.0 and mu_err < mu_next < 0.0
+        assert 7.0 < r_err / r_next < 11.0 and 7.0 < mu_err / mu_next < 11.0
+    assert abs(errors[-1][0]) < 2e-5
+    # at 1e8 the grid sets the floor, and it falls with the grid: measured
+    # 1.1e-5 on 512 points, 1.8e-6 on 1,024
+    coarse, fine = (abs(_tf_g_errors(na, 1e8, n)[0]) for n in (512, 1024))
+    assert fine < coarse / 3.0
+
+
 def test_start_zero_on_the_grid_is_numerical_failure(capsys):
     # a variational width of 0.025 wavelengths, nodes 1.3 wavelengths apart
     assert run(["gpe", "--species", "Na", "--ratio", "100", "--atoms", "1e5",

@@ -125,6 +125,21 @@ def test_species_file_errors_name_the_line():
     # a second record of one name would silently replace the first
     with pytest.raises(SpeciesFileError, match=r"^bad, line 6: species 'X' is defined twice$"):
         parse_species_file(f"{_X}\n{_X}", source="bad")
+    # a value is checked where it is read: a non-finite one names its line and
+    # key, one the species rejects names its record
+    for line, key, old, value in [(2, "mass_kg", "1e-26", "inf"), (3, "a_m", "1e-9", "nan"),
+                                  (4, "alpha_v_m3", "1e-29", "-inf")]:
+        with pytest.raises(SpeciesFileError, match=rf"^bad, line {line}: value for '{key}' "
+                                                   rf"must be finite, got {value}$"):
+            parse_species_file(_X.replace(old, value), source="bad")
+    with pytest.raises(SpeciesFileError,
+                       match=r"^bad, record ending at line 4: mass must be positive, got 0.0$"):
+        parse_species_file(_X.replace("1e-26", "0"), source="bad")
+    with pytest.raises(SpeciesFileError, match=r"^bad, record ending at line 4: "
+                                               r"polarizability volume must be positive"):
+        parse_species_file(_X.replace("1e-29", "-1e-29"), source="bad")
+    # a finite negative scattering length stays allowed: it is tunable
+    assert parse_species_file(_X.replace("1e-9", "-1e-9"))["X"].scattering_length == -1e-9
 
 
 def test_species_file_comments_do_not_end_a_record():
