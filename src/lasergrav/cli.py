@@ -58,27 +58,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(rows: list[dict], path: str | None):
-    """Write dict rows as CSV under the first row's keys; every command
-    yields at least one row."""
-    header = list(rows[0])
-    lines = [",".join(header)]
+def emit_csv(rows, path: str | None):
+    """Write an iterable of dict rows as CSV under the first row's keys, one
+    line per row as it comes, so a generator is never held whole; every
+    command yields at least one row."""
+    _write(_csv_lines(rows), path)
+
+
+def _csv_lines(rows):
+    header = None
     for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in header))
-    _write("\n".join(lines) + "\n", path)
+        if header is None:
+            header = list(row)
+            yield ",".join(header) + "\n"
+        yield ",".join(_fmt(row[k]) for k in header) + "\n"
 
 
 def emit_json(obj, path: str | None):
     import json
-    _write(json.dumps(obj, indent=2) + "\n", path)
+    _write((json.dumps(obj, indent=2) + "\n",), path)
 
 
-def _write(text: str, path: str | None):
+def _write(chunks, path: str | None):
+    """Write an iterable of strings to ``path``, or to stdout for None or '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _resolve_wavelength(args, species) -> float:
@@ -344,7 +351,7 @@ def run(argv: list[str]) -> int:
         print(f"lasergrav: {exc}", file=sys.stderr)
         return 1
     if args.plot_script:
-        _write(PLOT_SCRIPT, args.plot_script)
+        _write((PLOT_SCRIPT,), args.plot_script)
     return 0
 
 
@@ -367,8 +374,8 @@ def _dispatch(args):
         r = (_linspace(args.rmin, args.rmax, args.samples) if args.linear
              else [10.0 ** y for y in _linspace(
                  math.log10(args.rmin), math.log10(args.rmax), args.samples)])
-        emit_csv([{"r_over_lambda": ri, "U_over_u_per_lambda": kernel_shape(ri)}
-                  for ri in r], args.out)
+        emit_csv(({"r_over_lambda": ri, "U_over_u_per_lambda": kernel_shape(ri)}
+                  for ri in r), args.out)
 
     elif cmd == "threshold":
         i0 = variational.threshold_intensity(species, use_detuned=args.detuned)
@@ -469,11 +476,11 @@ def _dispatch(args):
         }
         emit_json(summary, args.out)
         if args.profile:
-            rows = [{"R_m": float(r), "psi": float(p), "rho_m3": float(d),
-                     "phi_J": float(ph)}
-                    for r, p, d, ph in zip(state.grid.nodes, state.psi,
-                                           state.density, state.potential)]
-            emit_csv(rows, args.profile)
+            emit_csv(({"R_m": float(r), "psi": float(p), "rho_m3": float(d),
+                       "phi_J": float(ph)}
+                      for r, p, d, ph in zip(state.grid.nodes, state.psi,
+                                             state.density, state.potential)),
+                     args.profile)
 
     elif cmd == "losses":
         from . import losses

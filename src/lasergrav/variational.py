@@ -158,6 +158,8 @@ def pair_energy(w: float, kernel: str = "full", d_dw: bool = False) -> float:
         raise ValueError(f"width must be positive, got {w}")
     if kernel == "near_zone":
         return math.sqrt(2.0 / math.pi) / (w * w if d_dw else -w)
+    if kernel != "full":
+        raise ValueError(f"unknown kernel {kernel!r}")
     return _g_series(w, d_dw) if w < W_SWITCH else _g_dawson(w, d_dw)
 
 

@@ -4,13 +4,14 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lasergrav import gpe, regimes, variational
 from lasergrav.cli import (_SHARED, _linspace, _parse_ratio_spec,
-                           _resolve_intensity, build_parser, run)
+                           _resolve_intensity, build_parser, emit_csv, run)
 
 def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "lasergrav.cli", *argv],
@@ -220,6 +221,37 @@ def test_potential_csv_format(tmp_path):
         assert len(mantissa.split(".")[1]) == 12
 
 
+def _rows(count):
+    return ({"i": i, "x": 0.5 * i, "even": i % 2 == 0} for i in range(count))
+
+
+def test_emit_csv_writes_the_same_bytes_from_a_generator(tmp_path, capsys):
+    listed, streamed = tmp_path / "list.csv", tmp_path / "stream.csv"
+    emit_csv(list(_rows(1000)), str(listed))
+    emit_csv(_rows(1000), str(streamed))
+    assert streamed.read_bytes() == listed.read_bytes()
+    assert listed.read_text().startswith("i,x,even\n0,0.000000000000e+00,true\n"
+                                         "1,5.000000000000e-01,false\n")
+    for path in (None, "-"):
+        emit_csv(list(_rows(1000)), path)
+        from_list = capsys.readouterr().out
+        emit_csv(_rows(1000), path)
+        assert capsys.readouterr().out == from_list == listed.read_text()
+
+
+def test_emit_csv_holds_one_row_at_a_time(tmp_path):
+    # rows, lines and the joined text of 1e5 rows, all held at once, took
+    # tens of MB; written as they come they take the file buffer
+    tracemalloc.start()
+    try:
+        emit_csv(_rows(100_000), str(tmp_path / "big.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert len((tmp_path / "big.csv").read_text().splitlines()) == 100_001
+
+
 _EVERY_COMMAND = [
     ["catalog"],
     ["potential", "--samples", "64"],
@@ -367,6 +399,9 @@ def test_atom_count_needs_a_threshold(tmp_path, capsys):
 
 
 _K39 = "name = K39\nmass_kg = 6.4697e-26\na_m = 2e-9\nalpha_v_m3 = 42.9e-30\n"
+_K39_DETUNED = (f"{_K39}detuned_transition_wavelength_m = 766.7e-9\n"
+                "detuned_delta_rad_s = 1e10\ndetuned_gamma_rad_s = 3.8e7\n"
+                "detuned_d_Cm = 2.1e-29\ndetuned_alpha_v_m3 = 3e-24\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -374,8 +409,14 @@ _K39 = "name = K39\nmass_kg = 6.4697e-26\na_m = 2e-9\nalpha_v_m3 = 42.9e-30\n"
     (f"{_K39}\n{_K39}", "line 6: species 'K39' is defined twice"),
     ("name = K39\nmass_kg = heavy\n", "line 2: value for 'mass_kg' is not a number"),
     (_K39.replace("6.4697e-26", "inf"), "line 2: value for 'mass_kg' must be finite, got inf"),
-    (_K39.replace("6.4697e-26", "0"), "record ending at line 4: mass must be positive")],
-    ids=["missing", "duplicate name", "malformed", "infinite", "out of range"])
+    (_K39.replace("6.4697e-26", "0"), "record ending at line 4: mass must be positive"),
+    (_K39_DETUNED.replace("3e-24", "0"), "record ending at line 9: detuned "
+                                         "polarizability volume must be non-zero, got 0.0"),
+    (_K39_DETUNED.replace("766.7e-9", "-6e-7"), "record ending at line 9: detuned "
+                                                "transition wavelength must be positive, "
+                                                "got -6e-07")],
+    ids=["missing", "duplicate name", "malformed", "infinite", "out of range",
+         "detuned zero polarizability", "detuned negative wavelength"])
 @pytest.mark.parametrize("via", ["option", "environment"])
 def test_bad_species_files_are_usage_errors(tmp_path, capsys, monkeypatch, text,
                                             message, via):

@@ -15,7 +15,7 @@ from lasergrav import gpe
 from lasergrav.cli import run
 from lasergrav.gpe import (RESIDUAL_TOL, _gmres, _HartreeOperator, _j_table,
                            _MeanField, _solve_tridiagonal)
-from lasergrav.interaction import X_SWITCH
+from lasergrav.interaction import X_SWITCH, kernel_shape
 
 LAM = 589e-9
 
@@ -346,6 +346,21 @@ def test_step_cap_raises_convergence_error(gpe_solve, monkeypatch):
     monkeypatch.setattr(gpe, "MAX_ITERATIONS", 3)
     with pytest.raises(ConvergenceError, match="no convergence after 3 iterations"):
         solve_ground(cfg, ground.grid.n_points, ground.grid.r_max)
+
+
+def test_rejected_step_below_tolerance_ends_the_solve(na, monkeypatch):
+    # a step rejected once the residual is below RESIDUAL_TOL ends the solve
+    # on the last accepted state; a slack below 0 rejects a step that holds
+    # the energy to rounding (-1e-13 rejects so many that it never converges)
+    cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
+    plain = solve_ground(cfg, 512)
+    monkeypatch.setattr(gpe, "_ENERGY_SLACK", -1e-14)
+    accepted = []
+    state = solve_ground(cfg, 512, on_step=lambda it, e, mu: accepted.append(it))
+    # measured: 5 steps, the last rejected; residual 1.8e-13; r_rms 2.8e-13 off
+    assert state.iterations == 5 and accepted == [1, 2, 3, 4]
+    assert state.residual < RESIDUAL_TOL
+    assert state.r_rms == pytest.approx(plain.r_rms, rel=1e-12, abs=0.0)
 
 
 def test_trapped_cloud_binds_itself_past_threshold(gpe_run):
@@ -689,6 +704,30 @@ def test_j_table_matches_closed_form(n, h):
     assert table.shape == (2 * n + 1,) and table[0] == 0.0
     exact = np.array([_mpmath_j(k * h) for k in nodes])
     assert np.max(np.abs(table[nodes] - exact)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [256, 777, 1024, 4458])
+def test_blocked_j_table_is_the_whole_table_bit_for_bit(n):
+    # the table is built a block of cells at a time (777 and 4458 end on a
+    # partial block); every value equals that of one kernel call on all cells
+    nodes, weights = np.array(gpe._J_RULE_NODES), np.array(gpe._J_RULE_WEIGHTS)
+    for h in (0.025, 0.004, 1e-4):
+        t = h * (np.arange(2 * n)[:, None] + 0.5 * (nodes + 1.0))
+        cells = (t * kernel_shape(t)) @ (0.5 * h * weights)
+        whole = np.concatenate(([0.0], np.cumsum(cells)))
+        assert np.array_equal(_j_table(n, h, "full"), whole)
+
+
+def test_j_table_memory_follows_the_block():
+    # one kernel call on all 2n x 6 nodes peaked at 70 MB at n = 65,536;
+    # in blocks the node array itself sets the peak (9.4 MB measured)
+    tracemalloc.start()
+    try:
+        _j_table(65536, 0.025, "full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_j_rule_is_numpys_gauss_legendre_bit_for_bit():

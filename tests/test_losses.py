@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from lasergrav import (CONSTANTS, DetunedContext, InteractionParams,
                        rayleigh_rate_from_coupling, recoil_energy,
                        repulsion_coupling, saturation_at_threshold,
                        saturation_general, threshold_intensity)
+from lasergrav.cli import run
 
 LAM = 589e-9
 
@@ -192,6 +194,18 @@ def test_loss_report_reference_point(na):
                   "omega_p_scaled", "gamma_interf", "saturation", "repulsion",
                   "recoil_energy"):
         assert getattr(report, field) >= 0.0
+
+
+def test_loss_report_without_detuned_data_has_no_saturation(rb, tmp_path):
+    # Rb87 has no dipole matrix element on record: no saturation, no repulsion
+    report = loss_report(rb, 1.5, 40.0, 780e-9, use_detuned=False)
+    assert report.saturation == 0.0 and report.repulsion == 0.0
+    out = tmp_path / "losses.json"
+    assert run(["losses", "--species", "Rb87", "--static", "--wavelength", "780e-9",
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["saturation"] == 0.0 and payload["repulsion"] == 0.0
+    assert '"saturation": 0.0,' in out.read_text()
 
 
 def test_loss_report_lifetime_identity(na):

@@ -109,6 +109,14 @@ def test_species_file_parses_records():
 _X = "name = X\nmass_kg = 1e-26\na_m = 1e-9\nalpha_v_m3 = 1e-29\n"
 
 
+def _x_detuned(**values):
+    """Species X with a detuned block, ``values`` replacing its entries."""
+    block = {"detuned_transition_wavelength_m": "600e-9", "detuned_delta_rad_s": "1e10",
+             "detuned_gamma_rad_s": "6e7", "detuned_d_Cm": "2e-29",
+             "detuned_alpha_v_m3": "3e-24", **values}
+    return _X + "".join(f"{key} = {value}\n" for key, value in block.items())
+
+
 def test_species_file_errors_name_the_line():
     with pytest.raises(SpeciesFileError, match="line 2"):
         parse_species_file("name = X\nmass_kg : 1e-26\n", source="bad")
@@ -140,6 +148,21 @@ def test_species_file_errors_name_the_line():
         parse_species_file(_X.replace("1e-29", "-1e-29"), source="bad")
     # a finite negative scattering length stays allowed: it is tunable
     assert parse_species_file(_X.replace("1e-9", "-1e-9"))["X"].scattering_length == -1e-9
+    # the detuned block is checked as well, and names its record
+    for key, value, message in [
+            ("detuned_transition_wavelength_m", "-6e-7",
+             "detuned transition wavelength must be positive, got -6e-07"),
+            ("detuned_gamma_rad_s", "-6e7", "detuned linewidth must be positive, got -60000000.0"),
+            ("detuned_d_Cm", "0", "detuned dipole moment must be positive, got 0.0"),
+            ("detuned_alpha_v_m3", "0",
+             "detuned polarizability volume must be non-zero, got 0.0")]:
+        with pytest.raises(SpeciesFileError,
+                           match=rf"^bad, record ending at line 9: {message}$"):
+            parse_species_file(_x_detuned(**{key: value}), source="bad")
+    # the detuning and the detuned polarizability keep either sign: red or blue
+    blue = parse_species_file(_x_detuned(detuned_delta_rad_s="-1e10",
+                                         detuned_alpha_v_m3="-3e-24"))["X"].detuned
+    assert blue.detuning == -1e10 and blue.polarizability_volume == -3e-24
 
 
 def test_species_file_comments_do_not_end_a_record():

@@ -230,6 +230,15 @@ def test_near_zone_pair_energy_is_exact():
             math.sqrt(2.0 / math.pi) / w**2
 
 
+@pytest.mark.parametrize("kernel", ["newton", "Full", ""])
+def test_pair_energy_rejects_an_unknown_kernel(kernel):
+    # "newton" is the CLI's name for the -u/r kernel; it once fell through to
+    # the full kernel (-0.1141 at w = 0.5 instead of -1.5958)
+    for d_dw in (False, True):
+        with pytest.raises(ValueError, match=rf"^unknown kernel '{kernel}'$"):
+            pair_energy(0.5, kernel=kernel, d_dw=d_dw)
+
+
 def test_unbound_at_and_below_threshold(na):
     # TF at I = I0 exactly: h < S_c = S/r everywhere; the rounding of the
     # two coefficients must not read as a root beyond the grid
