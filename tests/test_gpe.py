@@ -13,8 +13,9 @@ from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        minimize_width, pair_potential, solve_ground)
 from lasergrav import gpe
 from lasergrav.cli import run
-from lasergrav.gpe import (RESIDUAL_TOL, _gmres, _HartreeOperator, _j_table,
-                           _MeanField, _solve_tridiagonal)
+from lasergrav.gpe import (RESIDUAL_TOL, _back_substitute, _factor_tridiagonal,
+                           _gmres, _HartreeOperator, _j_table, _MeanField,
+                           _solve_tridiagonal)
 from lasergrav.interaction import X_SWITCH, kernel_shape
 
 LAM = 589e-9
@@ -415,27 +416,59 @@ def _solver_system(n, shift_h2):
     return off, diag, rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("shift_h2", [0.0, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
-@pytest.mark.parametrize("n", [256, 512, 1024])
+@pytest.mark.parametrize("shift_h2",
+                         [0.0, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e12])
+@pytest.mark.parametrize("n", [256, 512, 1024, 4458, 65536])
 def test_solve_tridiagonal_matches_dense_and_banded(n, shift_h2):
     off, diag, rhs = _solver_system(n, shift_h2)
-    x = _solve_tridiagonal(off, diag, rhs)
-    dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
-    banded = np.vstack((np.full(n, off), diag))
-    for reference in (np.linalg.solve(dense, rhs), solveh_banded(banded, rhs)):
+    x = _solve_tridiagonal(off, _factor_tridiagonal(off, diag), rhs)
+    references = [solveh_banded(np.vstack((np.full(n, off), diag)), rhs)]
+    # a dense matrix of 65,536^2 entries would take 34 GB
+    if n <= 1024:
+        dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+        references.append(np.linalg.solve(dense, rhs))
+    for reference in references:
         assert np.max(np.abs(x - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("shift_h2", [0.0, 0.1, 1.0, 1e2, 1e4, 1e6])
 def test_solve_tridiagonal_pivots_stay_above_off(shift_h2):
     # diagonal dominance, diag >= 2|off| (V >= min V, shift >= 0), keeps
-    # every pivot at or above |off|, so the elimination needs no pivoting.
-    # The leading k x k system with right-hand side e_k has last component
-    # exactly 1/pivot_k, so the pivots are read off the elimination itself.
+    # every pivot at or above |off|, so the elimination needs no pivoting
+    # and every substitution coefficient -off/pivot lies in (0, 1]
     off, diag, _ = _solver_system(256, shift_h2)
-    pivots = [1.0 / _solve_tridiagonal(off, diag[:k], np.eye(k)[-1])[-1]
-              for k in range(1, len(diag) + 1)]
-    assert min(pivots) >= abs(off)
+    pivots = _factor_tridiagonal(off, diag)
+    assert pivots.min() >= abs(off)
+    # the factorization keeps the Thomas elimination's order of operations
+    reference = [float(diag[0])]
+    for entry in diag[1:].tolist():
+        ratio = off / reference[-1]
+        reference.append(entry - ratio * off)
+    assert pivots.tolist() == reference
+
+
+@pytest.mark.parametrize("m", [1, 10, 60])
+def test_back_substitution_matches_dense_solve(m):
+    # GMRES's least-squares matrix after its Givens rotations: upper
+    # triangular, at most _GMRES_MAX_STEPS square
+    rng = np.random.default_rng(m)
+    upper = np.diag(1.0 + rng.random(m)) + np.triu(rng.standard_normal((m, m)), 1) / m
+    rhs = rng.standard_normal(m)
+    reference = np.linalg.solve(upper, rhs)
+    x = _back_substitute(upper, rhs)
+    assert np.max(np.abs(x - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_solve_ground_makes_no_dense_solve(na, monkeypatch):
+    # the Newton step solves its own small systems: no LAPACK call, whose
+    # first use raises a process's peak RSS by about 0.43 MB
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    state = solve_ground(config_at_ratio(na, 1.5, LAM, n_atoms=1e4,
+                                         use_detuned=True))
+    assert state.residual < RESIDUAL_TOL
 
 
 def test_bound_state_has_negative_attraction_energy(gpe_full_512):
@@ -519,6 +552,94 @@ def test_contact_pressure_limit_matches_tf_g_oracle(na):
     # 1.1e-5 on 512 points, 1.8e-6 on 1,024
     coarse, fine = (abs(_tf_g_errors(na, 1e8, n)[0]) for n in (512, 1024))
     assert fine < coarse / 3.0
+
+
+def _schroedinger_newton_oracle():
+    """(mu, E, r_rms) of the Schroedinger-Newton ground state with unit norm,
+    in units hbar = m = u N = 1, by shooting on its radial ODE pair.
+
+    With ``V = Phi - mu`` the state solves ``psi'' + 2 psi'/r = 2 V psi`` and
+    ``V'' + 2 V'/r = 4 pi psi^2``.  From ``psi(0) = 1`` and ``V(0) = V0``,
+    ``V0`` is bisected between shots that cross zero and shots that turn up;
+    the last shot that turns up follows the decaying state to about 1e-9 of
+    its peak.  ``(lam^2 psi(lam r), lam^2 V(lam r))`` solves the same pair,
+    so ``lam = 1/norm`` scales the shot to unit norm.  Beyond the cloud
+    ``Phi = -norm/r``, which gives ``mu``.  Alongside it integrates the norm,
+    ``<r^2>``, the kinetic energy and ``<V>``.
+    """
+    from scipy.integrate import solve_ivp
+
+    def shot(v0):
+        # series start at r0: psi = 1 + V0 r^2/3, V = V0 + 2 pi r^2/3
+        r0 = 1e-3
+        start = [1.0 + v0 * r0**2 / 3.0, 2.0 * v0 * r0 / 3.0,
+                 v0 + 2.0 * math.pi * r0**2 / 3.0, 4.0 * math.pi * r0 / 3.0,
+                 4.0 * math.pi * r0**3 / 3.0, 0.0, 0.0,
+                 4.0 * math.pi * v0 * r0**3 / 3.0]
+
+        def rhs(r, y):
+            psi, dpsi, v, dv = y[:4]
+            shell = 4.0 * math.pi * r**2 * psi**2
+            return [dpsi, 2.0 * v * psi - 2.0 * dpsi / r, dv,
+                    4.0 * math.pi * psi**2 - 2.0 * dv / r,
+                    shell, shell * r**2, 2.0 * math.pi * r**2 * dpsi**2, shell * v]
+
+        def crosses(r, y):
+            return y[0]
+
+        def turns_up(r, y):
+            return y[1]
+
+        crosses.terminal = turns_up.terminal = True
+        turns_up.direction = 1.0
+        return solve_ivp(rhs, (r0, 100.0), start, method="DOP853", rtol=1e-13,
+                         atol=1e-15, events=(crosses, turns_up))
+
+    deep, shallow = -3.0, -0.1
+    while shallow - deep > 1e-13:
+        middle = 0.5 * (deep + shallow)
+        if shot(middle).t_events[0].size:
+            deep = middle
+        else:
+            shallow = middle
+    last = shot(shallow)
+    _, _, v, _, norm, moment, kinetic, potential = last.y[:, -1]
+    mu_shot = -norm / last.t[-1] - v
+    scale = 1.0 / norm
+    energy = scale**3 * (kinetic + 0.5 * (potential + mu_shot * norm))
+    return scale**2 * mu_shot, energy, math.sqrt(moment / norm) / scale
+
+
+def test_kinetic_pressure_limit_matches_schroedinger_newton_oracle(no_contact):
+    # no contact term and no trap: the -u/r ground state is the
+    # Schroedinger-Newton state, mu about -0.163 m (u N)^2 / hbar^2 (Moroz,
+    # Penrose & Tod, Class. Quantum Grav. 15, 2733 (1998)); the shooting
+    # oracle gives -0.1627692
+    mu_sn, e_sn, r_sn = _schroedinger_newton_oracle()
+    assert mu_sn == pytest.approx(-0.163, rel=2e-3)
+    # the ground state is virial: E = mu/3
+    assert e_sn == pytest.approx(mu_sn / 3.0, rel=1e-10)
+    gamma, n_atoms = 30.0, 1000.0
+    coupling = gamma * CONSTANTS.hbar**2 / (n_atoms * no_contact.mass * LAM)
+    cfg = AnsatzConfig(n_atoms=n_atoms, species=no_contact,
+                       interaction=_interaction(no_contact, coupling),
+                       kernel="near_zone")
+    # natural units: energy m (u N)^2/hbar^2 = gamma^2 hbar^2/(m lam^2),
+    # length hbar^2/(m u N) = lam/gamma
+    energy_unit = gamma**2 * CONSTANTS.hbar**2 / (no_contact.mass * LAM**2)
+    errors = []
+    for n_points in (512, 1024):
+        state = solve_ground(cfg, n_points)
+        errors.append((state.mu / (energy_unit * mu_sn) - 1.0,
+                       state.energies["total"] / (n_atoms * energy_unit * e_sn) - 1.0,
+                       state.r_rms * gamma / (LAM * r_sn) - 1.0))
+    # measured (mu, E, r_rms): (1.51e-4, 9.08e-5, -1.69e-4) on 512 points,
+    # (3.78e-5, 2.27e-5, -4.22e-5) on 1,024, each falling 4.00 times: the
+    # kinetic stencil's O(h^2)
+    coarse, fine = errors
+    assert max(map(abs, coarse)) < 2e-4
+    for before, after in zip(coarse, fine):
+        assert before / after == pytest.approx(4.0, rel=0.025)
 
 
 def test_start_zero_on_the_grid_is_numerical_failure(capsys):
