@@ -476,11 +476,10 @@ def _dispatch(args):
         }
         emit_json(summary, args.out)
         if args.profile:
-            emit_csv(({"R_m": r, "psi": p, "rho_m3": d, "phi_J": ph}
-                      for r, p, d, ph in zip(state.grid.nodes.tolist(),
-                                             state.psi.tolist(),
-                                             state.density.tolist(),
-                                             state.potential.tolist())),
+            emit_csv(({"R_m": float(r), "psi": float(p), "rho_m3": float(d),
+                       "phi_J": float(ph)}
+                      for r, p, d, ph in zip(state.grid.nodes, state.psi,
+                                             state.density, state.potential)),
                      args.profile)
 
     elif cmd == "losses":

@@ -21,15 +21,14 @@ Laplacian tridiagonal), with Dirichlet ends v(0) = v(R_max) = 0.  Each step
 solves its bordered Jacobian system by GMRES to a tenth of the eigen-residual
 ||(H[rho] - mu) v|| / sum |E_term| (an inexact-Newton forcing term: Eisenstat
 & Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the Jacobian applied as a
-product, never formed, and preconditioned by its tridiagonal part, which is
-factored once per Newton step and then applied by two substitutions
-vectorized in blocks.  GMRES's small triangular system is solved by back
-substitution in the module, so the solve makes no LAPACK call.  Where
-Newton heads for a noded state of higher energy (in a box below threshold,
-where the wall holds the cloud), a Levenberg-Marquardt shift on the
-Jacobian's diagonal (Marquardt, J. SIAM 11, 431 (1963)) turns the rejected
-step into a descent step, and the shift is let go again as the steps are
-accepted.  The iteration count does not grow with the grid.
+product, never formed, and preconditioned by its tridiagonal part.  GMRES's
+small triangular system is solved by back substitution in the module, so the
+solve makes no LAPACK call.  Where Newton heads for a noded state of higher
+energy (in a box below threshold, where the wall holds the cloud), a
+Levenberg-Marquardt shift on the Jacobian's diagonal (Marquardt, J. SIAM 11,
+431 (1963)) turns the rejected step into a descent step, and the shift is let
+go again as the steps are accepted.  The iteration count does not grow with
+the grid.
 
 One variational solve gives the start and, unless the caller fixes it, the
 grid: 8 variational radii at a spacing of at most lam/40 for the full
@@ -65,7 +64,7 @@ MIN_POINTS = 256
 # full kernel needs >= 20 grid points per lam/2 oscillation
 _MIN_POINTS_PER_HALF_WAVE = 20
 # most points solve_ground picks by itself: a solve at this size takes about
-# 0.6 s and 56 MB on a 2-core host, so wider boxes need an explicit n_points
+# 0.9 s and 60 MB on a 2-core host, so wider boxes need an explicit n_points
 _MAX_DEFAULT_POINTS = 65_536
 # stop when ||(H[rho] - mu) v|| / sum |E_term| falls below this
 RESIDUAL_TOL = 1e-8
@@ -74,8 +73,6 @@ MAX_ITERATIONS = 100
 _ENERGY_SLACK = 1e-12
 # Krylov steps at most per Newton step
 _GMRES_MAX_STEPS = 60
-# entries per block of a tridiagonal substitution solved at once
-_RECURRENCE_BLOCK = 64
 
 
 class RadialGrid(Record):
@@ -182,72 +179,28 @@ class _HartreeOperator:
         return (2.0 * math.pi / self._x) * self.product(self._x * rho_dimless)
 
 
-def _factor_tridiagonal(off: float, diag: np.ndarray) -> np.ndarray:
-    """Pivots of the Thomas elimination of the symmetric tridiagonal matrix
-    with diagonal ``diag`` and the constant off-diagonal ``off``: the ``D``
-    of its ``L D L^T`` factorization.
+def _solve_tridiagonal(off: float, diag: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal system with diagonal ``diag`` and the
+    constant off-diagonal ``off`` by Thomas elimination.
 
-    A plain-Python loop over a list copy, since indexing Python floats
+    Two plain-Python loops over list copies, since indexing Python floats
     costs several times less than indexing numpy elements one at a time.
     """
     pivots = diag.tolist()
-    pivot = pivots[0]
-    for i in range(1, len(pivots)):
+    y = rhs.tolist()
+    pivot, y_i = pivots[0], y[0]
+    for i in range(1, len(y)):
         ratio = off / pivot
         pivot = pivots[i] - ratio * off
+        y_i = y[i] - ratio * y_i
         pivots[i] = pivot
-    return np.array(pivots)
-
-
-def _by_block(values: np.ndarray, blocks: int) -> np.ndarray:
-    """``values`` padded with zeros to ``blocks`` blocks of
-    ``_RECURRENCE_BLOCK`` entries, one block per column, so that a row is
-    one position in every block and contiguous."""
-    short = blocks * _RECURRENCE_BLOCK - values.size
-    if short:
-        values = np.concatenate((values, np.zeros(short)))
-    return values.reshape(blocks, _RECURRENCE_BLOCK).T.copy()
-
-
-def _linear_recurrence(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``y`` with ``y_0 = rhs_0`` and ``y_i = rhs_i + coef_i y_(i-1)``;
-    ``coef_0`` is not used.
-
-    Each block of ``_RECURRENCE_BLOCK`` entries is solved from a zero
-    carry-in by recursive doubling (Stone, J. ACM 20, 27 (1973)), which
-    also leaves in ``gain`` the product of the block's coefficients up to
-    each entry; one loop over the blocks then carries each block's last
-    value into the next.  The products are only multiplied, never divided
-    by, so they may underflow to 0.
-    """
-    blocks = -(-rhs.size // _RECURRENCE_BLOCK)
-    gain, y = _by_block(coef, blocks), _by_block(rhs, blocks)
-    stride = 1
-    while stride < _RECURRENCE_BLOCK:
-        y[stride:] += gain[stride:] * y[:-stride]
-        gain[stride:] *= gain[:-stride]
-        stride *= 2
-    carry = [0.0] * blocks
-    for b, (last, factor) in enumerate(zip(y[-1, :-1].tolist(),
-                                           gain[-1, :-1].tolist())):
-        carry[b + 1] = last + factor * carry[b]
-    y += gain * np.array(carry)
-    return y.T.reshape(-1)[:rhs.size]
-
-
-def _solve_tridiagonal(off: float, pivots: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetric tridiagonal system with the constant off-diagonal
-    ``off < 0`` whose pivots :func:`_factor_tridiagonal` returned.
-
-    The two substitutions are linear recurrences: forward
-    ``y_i = rhs_i + a_i y_(i-1)`` with ``a_i = -off/p_(i-1)``, and backward
-    ``x_i = y_i/p_i + c_i x_(i+1)`` with ``c_i = -off/p_i``.  Pivots at or
-    above ``|off|`` keep every coefficient in (0, 1].
-    """
-    coef = -off / pivots
-    y = _linear_recurrence(np.concatenate(([0.0], coef[:-1])), rhs)
-    return _linear_recurrence(coef[::-1], (y / pivots)[::-1])[::-1]
+        y[i] = y_i
+    x_i = 0.0
+    for i in range(len(y) - 1, -1, -1):
+        x_i = (y[i] - off * x_i) / pivots[i]
+        y[i] = x_i
+    return np.array(y)
 
 
 def hartree_potential(rho: np.ndarray, grid: RadialGrid, coupling: float,
@@ -394,19 +347,17 @@ class _MeanField:
         block replaced by ``T + diag(V - min V + 2 g chi^2 + shift)``:
         symmetric, with a diagonal of at least twice the off-diagonal and
         more in the first row, so irreducibly diagonally dominant and
-        positive definite, and its ``L D L^T`` factorization needs no
-        pivoting.  It is factored once per step.  The border is eliminated
-        through the Schur complement ``2 v^T P^-1 v``.
+        positive definite, and its Thomas elimination needs no pivoting.  The border
+        is eliminated through the Schur complement ``2 v^T P^-1 v``.
         """
         off = -0.5 / self.h**2
-        pivots = _factor_tridiagonal(off, 1.0 / self.h**2 + local - local.min()
-                                     + 2.0 * self.g_sw * (vec / self.x) ** 2
-                                     + shift)
-        pre_v = _solve_tridiagonal(off, pivots, vec)
+        pre_diag = 1.0 / self.h**2 + local - local.min() \
+            + 2.0 * self.g_sw * (vec / self.x) ** 2 + shift
+        pre_v = _solve_tridiagonal(off, pre_diag, vec)
         schur = 2.0 * float(vec @ pre_v)
 
         def precondition(z: np.ndarray) -> np.ndarray:
-            y = _solve_tridiagonal(off, pivots, z[:-1])
+            y = _solve_tridiagonal(off, pre_diag, z[:-1])
             dmu = (z[-1] - 2.0 * float(vec @ y)) / schur
             return np.append(y + dmu * pre_v, dmu)
 
