@@ -19,16 +19,17 @@ The solver takes Newton steps on the discrete eigenproblem
 (H[rho] - mu) v = 0, |v| = 1 for v = R * Psi (which makes the radial
 Laplacian tridiagonal), with Dirichlet ends v(0) = v(R_max) = 0.  Each step
 solves its bordered Jacobian system by GMRES to a tenth of the eigen-residual
-||(H[rho] - mu) v|| / sum |E_term| (an inexact-Newton forcing term: Eisenstat
-& Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the Jacobian applied as a
-product, never formed, and preconditioned by its tridiagonal part.  GMRES's
-small triangular system is solved by back substitution in the module, so the
-solve makes no LAPACK call.  Where Newton heads for a noded state of higher
-energy (in a box below threshold, where the wall holds the cloud), a
-Levenberg-Marquardt shift on the Jacobian's diagonal (Marquardt, J. SIAM 11,
-431 (1963)) turns the rejected step into a descent step, and the shift is let
-go again as the steps are accepted.  The iteration count does not grow with
-the grid.
+||(H[rho] - mu) v|| / sum |E_term|, a forcing term that the Newton update sets
+from the state it steps from (inexact Newton: Eisenstat & Walker, SIAM J. Sci.
+Comput. 17, 16 (1996)), with the Jacobian applied as a product, never formed,
+and preconditioned by its tridiagonal part.  GMRES's small triangular system
+is solved by back substitution in the module, so the solve makes no LAPACK
+call.  Where Newton heads for a noded state of higher energy (in a box below
+threshold, where the wall holds the cloud), a Levenberg-Marquardt shift on
+the Jacobian's diagonal (Marquardt, J. SIAM 11, 431 (1963)) turns the
+rejected step into a descent step, and the shift is let go again as the
+steps are accepted.  The iteration count does not grow with the grid.  A
+solve without coupling takes the same path with a zero Hartree map.
 
 One variational solve gives the start and, unless the caller fixes it, the
 grid: 8 variational radii at a spacing of at most lam/40 for the full
@@ -38,6 +39,7 @@ kernel.  An unbound variational state gives no radius, so it needs a box.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -267,13 +269,17 @@ def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+_State = namedtuple("_State", "v local terms mu r scale residual")
+
+
 class _MeanField:
     """The dimensionless problem of one configuration on one grid.
 
     Lengths are in wavelengths and energies per atom in hbar^2/(m lam^2).
     The state is v = x chi on the nodes, chi = Psi lam^1.5/sqrt(N), with
     the norm 4 pi h v.v = 1; v = x Psi makes the kinetic operator
-    T = -(1/2) d^2/dx^2 tridiagonal, with Dirichlet ends.
+    T = -(1/2) d^2/dx^2 tridiagonal, with Dirichlet ends.  Without coupling
+    the Hartree map is zero and every solve takes the same path.
     """
 
     def __init__(self, cfg: AnsatzConfig, grid: RadialGrid):
@@ -290,7 +296,7 @@ class _MeanField:
         self.v_trap = 0.5 * omega_t**2 * self.x**2
         # no coupling means no kernel resolution constraint on the grid
         self.hartree = _HartreeOperator(grid, lam, cfg.kernel) \
-            if self.gamma != 0.0 else None
+            if self.gamma != 0.0 else np.zeros_like
 
     def kinetic(self, vec: np.ndarray) -> np.ndarray:
         out = 2.0 * vec
@@ -301,12 +307,15 @@ class _MeanField:
     def norm(self, vec: np.ndarray) -> float:
         return math.sqrt(4.0 * math.pi * self.h * float(vec @ vec))
 
-    def evaluate(self, vec: np.ndarray):
-        """Local potential V = trap + g chi^2 + gamma Phi[chi^2], the four
-        energy terms, mu and the residual vector (T + V - mu) v of ``vec``."""
+    def r_rms(self, vec: np.ndarray) -> float:
+        return math.sqrt(4.0 * math.pi * self.h * float((self.x**2 * vec) @ vec))
+
+    def evaluate(self, vec: np.ndarray) -> _State:
+        """``vec`` with its local potential V = trap + g chi^2 + gamma Phi[chi^2],
+        the four energy terms per atom, mu, r = (T + V - mu) v, the energy scale
+        sum |E_term| and the eigen-residual |r| / scale."""
         chi2 = (vec / self.x) ** 2
-        phi = self.gamma * self.hartree(chi2) if self.hartree is not None \
-            else np.zeros(vec.size)
+        phi = self.gamma * self.hartree(chi2)
         kin = self.kinetic(vec)
         local = self.v_trap + self.g_sw * chi2 + phi
         weight = 4.0 * math.pi * self.h
@@ -315,33 +324,34 @@ class _MeanField:
         e_sw = weight * 0.5 * self.g_sw * float((chi2 * vec) @ vec)
         e_grav = weight * 0.5 * float((phi * vec) @ vec)
         mu = e_kin + e_trap + 2.0 * e_sw + 2.0 * e_grav
-        return local, (e_kin, e_trap, e_sw, e_grav), mu, kin + local * vec - mu * vec
+        terms = (e_kin, e_trap, e_sw, e_grav)
+        r = kin + local * vec - mu * vec
+        scale = sum(map(abs, terms))
+        return _State(vec, local, terms, mu, r, scale, self.norm(r) / scale)
 
-    def jacobian(self, vec: np.ndarray, local: np.ndarray, mu: float,
-                 shift: float):
+    def jacobian(self, state: _State, shift: float):
         """Product with the bordered Jacobian of ``((T + V[v] - mu) v, v.v)``
-        in ``(v, mu)``, its n x n block shifted by ``shift``, on vectors
-        ``(dv, dmu)`` of length n + 1: ``T + diag(V + 2 g chi^2 - mu + shift)``
+        in ``(v, mu)`` at ``state``, its n x n block shifted by ``shift``, on
+        vectors ``(dv, dmu)`` of length n + 1: ``T + diag(V + 2 g chi^2 - mu + shift)``
         plus the Hartree term ``gamma v Phi[2 chi dv/x]``, bordered by ``-v``
         and ``2 v^T``.  Never forms the n x n matrix."""
+        vec = state.v
         chi = vec / self.x
-        diag = local + 2.0 * self.g_sw * chi**2 - mu + shift
+        diag = state.local + 2.0 * self.g_sw * chi**2 - state.mu + shift
 
         def product(z: np.ndarray) -> np.ndarray:
             dv = z[:-1]
             out = self.kinetic(dv) + diag * dv - z[-1] * vec
-            if self.hartree is not None:
-                out += (self.gamma * vec) * self.hartree(2.0 * chi * dv / self.x)
+            out += (self.gamma * vec) * self.hartree(2.0 * chi * dv / self.x)
             return np.append(out, 2.0 * float(vec @ dv))
 
         return product
 
-    def newton_update(self, vec: np.ndarray, local: np.ndarray, mu: float,
-                      residual: np.ndarray, tol: float,
-                      shift: float) -> np.ndarray:
-        """``vec`` plus one Newton step on ``(T + V[v] - mu) v = 0``,
+    def newton_update(self, state: _State, shift: float) -> np.ndarray:
+        """``state.v`` plus one Newton step on ``(T + V[v] - mu) v = 0``,
         ``4 pi h v.v = 1``, its bordered system, with ``shift >= 0`` added to
-        the diagonal of the n x n block, solved by GMRES to ``tol``.
+        the diagonal of the n x n block, solved by GMRES to the forcing term,
+        a tenth of ``state.residual``.
 
         The preconditioner is the bordered matrix with the Jacobian's n x n
         block replaced by ``T + diag(V - min V + 2 g chi^2 + shift)``:
@@ -350,6 +360,7 @@ class _MeanField:
         positive definite, and its Thomas elimination needs no pivoting.  The border
         is eliminated through the Schur complement ``2 v^T P^-1 v``.
         """
+        vec, local = state.v, state.local
         off = -0.5 / self.h**2
         pre_diag = 1.0 / self.h**2 + local - local.min() \
             + 2.0 * self.g_sw * (vec / self.x) ** 2 + shift
@@ -361,9 +372,9 @@ class _MeanField:
             dmu = (z[-1] - 2.0 * float(vec @ y)) / schur
             return np.append(y + dmu * pre_v, dmu)
 
-        rhs = np.append(-residual, 1.0 / (4.0 * math.pi * self.h) - float(vec @ vec))
-        step = _gmres(self.jacobian(vec, local, mu, shift), precondition,
-                      rhs, tol)
+        rhs = np.append(-state.r, 1.0 / (4.0 * math.pi * self.h) - float(vec @ vec))
+        step = _gmres(self.jacobian(state, shift), precondition, rhs,
+                      0.1 * state.residual)
         return vec + step[:-1]
 
 
@@ -423,19 +434,14 @@ def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,
             _MAX_DEFAULT_POINTS)
     grid = RadialGrid(n_points=n_points, r_max=r_max)
     problem = _MeanField(cfg, grid)
-    h, x = problem.h, problem.x
     energy_unit = CONSTANTS.hbar**2 / (cfg.species.mass * lam**2)
 
     width = trial.w_star if trial.bound_local else 1.0
-    v = x * np.exp(-x**2 / (2.0 * width**2))
+    v = problem.x * np.exp(-problem.x**2 / (2.0 * width**2))
     norm = problem.norm(v)
     if norm == 0.0:
         raise NumericsError(f"a Gaussian of width {width:g} is zero on the grid")
-    v /= norm
-
-    local, terms, mu, r = problem.evaluate(v)
-    scale = sum(map(abs, terms))
-    residual = problem.norm(r) / scale
+    state = problem.evaluate(v / norm)
     iterations = 0
     shift = 0.0
 
@@ -443,67 +449,52 @@ def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,
         if iterations >= MAX_ITERATIONS:
             raise ConvergenceError(
                 f"no convergence after {MAX_ITERATIONS} iterations "
-                f"(eigen-residual {residual:.3e}, target {RESIDUAL_TOL:g})")
+                f"(eigen-residual {state.residual:.3e}, target {RESIDUAL_TOL:g})")
         iterations += 1
         # the ground state is nodeless; entries far out in the tail, some
         # 1e-30 of the peak, can come out of a Newton step either sign
         # (a linear solve to a tenth of the residual keeps them quadratic)
-        v_new = np.abs(problem.newton_update(v, local, mu, r, 0.1 * residual,
-                                             shift))
-        norm = problem.norm(v_new)
+        v = np.abs(problem.newton_update(state, shift))
+        norm = problem.norm(v)
         if not math.isfinite(norm) or norm <= 0.0:
             raise NumericsError("relaxation produced a non-normalizable state")
-        v_new /= norm
-
-        local_new, terms_new, mu_new, r_new = problem.evaluate(v_new)
-        scale_new = sum(map(abs, terms_new))
-        residual_new = problem.norm(r_new) / scale_new
-        if not sum(terms_new) <= sum(terms) + _ENERGY_SLACK * scale:
+        new = problem.evaluate(v / norm)
+        if not sum(new.terms) <= sum(state.terms) + _ENERGY_SLACK * state.scale:
             # reject the step; the potential still belongs to the accepted state
-            if residual < RESIDUAL_TOL:
+            if state.residual < RESIDUAL_TOL:
                 break
-            shift = max(4.0 * shift, scale)
+            shift = max(4.0 * shift, state.scale)
             continue
-        done = shift == 0.0 and RESIDUAL_TOL > residual_new > 0.1 * residual
-        shift = 0.0 if shift < 1e-3 * scale else 0.25 * shift
+        done = shift == 0.0 and RESIDUAL_TOL > new.residual > 0.1 * state.residual
+        shift = 0.0 if shift < 1e-3 * state.scale else 0.25 * shift
 
-        v, local, terms, mu, r, residual, scale = \
-            v_new, local_new, terms_new, mu_new, r_new, residual_new, scale_new
+        state = new
         if on_step is not None:
-            on_step(iterations, cfg.n_atoms * sum(terms) * energy_unit,
-                    mu * energy_unit)
+            on_step(iterations, cfg.n_atoms * sum(state.terms) * energy_unit,
+                    state.mu * energy_unit)
 
-        r_rms_dimless = math.sqrt(4.0 * math.pi * h * float((x**2 * v) @ v))
-        if r_rms_dimless < 4.0 * h:
+        r_rms = problem.r_rms(state.v)
+        if r_rms < 4.0 * problem.h:
             raise CollapseError(
-                f"cloud radius {r_rms_dimless * lam:.3e} m fell below four "
+                f"cloud radius {r_rms * lam:.3e} m fell below four "
                 f"grid spacings after {iterations} iterations")
         if done:
             break
 
-    r_rms_dimless = math.sqrt(4.0 * math.pi * h * float((x**2 * v) @ v))
-    e_kin, e_trap, e_sw, e_grav = terms
-    chi = v / x
-    psi = math.sqrt(cfg.n_atoms) / lam**1.5 * chi
+    psi = math.sqrt(cfg.n_atoms) / lam**1.5 * (state.v / problem.x)
     density = psi**2
-    potential = np.zeros(grid.n_points) if problem.hartree is None else \
-        (cfg.interaction.coupling / lam) * problem.hartree(density * lam**3)
-    energies = {
-        "kinetic": cfg.n_atoms * e_kin * energy_unit,
-        "trap": cfg.n_atoms * e_trap * energy_unit,
-        "swave": cfg.n_atoms * e_sw * energy_unit,
-        "gravitational": cfg.n_atoms * e_grav * energy_unit,
-        "total": cfg.n_atoms * (e_kin + e_trap + e_sw + e_grav) * energy_unit,
-    }
+    energies = dict(zip(
+        ("kinetic", "trap", "swave", "gravitational", "total"),
+        (cfg.n_atoms * e * energy_unit for e in (*state.terms, sum(state.terms)))))
     return GroundState(
         grid=grid,
         psi=psi,
         density=density,
-        potential=potential,
-        mu=mu * energy_unit,
-        r_rms=r_rms_dimless * lam,
+        potential=(cfg.interaction.coupling / lam) * problem.hartree(density * lam**3),
+        mu=state.mu * energy_unit,
+        r_rms=problem.r_rms(state.v) * lam,
         iterations=iterations,
-        residual=residual,
+        residual=state.residual,
         n_atoms=cfg.n_atoms,
         energies=energies,
     )

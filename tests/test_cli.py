@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -414,9 +415,10 @@ _K39_DETUNED = (f"{_K39}detuned_transition_wavelength_m = 766.7e-9\n"
                                          "polarizability volume must be non-zero, got 0.0"),
     (_K39_DETUNED.replace("766.7e-9", "-6e-7"), "record ending at line 9: detuned "
                                                 "transition wavelength must be positive, "
-                                                "got -6e-07")],
+                                                "got -6e-07"),
+    (_K39.replace("a_m", "mass_kg = 1e-25\na_m"), "line 3: duplicate key 'mass_kg'")],
     ids=["missing", "duplicate name", "malformed", "infinite", "out of range",
-         "detuned zero polarizability", "detuned negative wavelength"])
+         "detuned zero polarizability", "detuned negative wavelength", "duplicate key"])
 @pytest.mark.parametrize("via", ["option", "environment"])
 def test_bad_species_files_are_usage_errors(tmp_path, capsys, monkeypatch, text,
                                             message, via):
@@ -648,8 +650,10 @@ def test_config_file_preloads_flags(tmp_path):
 
 @pytest.mark.parametrize("lines, argv, message", [
     ("species = Na\nstatic\n", ["threshold"], "line 2: expected key=value"),
+    # the comment line is skipped, so the bad line is the third
+    ("# no key here\nspecies = Na\nstatic\n", ["threshold"], "line 3: expected key=value"),
     ("species = Na\n", [], "--config given without a subcommand")],
-    ids=["line without =", "no subcommand"])
+    ids=["line without =", "comment line", "no subcommand"])
 def test_config_file_errors_are_usage_errors(tmp_path, capsys, lines, argv,
                                              message):
     config = tmp_path / "run.cfg"
@@ -659,6 +663,13 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, lines, argv,
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "absent.cfg"
+    assert run(["--config", str(config), "threshold"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and str(config) in err and "Traceback" not in err
 
 
 def test_species_file_from_environment(tmp_path, monkeypatch):
@@ -868,7 +879,7 @@ def test_resolve_intensity_accepts_absolute_value(na):
     (-2.0, -7.0, 101), (1e-300, 1e300, 3)])
 def test_linspace_matches_numpy_bit_for_bit(start, stop, num):
     expected = np.linspace(start, stop, num)
-    got = _linspace(start, stop, num)
+    got = list(_linspace(start, stop, num))
     assert all(type(v) is float for v in got)
     assert np.array(got).tobytes() == expected.tobytes()
 
@@ -879,6 +890,24 @@ def test_parse_ratio_spec_forms():
     assert values == pytest.approx([1.0, 1.5, 2.0])
     with pytest.raises(ValueError):
         _parse_ratio_spec("2.0:1.0:-0.5")
+    # a range holds at most 100,000 values
+    assert len(_parse_ratio_spec("0:99999:1")) == 100_000
+    with pytest.raises(ValueError, match="holds 100001 values, more than 100,000"):
+        _parse_ratio_spec("0:100000:1")
+
+
+def test_huge_ratio_range_is_refused_before_it_is_built():
+    # a slip in the step asks for 1e18 ratios; the address-space limit makes
+    # a missing cap a MemoryError in the child instead of exhausting the host
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "lasergrav.cli", "fig1b", "--ratios", "1:1e9:1e-9"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("lasergrav: --ratios range '1:1e9:1e-9' holds 1e+18 "
+                           "values, more than 100,000\n")
 
 
 def test_fig1a_energy_values_in_reduced_units(tmp_path, na):

@@ -98,7 +98,8 @@ def _levels_below_mu(cfg, state):
     field = _MeanField(cfg, state.grid)
     lam = cfg.interaction.wavelength
     v = field.x * state.psi * lam**1.5 / math.sqrt(state.n_atoms)
-    local, _, mu, _ = field.evaluate(v)
+    evaluated = field.evaluate(v)
+    local, mu = evaluated.local, evaluated.mu
     off_squared = (0.5 / field.h**2) ** 2
     counts = []
     for shift in (mu - 1e-6 * abs(mu), mu + 1e-6 * abs(mu)):
@@ -175,11 +176,12 @@ def test_jacobian_product_matches_finite_differences(na, setup):
     field = _MeanField(cfg, grid)
     v = field.x * np.exp(-field.x**2 / (2.0 * width**2))
     v /= field.norm(v)
-    local, _, mu, _ = field.evaluate(v)
+    evaluated = field.evaluate(v)
+    mu = evaluated.mu
 
     def residual_map(z):
         vec = z[:-1]
-        return np.append(field.kinetic(vec) + (field.evaluate(vec)[0] - z[-1]) * vec,
+        return np.append(field.kinetic(vec) + (field.evaluate(vec).local - z[-1]) * vec,
                          vec @ vec)
 
     rng = np.random.default_rng(7)
@@ -188,11 +190,11 @@ def test_jacobian_product_matches_finite_differences(na, setup):
     z = np.append(v, mu)
     difference = (residual_map(z + t * direction)
                   - residual_map(z - t * direction)) / (2 * t)
-    product = field.jacobian(v, local, mu, 0.0)(direction)
+    product = field.jacobian(evaluated, 0.0)(direction)
     assert np.linalg.norm(product - difference) < 1e-8 * np.linalg.norm(product)
     # the shift adds shift * dv to the n-block and leaves the border row alone
     shift = 3.0 * abs(mu) + 1.0
-    shifted = field.jacobian(v, local, mu, shift)(direction) - product
+    shifted = field.jacobian(evaluated, shift)(direction) - product
     assert np.max(np.abs(shifted[:-1] - shift * direction[:-1])) \
         <= 1e-12 * np.max(np.abs(shift * direction[:-1]))
     assert shifted[-1] == 0.0
