@@ -24,7 +24,7 @@ SPECIES_FILE_ENV = "LASERGRAV_SPECIES_FILE"
 
 _FLOAT_FORMAT = "{:.12e}"
 _NO_LIGHT = "intensity must be non-zero: without light nothing binds"
-_LENGTHS = ("rmin", "rmax", "lambda_min", "lambda_max")  # options that must be > 0
+_LENGTHS = ("rmin", "rmax", "wmin", "wmax", "lambda_min", "lambda_max")  # must be > 0
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
@@ -399,19 +399,20 @@ def _dispatch(args):
         ratios = _parse_ratio_spec(args.ratios)
         if 0.0 in ratios:  # the curves are in units of N u/lam
             raise ValueError(_NO_LIGHT)
-        widths = _linspace(args.wmin, args.wmax, args.samples)
         # one single-atom TF config per ratio, shared by every width
         curves = {f"E_over_N_tf_units_ratio_{ratio:g}": variational.config_at_ratio(
                       species, ratio, lam, use_detuned=args.detuned, tf_limit=True)
                   for ratio in ratios}
-        rows = []
-        for w in widths:
-            row = {"w": w}
-            for key, cfg in curves.items():
-                e = variational.total_energy(w, cfg)
-                row[key] = e / variational.tf_energy_unit(cfg)
-            rows.append(row)
-        emit_csv(rows, args.out)
+
+        def row(w):
+            return {"w": w, **{key: variational.total_energy(w, cfg)
+                               / variational.tf_energy_unit(cfg)
+                               for key, cfg in curves.items()}}
+        # every term is a power of w or the smooth g(w): only the end rows can
+        # divide by zero or overflow, so they fail before any output
+        for w in (args.wmin, args.wmax)[:args.samples]:
+            row(w)
+        emit_csv(map(row, _linspace(args.wmin, args.wmax, args.samples)), args.out)
 
     elif cmd in ("fig1b", "width-sweep"):
         lam = _resolve_wavelength(args, species)
@@ -419,34 +420,31 @@ def _dispatch(args):
         cfg = variational.config_at_ratio(
             species, 1.0, lam, n_atoms=args.atoms, use_detuned=args.detuned,
             trap_frequency=args.trap, tf_limit=args.tf_limit)
-        rows = []
-        for ratio, res in zip(ratios, variational.width_vs_intensity(cfg, ratios)):
-            row = {"ratio": ratio, "w_star": res.w_star, "r_rms_m": res.r_rms,
-                   "bound_local": res.bound_local,
-                   "bound_global": res.bound_global}
+
+        def row(ratio, res):
             parts = res.breakdown.asdict() if res.breakdown else {}
-            row.update({f"{k}_J": parts.get(k, math.nan) for k in (
-                "kinetic", "trap", "swave", "gravitational", "total")})
-            rows.append(row)
-        if cmd == "fig1b":
-            rows = [{"ratio": r["ratio"], "w_star": r["w_star"],
-                     "bound": r["bound_local"]} for r in rows]
+            return {"ratio": ratio, "w_star": res.w_star, "r_rms_m": res.r_rms,
+                    "bound_local": res.bound_local, "bound_global": res.bound_global,
+                    **{f"{k}_J": parts.get(k, math.nan) for k in (
+                        "kinetic", "trap", "swave", "gravitational", "total")}}
+        rows = map(row, ratios, variational.width_vs_intensity(cfg, ratios))
+        if cmd == "fig1b":  # each full row cut to three columns as it passes
+            rows = ({"ratio": r["ratio"], "w_star": r["w_star"],
+                     "bound": r["bound_local"]} for r in rows)
         emit_csv(rows, args.out)
 
     elif cmd == "phase-map":
         from . import regimes
-        rows = regimes.phase_map(species, nx=args.nx, ny=args.ny,
-                                 use_detuned=args.detuned)
-        emit_csv(rows, args.out)
+        emit_csv(regimes.phase_map(species, nx=args.nx, ny=args.ny,
+                                   use_detuned=args.detuned), args.out)
 
     elif cmd == "fig2":
         from . import regimes
         ys = _linspace(math.log10(args.lambda_min), math.log10(args.lambda_max),
                        args.points)
-        rows = regimes.capacity_band([10.0 ** y for y in ys], args.rho_low,
-                                     args.rho_high, args.ratio, species,
-                                     use_detuned=args.detuned)
-        emit_csv(rows, args.out)
+        emit_csv(regimes.capacity_band([10.0 ** y for y in ys], args.rho_low,
+                                       args.rho_high, args.ratio, species,
+                                       use_detuned=args.detuned), args.out)
 
     elif cmd == "gpe":
         from . import gpe
@@ -495,15 +493,14 @@ def _dispatch(args):
         report = losses.loss_report(
             species, args.ratio, args.n, _resolve_wavelength(args, species),
             use_detuned=args.detuned, omega_triad=args.omega_triad)
-        payload = report.asdict()
-        payload["omega_p_over_gamma_ray"] = report.omega_p_scaled / report.gamma_ray
-        payload["gamma_interf_over_gamma_ray"] = \
-            report.gamma_interf / report.gamma_ray
-        payload["oscillations_within_lifetime"] = \
-            report.omega_p_scaled * report.tau_ray_lower_bound / (2 * math.pi)
-        payload["repulsion_negligible"] = \
-            losses.repulsion_coupling(report.saturation, 1.0)[1]
-        emit_json(payload, args.out)
+        emit_json({**report.asdict(),
+            "omega_p_over_gamma_ray": report.omega_p_scaled / report.gamma_ray,
+            "gamma_interf_over_gamma_ray": report.gamma_interf / report.gamma_ray,
+            "oscillations_within_lifetime":
+                report.omega_p_scaled * report.tau_ray_lower_bound / (2 * math.pi),
+            # K/u is the saturation
+            "repulsion_negligible": report.saturation < losses.REPULSION_NEGLIGIBLE,
+        }, args.out)
 
     elif cmd == "atom-count":
         from . import regimes

@@ -11,7 +11,7 @@ class NumericsError(LaserGravError):
 
 
 class ConvergenceError(NumericsError):
-    """Imaginary-time relaxation did not reach the requested tolerance."""
+    """An iteration did not reach its tolerance within its step cap."""
 
 
 class CollapseError(NumericsError):

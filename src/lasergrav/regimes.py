@@ -11,7 +11,7 @@ import math
 
 from ._record import Record
 from .constants import CONSTANTS
-from .errors import UnboundError
+from .errors import ConvergenceError, UnboundError
 from .interaction import InteractionParams
 from .species import AtomSpecies
 from .variational import (config_at_ratio, minimize_width, tf_width,
@@ -45,7 +45,9 @@ def border_atom_number(coupling: float, species: AtomSpecies) -> float:
 
 def f_factor(n_atoms: float, n_border: float) -> float:
     """Interpolation factor 1/2 + sqrt(1/4 + N^2/N_border^2); 1 deep in the
-    G regime, N/N_border deep in the TF-G regime."""
+    G regime, N/N_border deep in the TF-G regime.  The trap-free -u/r cloud
+    has r_rms = X(q) hbar^2/(m u N), q = N/N_border, and X/f lies between the
+    TF-G limit 4.2703 and 4.668 (4.6566, 4.4094, 4.2962 at q = 1, 10, 100)."""
     ratio = n_atoms / n_border
     return 0.5 + math.sqrt(0.25 + ratio * ratio)
 
@@ -105,8 +107,8 @@ def atom_capacity(wavelength: float, rho_peak: float, ratio: float,
     :func:`tf_width` of ``ratio`` (N-independent).  With ``self_consistent``
     the kinetic term is retained and the equation is iterated to a fixed
     point over N; that variant raises :class:`UnboundError` when the
-    kinetic pressure unbinds the cloud along the way (small capacities), so
-    the TF form is the default.
+    kinetic pressure unbinds the cloud (small capacities, so the TF form is
+    the default) and :class:`ConvergenceError` after 200 unsettled steps.
     """
     if not rho_peak > 0.0:
         raise ValueError("peak density must be positive")
@@ -131,7 +133,7 @@ def atom_capacity(wavelength: float, rho_peak: float, ratio: float,
         if abs(n_new - n) <= 1e-6 * n:
             return n_new
         n = n_new
-    raise UnboundError("atom-capacity fixed point did not settle")
+    raise ConvergenceError("atom-capacity fixed point did not settle")
 
 
 def capacity_band(wavelengths, rho_low: float, rho_high: float, ratio: float,

@@ -324,6 +324,61 @@ def test_fig1a_columns(tmp_path):
     assert len(lines) == 21
 
 
+class _OneRowPipe:
+    """A stdout that takes the header and one data row, then closes."""
+
+    def __init__(self):
+        self.lines = []
+
+    def writelines(self, lines):
+        for line in lines:
+            self.lines.append(line)
+            if len(self.lines) == 2:
+                raise BrokenPipeError("pipe closed")
+
+
+def test_fig1a_streams_its_rows(monkeypatch, capsys):
+    # a row is computed as the sink asks for it: after the two end rows,
+    # evaluated up front, only the first row is computed before the stop
+    calls = []
+
+    def counted(w, cfg):
+        calls.append(w)
+        return total_energy(w, cfg)
+
+    total_energy = variational.total_energy
+    monkeypatch.setattr(variational, "total_energy", counted)
+    pipe = _OneRowPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    assert run(["fig1a", "--ratios", "1.5", "--wmin", "0.1", "--wmax", "2",
+                "--samples", "50"]) == 2
+    assert pipe.lines[0] == "w,E_over_N_tf_units_ratio_1.5\n"
+    assert calls[:2] == [0.1, 2.0] and len(calls) < 50
+    assert capsys.readouterr().err == "lasergrav: pipe closed\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [pytest.param(*case, id=" ".join(case[0])) for case in (
+    (["--wmin", "1e-120"], 1, "float division by zero"),
+    (["--wmax", "1e200"], 1, "(34, 'Numerical result out of range')"),
+    (["--wmin", "1e200", "--wmax", "1e-120"], 1,
+     "(34, 'Numerical result out of range')"),
+    (["--wmin", "2", "--wmax", "1e-120"], 1, "float division by zero"),
+    (["--samples", "1", "--wmax", "1e200"], 0, None))])
+def test_fig1a_end_row_failure_writes_nothing(argv, code, message, tmp_path,
+                                              capsys):
+    # only the end rows can divide by zero or overflow; they are evaluated,
+    # --wmin first, before the file is opened, and with one sample --wmax
+    # is not a row
+    out = tmp_path / "fig1a.csv"
+    assert run(["fig1a", "--ratios", "1.5", *argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == "" and len(out.read_text().splitlines()) == 2
+    else:
+        assert err == f"lasergrav: numerical failure: {message}\n"
+        assert not out.exists()
+
+
 def test_fig2_schema(tmp_path):
     out = tmp_path / "fig2.csv"
     assert run(["fig2", "--species", "Na", "--points", "3",
@@ -517,6 +572,9 @@ def test_gpe_below_threshold_without_box_is_numerical_failure(capsys,
     (["potential", "--linear", "--rmin", "0"], "--rmin must be positive, got 0"),
     (["fig2", "--lambda-min", "0"], "--lambda-min must be positive, got 0"),
     (["fig2", "--lambda-max=-1"], "--lambda-max must be positive, got -1"),
+    (["fig1a", "--wmin", "0"], "--wmin must be positive, got 0"),
+    (["fig1a", "--wmin", "1", "--wmax=-1", "--samples", "3"],
+     "--wmax must be positive, got -1"),
     (["fig1b", "--ratios", "2:1:0.1"], "ratio range '2:1:0.1' holds no value"),
     (["fig1b", "--ratios", "1:2"], "ratio range '1:2' must be start:stop:step"),
     (["fig1b", "--ratios", "1:2:3:4"], "ratio range '1:2:3:4' must be start:stop:step"),

@@ -9,8 +9,9 @@ from scipy.special import erf
 
 from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        ConvergenceError, InteractionParams, RadialGrid,
-                       UnboundError, config_at_ratio, hartree_potential,
-                       minimize_width, pair_potential, solve_ground)
+                       UnboundError, border_atom_number, config_at_ratio,
+                       f_factor, hartree_potential, minimize_width,
+                       pair_potential, solve_ground)
 from lasergrav import gpe
 from lasergrav.cli import run
 from lasergrav.gpe import (RESIDUAL_TOL, _back_substitute, _gmres,
@@ -638,6 +639,33 @@ def test_kinetic_pressure_limit_matches_schroedinger_newton_oracle(no_contact):
     assert max(map(abs, coarse)) < 2e-4
     for before, after in zip(coarse, fine):
         assert before / after == pytest.approx(4.0, rel=0.025)
+
+
+@pytest.mark.parametrize("q, x_over_f", [(1.0, 4.6566), (10.0, 4.4094),
+                                         (100.0, 4.2962)])
+def test_near_zone_radius_is_one_curve_of_n_over_n_border(na, rb, q, x_over_f):
+    # -u/r kernel, contact term, no trap: in units of hbar^2/(m u N) the
+    # mean-field problem depends on q = N/N_border alone, and the box and
+    # grid follow the variational width, so X = r_rms m u N/hbar^2 agrees to
+    # rounding (3.3e-15 measured) across species, intensities, wavelengths
+    # and polarizabilities; N_border is 4.17 for Rb87 at 100 I0, so N >= 1
+    xs = []
+    for species, lam, ratio, detuned in ((na, LAM, 1.5, True),
+                                         (na, 1064e-9, 10.0, True),
+                                         (rb, 780e-9, 100.0, False)):
+        cfg = config_at_ratio(species, ratio, lam, use_detuned=detuned)
+        u = cfg.interaction.coupling
+        n_atoms = q * border_atom_number(u, species)
+        state = solve_ground(cfg.replace(n_atoms=n_atoms, kernel="near_zone"))
+        xs.append(state.r_rms * species.mass * u * n_atoms / CONSTANTS.hbar**2)
+    assert max(xs) / min(xs) - 1.0 < 1e-13
+    # the paper's f = 1/2 + sqrt(1/4 + q^2) tracks the radius: X/f falls
+    # towards the TF-G limit pi sqrt(1 - 6/pi^2) sqrt(3 pi/2) = 4.2703 (the
+    # oracle of _tf_g_errors); the 512-point grid error of X/f is 5.0e-5 at
+    # q = 1 and 3.5e-6 at q = 100 (against 1,024 points)
+    assert xs[0] / f_factor(q, 1.0) == pytest.approx(x_over_f, rel=1e-4)
+    assert xs[0] / f_factor(q, 1.0) > math.pi * math.sqrt(
+        (1.0 - 6.0 / math.pi**2) * 1.5 * math.pi)
 
 
 def test_start_zero_on_the_grid_is_numerical_failure(capsys):

@@ -26,6 +26,8 @@ def test_rayleigh_reference_value(na):
 
 def test_rayleigh_zero_intensity(na):
     assert rayleigh_rate(0.0, na, LAM, use_detuned=True) == 0.0
+    with pytest.raises(ValueError, match="intensity must be non-negative, got -1.0"):
+        rayleigh_rate(-1.0, na, LAM, use_detuned=True)
 
 
 @settings(derandomize=True, max_examples=100)
@@ -71,6 +73,8 @@ def test_plasma_direct_scalings(na):
     w2 = plasma_frequency_direct(u, 4e20, na)
     assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
     assert plasma_frequency_direct(0.0, 1e20, na) == 0.0
+    with pytest.raises(ValueError, match="must be non-negative"):
+        plasma_frequency_direct(-u, 1e20, na)
 
 
 def test_plasma_scaled_reference_point(na):
@@ -88,6 +92,9 @@ def test_plasma_scaled_quadratic_in_n_deep_in_gravity_regime(na):
     w1 = plasma_frequency_scaled(10.0, gamma, e_r, n_b)
     w2 = plasma_frequency_scaled(20.0, gamma, e_r, n_b)
     assert w2 / w1 == pytest.approx(4.0, rel=1e-4)
+    for args in ((0.0, gamma, e_r, n_b), (10.0, gamma, e_r, 0.0)):
+        with pytest.raises(ValueError, match="all arguments must be positive"):
+            plasma_frequency_scaled(*args)
 
 
 def test_interference_reference_point(na):
@@ -152,9 +159,11 @@ def test_saturation_predicate_flags_small_detuning(na):
     assert s == pytest.approx(saturation_at_threshold(na)[0], rel=1e-12, abs=0.0)
 
 
-def test_saturation_requires_dipole_moment(rb):
+def test_saturation_requires_dipole_moment(na, rb):
     with pytest.raises(ValueError, match="dipole"):
         saturation_at_threshold(rb)
+    with pytest.raises(ValueError, match="requires a > 0"):
+        saturation_at_threshold(na.replace(scattering_length=0.0))
 
 
 def test_repulsion_coupling(na):
@@ -165,6 +174,8 @@ def test_repulsion_coupling(na):
     k, negligible = repulsion_coupling(1.0, 1e-37)
     assert k == pytest.approx(1e-37, rel=1e-6, abs=0.0)
     assert not negligible
+    with pytest.raises(ValueError, match="must be non-negative"):
+        repulsion_coupling(-1e-3, 1e-37)
 
 
 def test_rabi_frequency_scaling(na):

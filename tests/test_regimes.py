@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from lasergrav import (InteractionParams, UnboundError, atom_capacity,
-                       border_atom_number, capacity_band, classify,
-                       config_at_ratio, f_factor, minimize_width, phase_map,
-                       threshold_intensity, trap_relevance)
+from lasergrav import (ConvergenceError, InteractionParams, UnboundError,
+                       atom_capacity, border_atom_number, capacity_band,
+                       classify, config_at_ratio, f_factor, minimize_width,
+                       phase_map, regimes, threshold_intensity, trap_relevance)
+from lasergrav.cli import run
 
 LAM = 589e-9
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -32,6 +34,16 @@ def test_border_scaling_with_coupling(na):
 def test_border_rejects_bad_inputs(na, rb):
     with pytest.raises(ValueError):
         border_atom_number(0.0, na)
+    u = _coupling_at_ratio(na, 1.5)
+    with pytest.raises(ValueError, match="scattering length must be positive"):
+        border_atom_number(u, na.replace(scattering_length=0.0))
+    i0 = threshold_intensity(na, use_detuned=True)
+    with pytest.raises(ValueError, match="need at least one atom"):
+        classify(0.5, 1.5 * i0, na, LAM, use_detuned=True)
+    with pytest.raises(ValueError, match="intensity must be positive"):
+        classify(40.0, 0.0, na, LAM, use_detuned=True)
+    with pytest.raises(ValueError, match="peak density must be positive"):
+        atom_capacity(LAM, 0.0, 1.5, na, use_detuned=True)
 
 
 def test_f_factor_at_border_is_golden_ratio():
@@ -152,6 +164,22 @@ def test_atom_capacity_self_consistent_small_cloud_unbinds(na):
     with pytest.raises(UnboundError):
         atom_capacity(LAM, 1e21, 1.5, na, use_detuned=True,
                       self_consistent=True)
+
+
+def test_atom_capacity_fixed_point_that_never_settles_is_numerical(na, monkeypatch,
+                                                                  capsys):
+    # widths that alternate keep N from settling: that is a solver failure,
+    # not the absence of a bound state
+    results = itertools.cycle(minimize_width(config_at_ratio(
+        na, 1.5, 10.6e-6, n_atoms=n, use_detuned=True)) for n in (1e5, 1e6))
+    monkeypatch.setattr(regimes, "minimize_width", lambda cfg: next(results))
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        atom_capacity(10.6e-6, 1e22, 1.5, na, use_detuned=True,
+                      self_consistent=True)
+    assert run(["atom-count", "--wavelength", "10.6e-6", "--rho-peak", "1e22",
+                "--self-consistent"]) == 1
+    assert capsys.readouterr() == (
+        "", "lasergrav: numerical failure: atom-capacity fixed point did not settle\n")
 
 
 def test_capacity_band_rows(na):

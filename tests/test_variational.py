@@ -374,6 +374,13 @@ def test_invalid_inputs(na):
         width_vs_intensity(cfg, [1.0, -2.0])
     with pytest.raises(ValueError):
         AnsatzConfig(n_atoms=0.5, species=na, interaction=cfg.interaction)
+    with pytest.raises(ValueError, match="trap frequency must be non-negative"):
+        AnsatzConfig(n_atoms=1.0, species=na, interaction=cfg.interaction,
+                     trap_frequency=-1.0)
+    with pytest.raises(ValueError, match="width must be positive, got 0.0"):
+        pair_energy(0.0)
+    with pytest.raises(ValueError, match="intensity must be non-negative, got -1.0"):
+        InteractionParams.from_alpha(-1.0, LAM, cfg.interaction.alpha_si)
     with pytest.raises(ValueError):
         cfg.replace(kernel="yukawa")
     with pytest.raises(ValueError, match="non-positive scattering length"):
