@@ -107,9 +107,10 @@ def _resolve_intensity(args, species) -> tuple[float, float]:
     return value, value / i0
 
 
-# most values of a start:stop:step --ratios range: at 1.3 KB and 0.08 ms per
-# fig1b row, 150 MB and 8 s; a slip in the step (1:1e9:1e-9) would ask for 1e18
-_MAX_RANGE_RATIOS = 100_000
+# most values of a start:stop:step --ratios range, and most rows of the
+# commands that build theirs (phase-map, fig2): at 1.3 KB and 0.08 ms per fig1b
+# row, 150 MB and 8 s; a slip in the step (1:1e9:1e-9) would ask for 1e18
+_MAX_VALUES = 100_000
 
 
 def _parse_ratio_spec(text: str) -> list[float]:
@@ -129,9 +130,9 @@ def _parse_ratio_spec(text: str) -> list[float]:
         span = (stop - start) / step + 1e-9
         if span < 0.0:
             raise ValueError(f"ratio range {text!r} holds no value")
-        if not span < _MAX_RANGE_RATIOS:
+        if not span < _MAX_VALUES:
             raise ValueError(f"--ratios range {text!r} holds {span + 1:.6g} values, "
-                             f"more than {_MAX_RANGE_RATIOS:,}")
+                             f"more than {_MAX_VALUES:,}")
         return [start + i * step for i in range(int(span) + 1)]
     return values
 
@@ -395,6 +396,10 @@ def _dispatch(args):
         }, args.out)
 
     elif cmd == "fig1a":
+        for name, w in (("wmin", args.wmin), ("wmax", args.wmax)):
+            if not variational.W_MIN <= w <= variational.W_MAX:
+                raise ValueError(f"--{name} must lie in [{variational.W_MIN:g}, "
+                                 f"{variational.W_MAX:g}], got {w:g}")
         lam = _resolve_wavelength(args, species)
         ratios = _parse_ratio_spec(args.ratios)
         if 0.0 in ratios:  # the curves are in units of N u/lam
@@ -408,9 +413,9 @@ def _dispatch(args):
             return {"w": w, **{key: variational.total_energy(w, cfg)
                                / variational.tf_energy_unit(cfg)
                                for key, cfg in curves.items()}}
-        # every term is a power of w or the smooth g(w): only the end rows can
-        # divide by zero or overflow, so they fail before any output
-        for w in (args.wmin, args.wmax)[:args.samples]:
+        # no width in [W_MIN, W_MAX] fails, but a ratio whose coupling
+        # underflows to 0 fails every row: the end rows run before any output
+        for w in (args.wmin, args.wmax):
             row(w)
         emit_csv(map(row, _linspace(args.wmin, args.wmax, args.samples)), args.out)
 
@@ -435,11 +440,17 @@ def _dispatch(args):
 
     elif cmd == "phase-map":
         from . import regimes
+        points = args.nx * args.ny
+        if min(args.nx, args.ny) > 0 and points > _MAX_VALUES:
+            raise ValueError(f"--nx {args.nx} by --ny {args.ny} is {points:,} "
+                             f"points, more than {_MAX_VALUES:,}")
         emit_csv(regimes.phase_map(species, nx=args.nx, ny=args.ny,
                                    use_detuned=args.detuned), args.out)
 
     elif cmd == "fig2":
         from . import regimes
+        if args.points > _MAX_VALUES:
+            raise ValueError(f"--points {args.points} is more than {_MAX_VALUES:,}")
         ys = _linspace(math.log10(args.lambda_min), math.log10(args.lambda_max),
                        args.points)
         emit_csv(regimes.capacity_band([10.0 ** y for y in ys], args.rho_low,

@@ -101,7 +101,9 @@ class RadialGrid(Record):
 
 
 class GroundState(Record):
-    """Converged order parameter and its diagnostics (all SI)."""
+    """Converged order parameter and its diagnostics (all SI).  Its arrays are
+    made read-only, and it compares and hashes by identity: arrays have no
+    single truth value or hash."""
 
     grid: RadialGrid
     psi: np.ndarray          # m^(-3/2), nodeless and non-negative
@@ -113,6 +115,13 @@ class GroundState(Record):
     residual: float          # eigen-residual ||(H[rho] - mu) v|| / sum |E_term|
     n_atoms: float
     energies: dict           # per-term totals, J
+
+    def _check(self):
+        for array in (self.psi, self.density, self.potential):
+            array.flags.writeable = False
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def _j_table(n: int, h_dimless: float, kernel: str) -> np.ndarray:

@@ -52,12 +52,20 @@ def f_factor(n_atoms: float, n_border: float) -> float:
     return 0.5 + math.sqrt(0.25 + ratio * ratio)
 
 
+def _label(x: float, y: float) -> str:
+    """The portrait's rule in the log plane: Unbound for y <= max(0, x), G
+    for 0 <= x <= y <= 2x, TFG otherwise."""
+    if y <= max(0.0, x):
+        return "Unbound"
+    return "G" if 0.0 <= x <= y <= 2.0 * x else "TFG"
+
+
 def classify(n_atoms: float, intensity: float, species: AtomSpecies,
              wavelength: float, use_detuned: bool = False) -> RegimePoint:
-    """Label a parameter point Unbound / G / TFG.
+    """Label a parameter point Unbound / G / TFG by the portrait's rule
+    applied to its own x = log10(lam/(N a)) and y = log10(I/I0).
 
-    Deterministic reading of the soft boundaries, applied in this order:
-    unbound when I/I0 does not exceed the kinetic-corrected threshold
+    Unbound when I/I0 does not exceed the kinetic-corrected threshold
     max(1, lam/(N a)); G when lam/(N a) >= 1 and lam/(N a) <= I/I0 <=
     (lam/(N a))^2; everything else is TFG (which then automatically has
     I/I0 > 1 and N > N_border).
@@ -71,15 +79,9 @@ def classify(n_atoms: float, intensity: float, species: AtomSpecies,
     u = InteractionParams.from_intensity(species, intensity, wavelength,
                                          use_detuned).coupling
     n_b = border_atom_number(u, species)
-    f = f_factor(n_atoms, n_b)
-    if ratio_y <= max(1.0, ratio_x):
-        label = "Unbound"
-    elif ratio_x >= 1.0 and ratio_x <= ratio_y <= ratio_x**2:
-        label = "G"
-    else:
-        label = "TFG"
-    return RegimePoint(x=math.log10(ratio_x), y=math.log10(ratio_y),
-                       n_border=n_b, f=f, label=label)
+    x, y = math.log10(ratio_x), math.log10(ratio_y)
+    return RegimePoint(x=x, y=y, n_border=n_b, f=f_factor(n_atoms, n_b),
+                       label=_label(x, y))
 
 
 def trap_relevance(rho: float, trap_frequency: float, wavelength: float,
@@ -150,20 +152,13 @@ def phase_map(species: AtomSpecies, nx: int = 51, ny: int = 41,
     """Grid of regime labels over the portrait plane, ``nx`` points of x
     over [-2, 3] by ``ny`` points of y over [-1, 3], ends included.
 
-    The labels depend only on the two coordinates, so each (x, y) pair is
-    realized at a fixed atom number with the wavelength solved from x.
+    Each coordinate is one rounded quotient of integers, labelled by the
+    rule of :func:`classify` applied to the coordinates themselves: exact on
+    the lines, and one map for every species, which only needs a threshold.
     """
     if nx < 2 or ny < 2:
         raise ValueError(f"need at least 2 points per axis, got {nx} x {ny}")
-    i0 = threshold_intensity(species, use_detuned)
-    n_atoms = 10.0
-    rows = []
-    for ix in range(nx):
-        x = -2.0 + 5.0 * ix / (nx - 1)
-        wavelength = 10.0**x * n_atoms * species.scattering_length
-        for iy in range(ny):
-            y = -1.0 + 4.0 * iy / (ny - 1)
-            point = classify(n_atoms, 10.0**y * i0, species, wavelength,
-                             use_detuned)
-            rows.append({"x": x, "y": y, "label": point.label})
-    return rows
+    threshold_intensity(species, use_detuned)  # ValueError where I0 is undefined
+    xs = [(5 * ix - 2 * (nx - 1)) / (nx - 1) for ix in range(nx)]
+    ys = [(4 * iy - (ny - 1)) / (ny - 1) for iy in range(ny)]
+    return [{"x": x, "y": y, "label": _label(x, y)} for x in xs for y in ys]

@@ -54,6 +54,11 @@ _DAWSON_TAYLOR = tuple(1.0 / (math.factorial(n) * (2 * n + 1))
 _DAWSON_ASYMPTOTIC = tuple(float(math.prod(range(1, 2 * n, 2)))
                            for n in range(1, 37))
 
+# widths g, g' and the energy take: a scan finds g and g' on their far and
+# near laws (to 1.1e-15, 4.8e-15) and w^4 normal from 1.3e-77 until Dawson's
+# z^7 overflows at 1.2e43; holds the minimizer's grid and tf_width's range
+W_MIN, W_MAX = 1e-76, 1e40
+
 # 181 widths, 20 per decade over the hard limits [1e-6, 1e3] wavelengths
 _WIDTHS = tuple(10.0 ** (k / 20) for k in range(-120, 61))
 _ROOT_RTOL = 1e-12
@@ -152,10 +157,10 @@ def pair_energy(w: float, kernel: str = "full", d_dw: bool = False) -> float:
     """Mean dimensionless pair energy g(w) = <U lam/u> over P(s; w), or with
     ``d_dw`` its width derivative g'(w), in closed form (module docstring).
 
-    Takes one width; the -u/r kernel gives -sqrt(2/pi)/w.
+    Takes one width in [W_MIN, W_MAX]; the -u/r kernel gives -sqrt(2/pi)/w.
     """
-    if not w > 0.0:
-        raise ValueError(f"width must be positive, got {w}")
+    if not W_MIN <= w <= W_MAX:
+        raise ValueError(f"width must lie in [{W_MIN:g}, {W_MAX:g}], got {w}")
     if kernel == "near_zone":
         return math.sqrt(2.0 / math.pi) / (w * w if d_dw else -w)
     if kernel != "full":
@@ -165,8 +170,8 @@ def pair_energy(w: float, kernel: str = "full", d_dw: bool = False) -> float:
 
 def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
     """Per-particle energy terms of the Gaussian trial state at width ``w``."""
-    if not w > 0.0:
-        raise ValueError(f"width must be positive, got {w}")
+    if not W_MIN <= w <= W_MAX:
+        raise ValueError(f"width must lie in [{W_MIN:g}, {W_MAX:g}], got {w}")
     k, t, s = _closed_coefficients(cfg)
     grav = 0.0
     if cfg.interaction.coupling != 0.0:

@@ -3,9 +3,11 @@ import json
 import math
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,26 +359,41 @@ def test_fig1a_streams_its_rows(monkeypatch, capsys):
     assert capsys.readouterr().err == "lasergrav: pipe closed\n"
 
 
+_DOMAIN = "must lie in [1e-76, 1e+40], got"
+
+
 @pytest.mark.parametrize("argv, code, message", [pytest.param(*case, id=" ".join(case[0])) for case in (
-    (["--wmin", "1e-120"], 1, "float division by zero"),
-    (["--wmax", "1e200"], 1, "(34, 'Numerical result out of range')"),
-    (["--wmin", "1e200", "--wmax", "1e-120"], 1,
-     "(34, 'Numerical result out of range')"),
-    (["--wmin", "2", "--wmax", "1e-120"], 1, "float division by zero"),
-    (["--samples", "1", "--wmax", "1e200"], 0, None))])
+    # a width outside variational's domain names its option, whatever --samples
+    (["--wmin", "1e-120"], 2, f"--wmin {_DOMAIN} 1e-120"),
+    (["--wmax", "1e200"], 2, f"--wmax {_DOMAIN} 1e+200"),
+    (["--wmin", "1e200", "--wmax", "1e-120"], 2, f"--wmin {_DOMAIN} 1e+200"),
+    (["--wmin", "2", "--wmax", "1e-120"], 2, f"--wmax {_DOMAIN} 1e-120"),
+    (["--samples", "1", "--wmax", "1e200"], 2, f"--wmax {_DOMAIN} 1e+200"),
+    # these once exited 0 with a wrong-signed row at 1e60 and a nan row
+    (["--wmin", "1e45", "--wmax", "1e60", "--samples", "2"], 2, f"--wmin {_DOMAIN} 1e+45"),
+    (["--wmax", "1e80"], 2, f"--wmax {_DOMAIN} 1e+80"),
+    # a coupling that underflows to 0 fails every row: the --wmin row,
+    # evaluated before the file is opened, fails first
+    (["--ratios", "1e-300"], 1, "numerical failure: float division by zero"))])
 def test_fig1a_end_row_failure_writes_nothing(argv, code, message, tmp_path,
                                               capsys):
-    # only the end rows can divide by zero or overflow; they are evaluated,
-    # --wmin first, before the file is opened, and with one sample --wmax
-    # is not a row
     out = tmp_path / "fig1a.csv"
     assert run(["fig1a", "--ratios", "1.5", *argv, "--out", str(out)]) == code
-    err = capsys.readouterr().err
-    if message is None:
-        assert err == "" and len(out.read_text().splitlines()) == 2
-    else:
-        assert err == f"lasergrav: numerical failure: {message}\n"
-        assert not out.exists()
+    assert capsys.readouterr().err == f"lasergrav: {message}\n"
+    assert not out.exists()
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every `lasergrav ...` line of README's CLI block, one per subcommand at
+    # least, exits 0; files they write land in tmp_path
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text[text.index("## CLI"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("lasergrav ")]
+    assert {argv[0] for argv in examples} == set(_SUBCOMMANDS)
+    monkeypatch.chdir(tmp_path)
+    failed = [argv for argv in examples if run(argv) != 0]
+    assert failed == [], capsys.readouterr().err
 
 
 def test_fig2_schema(tmp_path):
@@ -954,18 +971,34 @@ def test_parse_ratio_spec_forms():
         _parse_ratio_spec("0:100000:1")
 
 
-def test_huge_ratio_range_is_refused_before_it_is_built():
-    # a slip in the step asks for 1e18 ratios; the address-space limit makes
-    # a missing cap a MemoryError in the child instead of exhausting the host
+def _under_1gb(*argv):
+    # the address-space limit makes a missing cap a MemoryError in the child
+    # instead of exhausting the host
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "lasergrav.cli", "fig1b", "--ratios", "1:1e9:1e-9"],
-        capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    return subprocess.run([sys.executable, "-m", "lasergrav.cli", *argv],
+                          capture_output=True, text=True, preexec_fn=limit,
+                          timeout=60)
+
+
+def test_huge_ratio_range_is_refused_before_it_is_built():
+    # a slip in the step asks for 1e18 ratios
+    proc = _under_1gb("fig1b", "--ratios", "1:1e9:1e-9")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("lasergrav: --ratios range '1:1e9:1e-9' holds 1e+18 "
                            "values, more than 100,000\n")
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in (
+    (["phase-map", "--nx", "20000", "--ny", "20000"],
+     "--nx 20000 by --ny 20000 is 400,000,000 points, more than 100,000"),
+    (["fig2", "--points", "400000000"], "--points 400000000 is more than 100,000"))])
+def test_huge_grids_are_refused_before_they_are_built(argv, message):
+    # phase-map and fig2 build their rows before the first byte, like a
+    # --ratios range, and share its cap
+    proc = _under_1gb(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"lasergrav: {message}\n")
 
 
 def test_fig1a_energy_values_in_reduced_units(tmp_path, na):

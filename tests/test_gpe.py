@@ -77,6 +77,18 @@ def test_normalization_invariant(gpe_full_512):
     assert np.all(state.psi >= 0.0)
 
 
+def test_ground_state_is_read_only_and_compares_by_identity(gpe_full_512):
+    # a Record is immutable, but arrays have no single truth value or hash:
+    # field-wise == raised ValueError, hash() TypeError, and psi took writes
+    state, _ = gpe_full_512
+    for array in (state.psi, state.density, state.potential):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    twin = state.replace(psi=state.psi.copy())
+    assert state == state and state != twin and not twin.psi.flags.writeable
+    assert len({state, twin, state}) == 2
+
+
 def test_full_kernel_matches_variational_width(gpe_full_512, tf_width_15):
     state, _ = gpe_full_512
     assert state.r_rms == pytest.approx(tf_width_15.r_rms, rel=0.10)

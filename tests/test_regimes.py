@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,12 +198,73 @@ def test_phase_map_contains_all_regimes(na):
     assert len(rows) == 21 * 17
 
 
+def _exact_label(x: Fraction, y: Fraction) -> str:
+    """The portrait's rule on exact coordinates."""
+    if y <= max(0, x):
+        return "Unbound"
+    return "G" if 0 <= x <= y <= 2 * x else "TFG"
+
+
+@pytest.mark.parametrize("nx, ny", [(51, 41), (101, 81), (2, 2), (7, 60), (59, 3)])
+def test_phase_map_labels_are_the_rule_in_exact_arithmetic(na, nx, ny):
+    # each coordinate is its grid value rounded once, and each label is the
+    # rule applied to the exact grid value: on y = x and y = 2x too
+    rows = phase_map(na, nx=nx, ny=ny)
+    assert len(rows) == nx * ny
+    for ix in range(nx):
+        x = Fraction(5 * ix, nx - 1) - 2
+        for iy in range(ny):
+            y = Fraction(4 * iy, ny - 1) - 1
+            assert rows[ix * ny + iy] == {"x": float(x), "y": float(y),
+                                          "label": _exact_label(x, y)}, (ix, iy)
+
+
+def test_phase_map_builds_no_physical_point(na, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("phase_map realized a physical point")
+
+    monkeypatch.setattr(regimes, "classify", must_not_run)
+    monkeypatch.setattr(InteractionParams, "from_intensity", must_not_run)
+    assert len(phase_map(na)) == 51 * 41
+
+
+def test_phase_map_is_one_map_for_every_species(tmp_path, capsys):
+    # the labels depend on the coordinates alone; through a physical cloud
+    # per point, rounding once moved 12, 14 and 9 boundary labels for these
+    # routes
+    species = tmp_path / "species.txt"
+    species.write_text("name = K39\nmass_kg = 6.4697e-26\na_m = 2e-9\n"
+                       "alpha_v_m3 = 42.9e-30\n")
+    maps = []
+    for argv in ([], ["--static"], ["--species", "Rb87", "--static"],
+                 ["--species", "K39", "--species-file", str(species), "--static"]):
+        assert run(["phase-map", *argv]) == 0
+        maps.append(capsys.readouterr().out)
+    assert maps[1:] == maps[:1] * 3
+
+
+def test_classify_label_agrees_with_its_own_coordinates(na, rb):
+    # clouds realized on the lines y = 0, y = x and y = 2x, where a label
+    # read from the ratios can disagree with the logs it returns
+    n_atoms = 10.0
+    for species, detuned in ((na, True), (na, False), (rb, False)):
+        i0 = threshold_intensity(species, detuned)
+        for k in range(-20, 31):
+            x = k / 10
+            lam = 10.0**x * n_atoms * species.scattering_length
+            for y in (0.0, x, 2 * x):
+                point = classify(n_atoms, 10.0**y * i0, species, lam, detuned)
+                assert point.label == _exact_label(Fraction(point.x),
+                                                   Fraction(point.y)), (x, y)
+
+
 def test_labels_match_dominant_pressure_at_the_minimum(na):
     # G names zero-point kinetic pressure, TF-G contact pressure: at the
     # --no-tf variational minimum the named term is the larger one wherever
     # the label holds for 0.75 decade of I/I0 either way.  The boundaries
-    # are soft, so 0.25 decade from one the two can disagree.  Points are
-    # realized as in phase_map: N = 10, wavelength from x.
+    # are soft, so 0.25 decade from one the two can disagree.  Each (x, y)
+    # is realized as a cloud of N = 10 atoms, the wavelength solved from x
+    # and the intensity from y, and labelled by classify.
     n_atoms = 10.0
     i0 = threshold_intensity(na)
 

@@ -11,8 +11,9 @@ from lasergrav import (CONSTANTS, AnsatzConfig, InteractionParams,
                        threshold_intensity, total_energy, width_vs_intensity)
 from lasergrav import variational
 from lasergrav.errors import NumericsError
-from lasergrav.variational import (CONTACT_AT_THRESHOLD, W_SWITCH,
-                                   _brent_root, pair_energy, tf_energy_unit)
+from lasergrav.variational import (CONTACT_AT_THRESHOLD, W_MAX, W_MIN,
+                                   W_SWITCH, _brent_root, pair_energy,
+                                   tf_energy_unit)
 from quadrature_oracle import pair_interaction_integral
 
 LAM = 589e-9
@@ -183,8 +184,8 @@ def test_tf_tail_follows_inverse_sqrt_intensity(na):
     assert np.all(np.abs(local + 0.5) < 0.05)
 
 
-def _mpmath_pair_energy(w):
-    """g(w) and g'(w) at 50 digits; F(z) = sqrt(pi)/2 e^(-z^2) erfi(z)."""
+def _mpmath_pair_energy(w, digits=50):
+    """g(w) and g'(w) at ``digits`` digits; F(z) = sqrt(pi)/2 e^(-z^2) erfi(z)."""
     import mpmath as mp
 
     def g(x):
@@ -196,7 +197,7 @@ def _mpmath_pair_energy(w):
                       + 8 * r2 * pi**3 * x**3 - 6 * r2 * pi * x)
                 / (352 * pi**(mp.mpf(11) / 2) * x**6))
 
-    with mp.workdps(50):
+    with mp.workdps(digits):
         x = mp.mpf(w)
         return float(g(x)), float(mp.diff(g, x))
 
@@ -213,6 +214,28 @@ def test_pair_energy_matches_mpmath():
         exact, exact_slope = _mpmath_pair_energy(w)
         assert abs(pair_energy(w) / exact - 1.0) < 3e-15, w
         assert abs(pair_energy(w, d_dw=True) / exact_slope - 1.0) < 1.5e-14, w
+
+
+def test_pair_energy_keeps_its_digits_over_the_width_domain(na):
+    # W_MIN against mpmath, at 400 digits since the closed form cancels as
+    # w^-4; W_MAX against the far law g = -(70 sqrt(pi)/11)/z^3, whose next
+    # term is 1e-82 smaller there.  Past the domain g' once read 0.0 from
+    # w = 1e44, g -0.0 from 1e51 and both NaN from 1e76.
+    exact, exact_slope = _mpmath_pair_energy(W_MIN, digits=400)
+    assert pair_energy(W_MIN) == pytest.approx(exact, rel=3e-15, abs=0.0)
+    assert pair_energy(W_MIN, d_dw=True) == pytest.approx(exact_slope, rel=3e-15,
+                                                          abs=0.0)
+    far = 70.0 * math.sqrt(math.pi) / 11.0 / (2.0 * math.sqrt(2.0) * math.pi * W_MAX)**3
+    assert pair_energy(W_MAX) == pytest.approx(-far, rel=3e-15, abs=0.0)
+    assert pair_energy(W_MAX, d_dw=True) == pytest.approx(3.0 * far / W_MAX,
+                                                          rel=3e-15, abs=0.0)
+    cfg = config_at_ratio(na, 1.5, LAM, use_detuned=True, tf_limit=True)
+    for w in (math.nextafter(W_MIN, 0.0), math.nextafter(W_MAX, math.inf),
+              1e51, 1e76, math.inf, math.nan):
+        for value in (lambda: pair_energy(w), lambda: pair_energy(w, d_dw=True),
+                      lambda: energy_breakdown(w, cfg)):
+            with pytest.raises(ValueError, match=r"^width must lie in \[1e-76, 1e\+40\]"):
+                value()
 
 
 def test_pair_energy_matches_quadrature_oracle():
@@ -377,7 +400,7 @@ def test_invalid_inputs(na):
     with pytest.raises(ValueError, match="trap frequency must be non-negative"):
         AnsatzConfig(n_atoms=1.0, species=na, interaction=cfg.interaction,
                      trap_frequency=-1.0)
-    with pytest.raises(ValueError, match="width must be positive, got 0.0"):
+    with pytest.raises(ValueError, match=r"width must lie in \[1e-76, 1e\+40\], got 0.0"):
         pair_energy(0.0)
     with pytest.raises(ValueError, match="intensity must be non-negative, got -1.0"):
         InteractionParams.from_alpha(-1.0, LAM, cfg.interaction.alpha_si)
