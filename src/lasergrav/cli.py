@@ -107,9 +107,9 @@ def _resolve_intensity(args, species) -> tuple[float, float]:
     return value, value / i0
 
 
-# most values of a start:stop:step --ratios range, and most rows of the
-# commands that build theirs (phase-map, fig2): at 1.3 KB and 0.08 ms per fig1b
-# row, 150 MB and 8 s; a slip in the step (1:1e9:1e-9) would ask for 1e18
+# most values of a --ratios range, rows of phase-map and fig2, and gpe grid
+# points: at 1.3 KB and 0.08 ms per fig1b row, 150 MB and 8 s, and a gpe
+# solve 72 MB and 1.6 s; a slip in a step (1:1e9:1e-9) would ask for 1e18
 _MAX_VALUES = 100_000
 
 
@@ -402,21 +402,20 @@ def _dispatch(args):
                                  f"{variational.W_MAX:g}], got {w:g}")
         lam = _resolve_wavelength(args, species)
         ratios = _parse_ratio_spec(args.ratios)
-        if 0.0 in ratios:  # the curves are in units of N u/lam
-            raise ValueError(_NO_LIGHT)
-        # one single-atom TF config per ratio, shared by every width
-        curves = {f"E_over_N_tf_units_ratio_{ratio:g}": variational.config_at_ratio(
-                      species, ratio, lam, use_detuned=args.detuned, tf_limit=True)
-                  for ratio in ratios}
+        if min(ratios) <= 0.0:  # the curves are in units of N u/lam
+            raise ValueError(_NO_LIGHT if 0.0 in ratios
+                             else "intensity ratios must be non-negative")
+        # every species draws the same curve, but only with a threshold and a wavelength
+        variational.config_at_ratio(species, 1.0, lam, use_detuned=args.detuned)
+        curves = {f"E_over_N_tf_units_ratio_{r:g}": r for r in ratios}
 
         def row(w):
-            return {"w": w, **{key: variational.total_energy(w, cfg)
-                               / variational.tf_energy_unit(cfg)
-                               for key, cfg in curves.items()}}
-        # no width in [W_MIN, W_MAX] fails, but a ratio whose coupling
-        # underflows to 0 fails every row: the end rows run before any output
-        for w in (args.wmin, args.wmax):
-            row(w)
+            half_g = variational.pair_energy(w) / 2
+            return {"w": w, **{key: variational.CONTACT_AT_THRESHOLD / (r * w**3) + half_g
+                               for key, r in curves.items()}}
+        for w in (args.wmin, args.wmax):  # g is finite: only S_c/(r w^3) can overflow
+            if not all(map(math.isfinite, row(w).values())):
+                raise NumericsError(f"the contact term S_c/(r w^3) overflows at w = {w:g}")
         emit_csv(map(row, _linspace(args.wmin, args.wmax, args.samples)), args.out)
 
     elif cmd in ("fig1b", "width-sweep"):
@@ -461,6 +460,8 @@ def _dispatch(args):
         from . import gpe
         if args.n is not None and args.n < gpe.MIN_POINTS:
             raise ValueError(f"--n must be at least {gpe.MIN_POINTS}, got {args.n}")
+        if args.n is not None and args.n > _MAX_VALUES:
+            raise ValueError(f"--n {args.n} is more than {_MAX_VALUES:,}")
         lam = _resolve_wavelength(args, species)
         intensity, ratio = _resolve_intensity(args, species)
         params = InteractionParams.from_intensity(species, intensity, lam,
@@ -475,7 +476,7 @@ def _dispatch(args):
             raise UnboundError(f"no bound state at I/I0 = {ratio:g}; pass "
                                "--rmax to solve in an explicit box") from None
         rho_peak = float(state.density[0])
-        summary = {
+        emit_json({
             "species": species.name,
             "ratio": ratio,
             "atoms": args.atoms,
@@ -487,11 +488,10 @@ def _dispatch(args):
             "iterations": state.iterations,
             "residual": state.residual,
             "rho_peak_m3": rho_peak,
-            "energies_J": state.energies,
+            "energies_J": state.energies.asdict(),
             "mfa_validity": variational.mfa_validity(rho_peak, species,
                                                      params.coupling),
-        }
-        emit_json(summary, args.out)
+        }, args.out)
         if args.profile:
             emit_csv(({"R_m": float(r), "psi": float(p), "rho_m3": float(d),
                        "phi_J": float(ph)}

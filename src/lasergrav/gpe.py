@@ -47,7 +47,7 @@ from ._record import Record
 from .constants import CONSTANTS
 from .errors import CollapseError, ConvergenceError, NumericsError, UnboundError
 from .interaction import kernel_shape
-from .variational import AnsatzConfig, minimize_width
+from .variational import AnsatzConfig, EnergyBreakdown, minimize_width
 
 # 6-point Gauss-Legendre rule per J-table cell: numpy's leggauss(6) bit for bit,
 # without loading numpy.polynomial.  A full-kernel cell is at most lam/40 wide,
@@ -114,7 +114,7 @@ class GroundState(Record):
     iterations: int
     residual: float          # eigen-residual ||(H[rho] - mu) v|| / sum |E_term|
     n_atoms: float
-    energies: dict           # per-term totals, J
+    energies: EnergyBreakdown  # totals for all N atoms, J
 
     def _check(self):
         for array in (self.psi, self.density, self.potential):
@@ -492,9 +492,6 @@ def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,
 
     psi = math.sqrt(cfg.n_atoms) / lam**1.5 * (state.v / problem.x)
     density = psi**2
-    energies = dict(zip(
-        ("kinetic", "trap", "swave", "gravitational", "total"),
-        (cfg.n_atoms * e * energy_unit for e in (*state.terms, sum(state.terms)))))
     return GroundState(
         grid=grid,
         psi=psi,
@@ -505,5 +502,6 @@ def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,
         iterations=iterations,
         residual=state.residual,
         n_atoms=cfg.n_atoms,
-        energies=energies,
+        energies=EnergyBreakdown(*(cfg.n_atoms * e * energy_unit
+                                   for e in (*state.terms, sum(state.terms)))),
     )

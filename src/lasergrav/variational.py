@@ -95,7 +95,8 @@ class AnsatzConfig(Record):
 
 
 class EnergyBreakdown(Record):
-    """Per-particle energies (J) of the four contributions and their sum."""
+    """Per-particle energies (J) of the four contributions and their sum; a
+    :class:`~lasergrav.gpe.GroundState` holds the totals for all N atoms."""
 
     kinetic: float
     trap: float

@@ -15,6 +15,7 @@ import pytest
 from lasergrav import gpe, regimes, variational
 from lasergrav.cli import (_SHARED, _linspace, _parse_ratio_spec,
                            _resolve_intensity, build_parser, emit_csv, run)
+from lasergrav.species import SpeciesTable
 
 def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "lasergrav.cli", *argv],
@@ -344,12 +345,12 @@ def test_fig1a_streams_its_rows(monkeypatch, capsys):
     # evaluated up front, only the first row is computed before the stop
     calls = []
 
-    def counted(w, cfg):
+    def counted(w):
         calls.append(w)
-        return total_energy(w, cfg)
+        return pair_energy(w)
 
-    total_energy = variational.total_energy
-    monkeypatch.setattr(variational, "total_energy", counted)
+    pair_energy = variational.pair_energy
+    monkeypatch.setattr(variational, "pair_energy", counted)
     pipe = _OneRowPipe()
     monkeypatch.setattr(sys, "stdout", pipe)
     assert run(["fig1a", "--ratios", "1.5", "--wmin", "0.1", "--wmax", "2",
@@ -372,15 +373,116 @@ _DOMAIN = "must lie in [1e-76, 1e+40], got"
     # these once exited 0 with a wrong-signed row at 1e60 and a nan row
     (["--wmin", "1e45", "--wmax", "1e60", "--samples", "2"], 2, f"--wmin {_DOMAIN} 1e+45"),
     (["--wmax", "1e80"], 2, f"--wmax {_DOMAIN} 1e+80"),
-    # a coupling that underflows to 0 fails every row: the --wmin row,
-    # evaluated before the file is opened, fails first
-    (["--ratios", "1e-300"], 1, "numerical failure: float division by zero"))])
+    # a contact term S_c/(r w^3) that overflows fails at the smaller end,
+    # evaluated before the file is opened; --ratios 1e-300 is finite there
+    (["--ratios", "1e-308"], 1,
+     "numerical failure: the contact term S_c/(r w^3) overflows at w = 0.05"),
+    (["--ratios", "1e-308", "--wmin", "2", "--wmax", "0.05"], 1,
+     "numerical failure: the contact term S_c/(r w^3) overflows at w = 0.05"))])
 def test_fig1a_end_row_failure_writes_nothing(argv, code, message, tmp_path,
                                               capsys):
     out = tmp_path / "fig1a.csv"
     assert run(["fig1a", "--ratios", "1.5", *argv, "--out", str(out)]) == code
     assert capsys.readouterr().err == f"lasergrav: {message}\n"
     assert not out.exists()
+
+
+# routes to the one TF curve: every species, polarizability and wavelength
+# prints the same bytes; K39 comes from a species file
+_FIG1A_ROUTES = {
+    "Na": [],
+    "Na static 589 nm": ["--static", "--wavelength", "589e-9"],
+    "Rb87 static 780 nm": ["--species", "Rb87", "--static", "--wavelength", "780e-9"],
+    "Na 1064 nm": ["--wavelength", "1064e-9"],
+    "K39 static 767 nm": ["--species", "K39", "--static", "--wavelength", "767e-9"],
+}
+
+
+@pytest.fixture
+def k39_file(tmp_path, monkeypatch):
+    species = tmp_path / "species.txt"
+    species.write_text(
+        "name = K39\nmass_kg = 6.4697e-26\na_m = 2e-9\nalpha_v_m3 = 42.9e-30\n")
+    monkeypatch.setenv("LASERGRAV_SPECIES_FILE", str(species))
+    return species
+
+
+def _fig1a(tmp_path, *argv):
+    """The fig1a CSV of ``argv``: the ratios of its columns, and its rows as floats."""
+    out = tmp_path / "fig1a.csv"
+    assert run(["fig1a", *argv, "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    ratios = [float(key.rsplit("_", 1)[1]) for key in header.split(",")[1:]]
+    return ratios, [[float(cell) for cell in line.split(",")] for line in lines]
+
+
+def test_fig1a_prints_one_curve_for_every_species(tmp_path, k39_file):
+    files = set()
+    for name, route in _FIG1A_ROUTES.items():
+        out = tmp_path / f"{name}.csv"
+        assert run(["fig1a", *route, "--out", str(out)]) == 0
+        files.add(out.read_bytes())
+    assert len(files) == 1
+
+
+@pytest.mark.parametrize("route", ["Na", "Rb87 static 780 nm", "K39 static 767 nm"])
+def test_fig1a_matches_the_joule_route(route, tmp_path, k39_file):
+    # the curve in TF units against E/N in joules over N u/lam, per species
+    argv = _FIG1A_ROUTES[route]
+    args = build_parser().parse_args(["fig1a", *argv])
+    species = SpeciesTable(str(k39_file))[args.species]
+    lam = args.wavelength or species.laser_wavelength(args.detuned)
+    ratios, rows = _fig1a(tmp_path, *argv)
+    for r, column in zip(ratios, list(zip(*rows))[1:]):
+        cfg = variational.config_at_ratio(species, r, lam, use_detuned=args.detuned,
+                                          tf_limit=True)
+        joules = [variational.total_energy(w, cfg) / variational.tf_energy_unit(cfg)
+                  for w in _linspace(0.05, 2.0, 200)]
+        assert list(column) == pytest.approx(joules, rel=2e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ratio, wmin, samples, quoted", [
+    # the coupling r I0 overflowed to inf and every cell read nan
+    ("1e306", 0.05, 2, {}),
+    # the energy in joules overflowed to -inf at w = 1e-76
+    ("1e300", 1e-76, 2, {1e-76: -3.989422804014e+75}),
+    # the coupling underflowed to 0 and the run failed
+    ("1e-300", 0.05, 200, {0.05: 6.430662008789e+301, 2.0: 1.004790938873e+297})])
+def test_fig1a_cells_are_the_formula_at_extreme_ratios(ratio, wmin, samples, quoted,
+                                                       tmp_path):
+    (r,), rows = _fig1a(tmp_path, "--ratios", ratio, "--wmin", str(wmin),
+                        "--samples", str(samples))
+    widths = list(_linspace(wmin, 2.0, samples))
+    assert [row[0] for row in rows] == [float(f"{w:.12e}") for w in widths]
+    for w, (_, cell) in zip(widths, rows):
+        formula = (variational.CONTACT_AT_THRESHOLD / (r * w**3)
+                   + variational.pair_energy(w) / 2)
+        assert math.isfinite(cell) and f"{cell:.12e}" == f"{formula:.12e}"
+        if w in quoted:
+            assert cell == pytest.approx(quoted[w], rel=1e-12, abs=0.0)
+
+
+def test_fig1a_needs_no_energy_in_joules(tmp_path, monkeypatch):
+    monkeypatch.setattr(variational, "total_energy", _must_not_run)
+    monkeypatch.setattr(variational, "tf_energy_unit", _must_not_run)
+    ratios, rows = _fig1a(tmp_path)
+    assert ratios == [0.5, 0.8, 1.0, 1.2, 1.5, 2.0] and len(rows) == 200
+
+
+def test_fig1a_minimum_is_the_fig1b_width(tmp_path):
+    # on a grid of step 5e-4 the lowest sample of each bound curve sits within
+    # a step of fig1b's w*; without a minimum (r <= 1) the curve falls to wmax
+    ratios, rows = _fig1a(tmp_path, "--ratios", "0.8,1,1.1,1.5,2,5,20",
+                          "--wmin", "0.04", "--wmax", "1.5", "--samples", "2921")
+    fig1b = tmp_path / "fig1b.csv"
+    assert run(["fig1b", "--ratios", "0.8,1,1.1,1.5,2,5,20", "--out", str(fig1b)]) == 0
+    w_star = [float(line.split(",")[1]) for line in fig1b.read_text().splitlines()[1:]]
+    for k, (r, w) in enumerate(zip(ratios, w_star), start=1):
+        lowest = min(rows, key=lambda row: row[k])[0]
+        if r > 1.0:
+            assert abs(lowest - w) <= 5e-4, r
+        else:
+            assert math.isnan(w) and lowest == 1.5, r
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
@@ -993,10 +1095,13 @@ def test_huge_ratio_range_is_refused_before_it_is_built():
 @pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in (
     (["phase-map", "--nx", "20000", "--ny", "20000"],
      "--nx 20000 by --ny 20000 is 400,000,000 points, more than 100,000"),
-    (["fig2", "--points", "400000000"], "--points 400000000 is more than 100,000"))])
+    (["fig2", "--points", "400000000"], "--points 400000000 is more than 100,000"),
+    # the GMRES basis alone needs 931 MiB
+    (["gpe", "--ratio", "1.5", "--atoms", "1e4", "--rmax", "1e-4", "--n", "2000000"],
+     "--n 2000000 is more than 100,000"))])
 def test_huge_grids_are_refused_before_they_are_built(argv, message):
     # phase-map and fig2 build their rows before the first byte, like a
-    # --ratios range, and share its cap
+    # --ratios range, and share its cap; so does gpe's grid
     proc = _under_1gb(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"lasergrav: {message}\n")
 

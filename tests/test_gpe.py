@@ -63,9 +63,9 @@ def test_harmonic_oscillator_ground_state(no_contact):
     assert state.mu == pytest.approx(1.5 * CONSTANTS.hbar * omega0, rel=1e-4, abs=0.0)
     assert state.r_rms == pytest.approx(r_rms_exact, rel=1e-4)
     energies = state.energies
-    assert energies["kinetic"] == pytest.approx(energies["trap"], rel=1e-3, abs=0.0)
+    assert energies.kinetic == pytest.approx(energies.trap, rel=1e-3, abs=0.0)
     # no pairwise terms: mu N equals the total energy
-    assert state.mu * state.n_atoms == pytest.approx(energies["total"],
+    assert state.mu * state.n_atoms == pytest.approx(energies.total,
                                                      rel=1e-10, abs=0.0)
 
 
@@ -87,6 +87,11 @@ def test_ground_state_is_read_only_and_compares_by_identity(gpe_full_512):
     twin = state.replace(psi=state.psi.copy())
     assert state == state and state != twin and not twin.psi.flags.writeable
     assert len({state, twin, state}) == 2
+    # the energies were a dict that took writes
+    with pytest.raises(AttributeError, match="immutable"):
+        state.energies.total = 0.0
+    with pytest.raises(TypeError):
+        state.energies["total"] = 0.0
 
 
 def test_full_kernel_matches_variational_width(gpe_full_512, tf_width_15):
@@ -484,7 +489,7 @@ def test_solve_ground_makes_no_dense_solve(na, monkeypatch):
 
 def test_bound_state_has_negative_attraction_energy(gpe_full_512):
     state, _ = gpe_full_512
-    assert state.energies["gravitational"] < 0.0
+    assert state.energies.gravitational < 0.0
     # peak density sits at the origin for the bound state
     assert np.argmax(state.density) == 0
 
@@ -517,7 +522,7 @@ def test_near_zone_solution_matches_calculus_oracle(no_contact):
     e_oracle = n_atoms * (
         3 * CONSTANTS.hbar**2 / (4 * no_contact.mass * b_star**2)
         - coupling * n_atoms / (math.sqrt(2 * math.pi) * b_star))
-    assert state.energies["total"] == pytest.approx(e_oracle, rel=0.10, abs=0.0)
+    assert state.energies.total == pytest.approx(e_oracle, rel=0.10, abs=0.0)
 
 
 def test_near_zone_energy_scaling_with_atom_number(no_contact):
@@ -532,7 +537,7 @@ def test_near_zone_energy_scaling_with_atom_number(no_contact):
         b_star = 3 * math.sqrt(2 * math.pi) * CONSTANTS.hbar**2 / (
             2 * no_contact.mass * coupling * n_atoms)
         state = solve_ground(cfg, 512, 8.0 * math.sqrt(1.5) * b_star)
-        results.append(state.energies["total"])
+        results.append(state.energies.total)
     assert results[1] / results[0] == pytest.approx(4.0, rel=0.10)
 
 
@@ -642,7 +647,7 @@ def test_kinetic_pressure_limit_matches_schroedinger_newton_oracle(no_contact):
     for n_points in (512, 1024):
         state = solve_ground(cfg, n_points)
         errors.append((state.mu / (energy_unit * mu_sn) - 1.0,
-                       state.energies["total"] / (n_atoms * energy_unit * e_sn) - 1.0,
+                       state.energies.total / (n_atoms * energy_unit * e_sn) - 1.0,
                        state.r_rms * gamma / (LAM * r_sn) - 1.0))
     # measured (mu, E, r_rms): (1.51e-4, 9.08e-5, -1.69e-4) on 512 points,
     # (3.78e-5, 2.27e-5, -4.22e-5) on 1,024, each falling 4.00 times: the
