@@ -303,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="peak density (m^-3)")
     _add(p, "ratio")
     p.add_argument("--self-consistent", action="store_true",
-                   help="retain the kinetic term and iterate over N")
+                   help="keep the kinetic term: the width is the one root of "
+                        "w^2 (h(w) - S_c/r) = c, if it is the deepest minimum at N")
 
     for p in subparsers.choices.values():  # every subcommand ends with these
         _add(p, "out", "seed", "plot-script")
@@ -410,11 +411,14 @@ def _dispatch(args):
         curves = {f"E_over_N_tf_units_ratio_{r:g}": r for r in ratios}
 
         def row(w):
-            half_g = variational.pair_energy(w) / 2
-            return {"w": w, **{key: variational.CONTACT_AT_THRESHOLD / (r * w**3) + half_g
-                               for key, r in curves.items()}}
+            cells = variational._tf_energies(w, curves.values())
+            return {"w": w, **dict(zip(curves, cells))}
         for w in (args.wmin, args.wmax):  # g is finite: only S_c/(r w^3) can overflow
-            if not all(map(math.isfinite, row(w).values())):
+            try:
+                finite = all(map(math.isfinite, row(w).values()))
+            except ZeroDivisionError:  # r w^3 underflows to 0
+                finite = False
+            if not finite:
                 raise NumericsError(f"the contact term S_c/(r w^3) overflows at w = {w:g}")
         emit_csv(map(row, _linspace(args.wmin, args.wmax, args.samples)), args.out)
 

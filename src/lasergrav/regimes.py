@@ -11,11 +11,11 @@ import math
 
 from ._record import Record
 from .constants import CONSTANTS
-from .errors import ConvergenceError, UnboundError
-from .interaction import InteractionParams
+from .errors import UnboundError
+from .interaction import InteractionParams, _brent_root
 from .species import AtomSpecies
-from .variational import (config_at_ratio, minimize_width, tf_width,
-                          threshold_intensity)
+from .variational import (W_MAX, _tf_slope, config_at_ratio, minimize_width,
+                          tf_width, threshold_intensity)
 
 # reading of the "much greater than one" trap-irrelevance condition
 TRAP_NEGLIGIBLE_CUTOFF = 10.0
@@ -102,40 +102,39 @@ def trap_relevance(rho: float, trap_frequency: float, wavelength: float,
 def atom_capacity(wavelength: float, rho_peak: float, ratio: float,
                   species: AtomSpecies, use_detuned: bool = False,
                   self_consistent: bool = False) -> float:
-    """Atom number at which the cloud at I/I0 = ``ratio`` reaches
-    ``rho_peak`` (m^-3) central density.
+    """Atom number N = rho_peak pi^(3/2) (w lam)^3 at which the cloud at I/I0
+    = ``ratio`` reaches ``rho_peak`` (m^-3) central density.
 
-    Solves rho_peak = N / (pi^(3/2) (w* lam)^3) with the TF-limit width
-    :func:`tf_width` of ``ratio`` (N-independent).  With ``self_consistent``
-    the kinetic term is retained and the equation is iterated to a fixed
-    point over N; that variant raises :class:`UnboundError` when the
-    kinetic pressure unbinds the cloud (small capacities, so the TF form is
-    the default) and :class:`ConvergenceError` after 200 unsettled steps.
+    The TF limit (the default) takes w = :func:`tf_width`.  ``self_consistent``
+    keeps the kinetic term: w is the one root above it of w^2 (h - S_c/r) = c =
+    hbar^2/(2 pi^(3/2) m u rho lam^4), whose left side rises from 0 there, and
+    :class:`UnboundError` unless w is the deepest minimum at N >= 1.
     """
     if not rho_peak > 0.0:
         raise ValueError("peak density must be positive")
     threshold_intensity(species, use_detuned)  # ValueError where I0 is undefined
     if not wavelength > 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    w_star = tf_width(ratio)
-    if math.isnan(w_star):
+    w = tf_width(ratio)
+    if math.isnan(w):
         raise UnboundError(f"no bound TF solution at I/I0 = {ratio}")
-    n = rho_peak * math.pi**1.5 * (w_star * wavelength) ** 3
-    if not self_consistent:
-        return n
-    for _ in range(200):
-        cfg = config_at_ratio(species, ratio, wavelength, n_atoms=max(n, 1.0),
-                              use_detuned=use_detuned, tf_limit=False)
-        trial = minimize_width(cfg)
-        if not trial.bound_local:
-            raise UnboundError(
-                f"kinetic pressure unbinds the cloud near N = {n:.3g}; "
-                f"no self-consistent capacity at I/I0 = {ratio}")
-        n_new = rho_peak * math.pi**1.5 * (trial.w_star * wavelength) ** 3
-        if abs(n_new - n) <= 1e-6 * n:
-            return n_new
-        n = n_new
-    raise ConvergenceError("atom-capacity fixed point did not settle")
+    if self_consistent:  # c with u = r u0 from the threshold formula
+        c = 35.0 / (352.0 * math.pi**3.5 * ratio * species.scattering_length
+                    * rho_peak * wavelength**2)
+
+        def excess(x):
+            return x * x * _tf_slope(x, ratio) - c
+        hi = 2.0 * w
+        while hi < W_MAX and excess(hi) < 0.0:
+            hi = min(2.0 * hi, W_MAX)
+        w = _brent_root(excess, w, hi, 1e-15 * w, 1e-15)
+    n = rho_peak * math.pi**1.5 * (w * wavelength) ** 3
+    if self_consistent and not (n >= 1.0 and abs(minimize_width(config_at_ratio(
+            species, ratio, wavelength, n, use_detuned)).w_star - w) <= 1e-9 * w):
+        raise UnboundError(
+            f"kinetic pressure unbinds the cloud near N = {n:.3g}; "
+            f"no self-consistent capacity at I/I0 = {ratio}")
+    return n
 
 
 def capacity_band(wavelengths, rho_low: float, rho_high: float, ratio: float,

@@ -223,19 +223,37 @@ def tf_width(ratio: float) -> float:
         raise NumericsError(f"I/I0 = {ratio:g} puts w* below 1e-75 wavelengths")
     if not ratio > 1.0:
         return math.nan
-
-    def slope(w):  # h(w) - S_c/r
-        x = 1.0 / (16.0 * (math.pi * w) ** 2)  # 1/(2 z^2)
-        if x > 0.5 / _DAWSON_SWITCH**2:
-            return w**4 * pair_energy(w, d_dw=True) / 6.0 - CONTACT_AT_THRESHOLD / ratio
-        tail = _horner(x, _DAWSON_ASYMPTOTIC[1:])  # Sum_(n>1) (2n-1)!! x^(n-2)
-        lead = (3.0 + 16.0 * x + 48.0 * x * x) * (1.0 + x * tail)
-        return CONTACT_AT_THRESHOLD * ((ratio - 1.0) / ratio
-                                       - x / 3.5 * (32.0 - 48.0 * x - tail / 2 - lead))
-
     # w* is within 12% of the larger root of h's two asymptotes
     guess = max(0.2459 / math.sqrt(ratio), 0.22306 / math.sqrt(ratio - 1.0))
-    return _brent_root(slope, 0.8 * guess, 1.25 * guess, 1e-15 * guess, 1e-15)
+    return _brent_root(lambda w: _tf_slope(w, ratio), 0.8 * guess, 1.25 * guess,
+                       1e-15 * guess, 1e-15)
+
+
+def _tf_slope(w: float, ratio: float) -> float:  # h(w) - S_c/r
+    x = 1.0 / (16.0 * (math.pi * w) ** 2)  # 1/(2 z^2)
+    if x > 0.5 / _DAWSON_SWITCH**2:
+        return w**4 * pair_energy(w, d_dw=True) / 6.0 - CONTACT_AT_THRESHOLD / ratio
+    tail = _horner(x, _DAWSON_ASYMPTOTIC[1:])  # Sum_(n>1) (2n-1)!! x^(n-2)
+    lead = (3.0 + 16.0 * x + 48.0 * x * x) * (1.0 + x * tail)
+    return CONTACT_AT_THRESHOLD * ((ratio - 1.0) / ratio
+                                   - x / 3.5 * (32.0 - 48.0 * x - tail / 2 - lead))
+
+
+def _tf_energies(w: float, ratios: Sequence[float]) -> list[float]:
+    """TF energy per particle S_c/(r w^3) + g(w)/2, in units of N u/lam, at
+    width ``w`` for each r = I/I0 in ``ratios``.  The two terms cancel to
+    O(w^-5) at r = 1, so above z = 6 it sums S_c (1 - r)/(r w^3) + D, with
+    D = g/2 + S_c/w^3 from the asymptotic F and its z^-3 terms cancelled.
+    """
+    z = 2.0 * math.sqrt(2.0) * math.pi * w
+    if z < _DAWSON_SWITCH:
+        half_g = pair_energy(w) / 2
+        return [CONTACT_AT_THRESHOLD / (r * w**3) + half_g for r in ratios]
+    t = _horner(0.5 / (z * z), _DAWSON_ASYMPTOTIC)
+    d = (-(10.0 * math.sqrt(math.pi) / 11.0)
+         * (-9.0 * z + 6.0 / z + 0.75 * t * (z + 2.0 / z + 4.0 / z**3)) / z**6)
+    contact = CONTACT_AT_THRESHOLD / w**3  # r w^3 would overflow at huge r
+    return [contact * (1.0 - r) / r + d for r in ratios]
 
 
 def minimize_width(cfg: AnsatzConfig) -> VariationalResult:

@@ -345,12 +345,12 @@ def test_fig1a_streams_its_rows(monkeypatch, capsys):
     # evaluated up front, only the first row is computed before the stop
     calls = []
 
-    def counted(w):
+    def counted(w, ratios):
         calls.append(w)
-        return pair_energy(w)
+        return tf_energies(w, ratios)
 
-    pair_energy = variational.pair_energy
-    monkeypatch.setattr(variational, "pair_energy", counted)
+    tf_energies = variational._tf_energies
+    monkeypatch.setattr(variational, "_tf_energies", counted)
     pipe = _OneRowPipe()
     monkeypatch.setattr(sys, "stdout", pipe)
     assert run(["fig1a", "--ratios", "1.5", "--wmin", "0.1", "--wmax", "2",
@@ -378,7 +378,10 @@ _DOMAIN = "must lie in [1e-76, 1e+40], got"
     (["--ratios", "1e-308"], 1,
      "numerical failure: the contact term S_c/(r w^3) overflows at w = 0.05"),
     (["--ratios", "1e-308", "--wmin", "2", "--wmax", "0.05"], 1,
-     "numerical failure: the contact term S_c/(r w^3) overflows at w = 0.05"))])
+     "numerical failure: the contact term S_c/(r w^3) overflows at w = 0.05"),
+    # r w^3 that underflows to 0 once failed as a bare "float division by zero"
+    (["--ratios", "1e-300", "--wmin", "1e-9", "--samples", "2"], 1,
+     "numerical failure: the contact term S_c/(r w^3) overflows at w = 1e-09"))])
 def test_fig1a_end_row_failure_writes_nothing(argv, code, message, tmp_path,
                                               capsys):
     out = tmp_path / "fig1a.csv"
@@ -532,6 +535,26 @@ def test_atom_count(tmp_path):
                 "--rho-peak", "1e21", "--ratio", "1.5", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert 20.0 <= data["N"] <= 60.0
+
+
+@pytest.mark.parametrize("wavelength, rho, ratio, n_atoms", [
+    ("589e-9", "1e22", "1.5", 863.53896484), ("1e-6", "1e22", "3", 293.78669644),
+    ("5e-6", "1e20", "1.5", 6202.9700041)])
+def test_atom_count_self_consistent(wavelength, rho, ratio, n_atoms, tmp_path):
+    # bound clouds of this peak density the fixed-point iteration missed
+    out = tmp_path / "n.json"
+    assert run(["atom-count", "--species", "Na", "--wavelength", wavelength,
+                "--rho-peak", rho, "--ratio", ratio, "--self-consistent",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["N"] == pytest.approx(n_atoms, rel=1e-10, abs=0.0)
+
+
+def test_atom_count_self_consistent_unbinds(capsys):
+    assert run(["atom-count", "--species", "Na", "--wavelength", "589e-9",
+                "--rho-peak", "1e21", "--ratio", "1.5", "--self-consistent"]) == 1
+    assert capsys.readouterr().err == (
+        "lasergrav: kinetic pressure unbinds the cloud near N = 551; "
+        "no self-consistent capacity at I/I0 = 1.5\n")
 
 
 def test_atom_count_unbound_is_numerical_failure(tmp_path):

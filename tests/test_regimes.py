@@ -1,14 +1,15 @@
-import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from lasergrav import (ConvergenceError, InteractionParams, UnboundError,
-                       atom_capacity, border_atom_number, capacity_band,
+from lasergrav import (CONSTANTS, InteractionParams, UnboundError, atom_capacity,
+                       border_atom_number, capacity_band, catalog_lookup,
                        classify, config_at_ratio, f_factor, minimize_width,
-                       phase_map, regimes, threshold_intensity, trap_relevance)
+                       phase_map, regimes, threshold_intensity, trap_relevance,
+                       variational)
 from lasergrav.cli import run
 
 LAM = 589e-9
@@ -167,20 +168,75 @@ def test_atom_capacity_self_consistent_small_cloud_unbinds(na):
                       self_consistent=True)
 
 
-def test_atom_capacity_fixed_point_that_never_settles_is_numerical(na, monkeypatch,
-                                                                  capsys):
-    # widths that alternate keep N from settling: that is a solver failure,
-    # not the absence of a bound state
-    results = itertools.cycle(minimize_width(config_at_ratio(
-        na, 1.5, 10.6e-6, n_atoms=n, use_detuned=True)) for n in (1e5, 1e6))
-    monkeypatch.setattr(regimes, "minimize_width", lambda cfg: next(results))
-    with pytest.raises(ConvergenceError, match="did not settle"):
+def test_atom_capacity_rejects_a_width_that_is_not_the_deepest_minimum(
+        na, monkeypatch, capsys):
+    # the root is a stationary width at its N; where the minimization of a
+    # cloud of that N finds its deepest minimum elsewhere, the cloud does
+    # not hold N at that density
+    monkeypatch.setattr(regimes, "minimize_width",
+                        lambda cfg: minimize_width(cfg.replace(n_atoms=2 * cfg.n_atoms)))
+    with pytest.raises(UnboundError, match="unbinds the cloud near N = 2.83e"):
         atom_capacity(10.6e-6, 1e22, 1.5, na, use_detuned=True,
                       self_consistent=True)
     assert run(["atom-count", "--wavelength", "10.6e-6", "--rho-peak", "1e22",
                 "--self-consistent"]) == 1
     assert capsys.readouterr() == (
-        "", "lasergrav: numerical failure: atom-capacity fixed point did not settle\n")
+        "", "lasergrav: kinetic pressure unbinds the cloud near N = 2.83e+06; "
+            "no self-consistent capacity at I/I0 = 1.5\n")
+
+
+def _fixed_point_capacity(lam, rho, ratio, species):
+    """Independent oracle: N = F(N) = rho pi^(3/2) (w*(N) lam)^3 by scipy's
+    brentq in log N, w*(N) the deepest minimum at N, bracketed from the
+    first bound N above the TF capacity (F falls to the TF value)."""
+    def gap(log_n):
+        res = minimize_width(config_at_ratio(species, ratio, lam, n_atoms=math.exp(log_n),
+                                             use_detuned=True))
+        return math.log(rho * math.pi**1.5 * (res.w_star * lam) ** 3) - log_n
+
+    log_tf = math.log(atom_capacity(lam, rho, ratio, species, use_detuned=True))
+    lo = next(x for x in np.arange(log_tf, log_tf + 5.0, 0.01) if gap(x) > 0.0)
+    return math.exp(brentq(gap, lo, log_tf + 5.0, xtol=1e-14))
+
+
+@pytest.mark.parametrize("lam, rho, ratio", [
+    (589e-9, 1e22, 1.5), (1e-6, 1e22, 3.0), (5e-6, 1e20, 1.5),
+    (1.2e-5, 1e20, 3.0), (1e-6, 1e22, 1.2)])
+def test_self_consistent_capacity_is_the_fixed_point(na, lam, rho, ratio, monkeypatch):
+    # one Brent root and one verifying minimization against a root of
+    # F(N) - N; the first three once read "unbinds" or "did not settle"
+    oracle = _fixed_point_capacity(lam, rho, ratio, na)
+    calls = {"minimize_width": 0, "_brent_root": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(regimes, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(regimes, name, counted)
+    n = atom_capacity(lam, rho, ratio, na, use_detuned=True, self_consistent=True)
+    assert n == pytest.approx(oracle, rel=1e-10, abs=0.0)
+    assert calls == {"minimize_width": 1, "_brent_root": 1}
+
+
+@pytest.mark.parametrize("name, detuned, lam, rho, ratio", [
+    ("Na", True, 589e-9, 1e22, 1.5), ("Na", False, 1e-6, 1e22, 3.0),
+    ("Rb87", False, 780e-9, 1e21, 2.0)])
+def test_capacity_constant_is_the_kinetic_closed_form(name, detuned, lam, rho, ratio,
+                                                       monkeypatch):
+    # w^2 (h(w) - S_c/r) = c: the code's 35/(352 pi^(7/2) r a rho lam^2),
+    # read back from the function it roots, is hbar^2/(2 pi^(3/2) m u rho lam^4)
+    species = catalog_lookup(name)
+    roots, real = [], regimes._brent_root
+
+    def spy(f, a, *args):
+        roots.append((f, a))
+        return real(f, a, *args)
+    monkeypatch.setattr(regimes, "_brent_root", spy)
+    atom_capacity(lam, rho, ratio, species, use_detuned=detuned, self_consistent=True)
+    (f, w_tf), = roots
+    c = w_tf * w_tf * variational._tf_slope(w_tf, ratio) - f(w_tf)
+    u = config_at_ratio(species, ratio, lam, use_detuned=detuned).interaction.coupling
+    kinetic = CONSTANTS.hbar**2 / (2 * math.pi**1.5 * species.mass * u * rho * lam**4)
+    assert c == pytest.approx(kinetic, rel=2e-15, abs=0.0)
 
 
 def test_capacity_band_rows(na):

@@ -184,22 +184,24 @@ def test_tf_tail_follows_inverse_sqrt_intensity(na):
     assert np.all(np.abs(local + 0.5) < 0.05)
 
 
-def _mpmath_pair_energy(w, digits=50):
-    """g(w) and g'(w) at ``digits`` digits; F(z) = sqrt(pi)/2 e^(-z^2) erfi(z)."""
+def _mpmath_g(x):
+    """g at mpmath's working precision, in the form derived from the kernel's
+    Fourier transform, in w; F(z) = sqrt(pi)/2 e^(-z^2) erfi(z)."""
     import mpmath as mp
+    pi, r2 = mp.pi, mp.sqrt(2)
+    z = 2 * r2 * pi * x
+    f = mp.sqrt(pi) / 2 * mp.exp(-z * z) * mp.erfi(z)
+    return (-5 * ((48 * pi**4 * x**4 + 12 * pi**2 * x**2 + 3) * f
+                  + 8 * r2 * pi**3 * x**3 - 6 * r2 * pi * x)
+            / (352 * pi**(mp.mpf(11) / 2) * x**6))
 
-    def g(x):
-        # the form derived from the kernel's Fourier transform, in w
-        pi, r2 = mp.pi, mp.sqrt(2)
-        z = 2 * r2 * pi * x
-        f = mp.sqrt(pi) / 2 * mp.exp(-z * z) * mp.erfi(z)
-        return (-5 * ((48 * pi**4 * x**4 + 12 * pi**2 * x**2 + 3) * f
-                      + 8 * r2 * pi**3 * x**3 - 6 * r2 * pi * x)
-                / (352 * pi**(mp.mpf(11) / 2) * x**6))
 
+def _mpmath_pair_energy(w, digits=50):
+    """g(w) and g'(w) at ``digits`` digits."""
+    import mpmath as mp
     with mp.workdps(digits):
         x = mp.mpf(w)
-        return float(g(x)), float(mp.diff(g, x))
+        return float(_mpmath_g(x)), float(mp.diff(_mpmath_g, x))
 
 
 def test_pair_energy_matches_mpmath():
@@ -284,22 +286,13 @@ def test_unbound_at_and_below_threshold(na):
 def _mpmath_tf_width(ratio):
     """Root of h(w) = S_c/r at 60 digits, h from the mpmath g above."""
     import mpmath as mp
-
-    def g(x):
-        pi, r2 = mp.pi, mp.sqrt(2)
-        z = 2 * r2 * pi * x
-        f = mp.sqrt(pi) / 2 * mp.exp(-z * z) * mp.erfi(z)
-        return (-5 * ((48 * pi**4 * x**4 + 12 * pi**2 * x**2 + 3) * f
-                      + 8 * r2 * pi**3 * x**3 - 6 * r2 * pi * x)
-                / (352 * pi**(mp.mpf(11) / 2) * x**6))
-
     with mp.workdps(60):
         contact = 35 / (88 * mp.pi * (2 * mp.pi) ** mp.mpf(1.5))
         target = contact / mp.mpf(ratio)
         # start from the asymptotes of h, not from the code under test
         guess = max(mp.mpf("0.2459") / mp.sqrt(ratio),
                     mp.mpf("0.22306") / mp.sqrt(mp.mpf(ratio) - 1))
-        return mp.findroot(lambda w: w**4 * mp.diff(g, w) / 6 - target,
+        return mp.findroot(lambda w: w**4 * mp.diff(_mpmath_g, w) / 6 - target,
                            guess)
 
 
@@ -311,6 +304,21 @@ def test_tf_width_matches_mpmath_root():
     for ratio in ratios + [4.4, 10.0, 18.25, 1e2, 1e6, 1e12]:
         exact = _mpmath_tf_width(ratio)
         assert abs(variational.tf_width(ratio) / exact - 1.0) < 2e-15, ratio
+
+
+@pytest.mark.parametrize("w", [0.7, 2.0, 1000.0, 1e39])
+@pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-9, 1.0 - 1e-9])
+def test_tf_energies_keep_their_digits_where_the_terms_cancel(w, ratio):
+    # S_c/(r w^3) and g/2 cancel to O(w^-5) at r = 1: their plain sum once read
+    # 2.3997271966e-19 for 2.3997271389e-19 at w = 1000, and 3.4e-136 for
+    # 1.9e-200 at w = 1.67e39.  400 digits hold g's own cancellation at 1e39
+    import mpmath as mp
+    with mp.workdps(400):
+        x = mp.mpf(w)
+        contact = 35 / (88 * mp.pi * (2 * mp.pi) ** mp.mpf(1.5))
+        exact = float(contact / (mp.mpf(ratio) * x**3) + _mpmath_g(x) / 2)
+    assert variational._tf_energies(w, [ratio]) == [pytest.approx(exact, rel=1e-15,
+                                                                  abs=0.0)]
 
 
 def test_tf_width_is_nan_at_and_below_threshold():
