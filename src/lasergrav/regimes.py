@@ -11,7 +11,7 @@ import math
 
 from ._record import Record
 from .constants import CONSTANTS
-from .errors import UnboundError
+from .errors import NumericsError, UnboundError
 from .interaction import InteractionParams, _brent_root
 from .species import AtomSpecies
 from .variational import (W_MAX, _tf_slope, config_at_ratio, minimize_width,
@@ -127,6 +127,10 @@ def atom_capacity(wavelength: float, rho_peak: float, ratio: float,
         hi = 2.0 * w
         while hi < W_MAX and excess(hi) < 0.0:
             hi = min(2.0 * hi, W_MAX)
+        if excess(w) > 0.0 or excess(hi) < 0.0:
+            raise NumericsError(f"no self-consistent capacity at rho = {rho_peak:g} m^-3, "
+                                f"I/I0 = {ratio}: " + (f"c = {c:.3g} is below the rounding "
+                                "of h - S_c/r" if excess(w) > 0.0 else f"w lies past {W_MAX:g}"))
         w = _brent_root(excess, w, hi, 1e-15 * w, 1e-15)
     n = rho_peak * math.pi**1.5 * (w * wavelength) ** 3
     if self_consistent and not (n >= 1.0 and abs(minimize_width(config_at_ratio(

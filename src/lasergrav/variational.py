@@ -56,12 +56,10 @@ _DAWSON_ASYMPTOTIC = tuple(float(math.prod(range(1, 2 * n, 2)))
 
 # widths g, g' and the energy take: a scan finds g and g' on their far and
 # near laws (to 1.1e-15, 4.8e-15) and w^4 normal from 1.3e-77 until Dawson's
-# z^7 overflows at 1.2e43; holds the minimizer's grid and tf_width's range
+# z^7 overflows at 1.2e43; hold tf_width's range and every minimum _minima finds
 W_MIN, W_MAX = 1e-76, 1e40
-
-# 181 widths, 20 per decade over the hard limits [1e-6, 1e3] wavelengths
-_WIDTHS = tuple(10.0 ** (k / 20) for k in range(-120, 61))
-_ROOT_RTOL = 1e-12
+# h = w^4 g'/6 <= _H_CAP w^2 (h/w^2 peaks at 0.1539291 at w = 0.0895); -u/r: _H_NEAR w^2
+_H_CAP, _H_NEAR = 0.15393, math.sqrt(2.0 / math.pi) / 6.0
 
 # S_c: contact coefficient of the TF energy S_c/(r w^3) at I = I0 (r = I/I0,
 # units of N u/lam); also the w -> infinity limit, approached from below, of
@@ -70,13 +68,9 @@ CONTACT_AT_THRESHOLD = 35.0 / (88.0 * math.pi * (2.0 * math.pi) ** 1.5)
 
 
 class AnsatzConfig(Record):
-    """Inputs of the variational problem.
-
-    ``kernel`` selects the full oscillatory pair potential or its -u/r
-    near-zone limit (the latter mainly serves as an analytic oracle).  The
-    contact term follows the species: a zero scattering length switches it
-    off exactly.
-    """
+    """Inputs of the variational problem.  ``kernel`` selects the full
+    oscillatory pair potential or its -u/r near-zone limit (mainly an
+    analytic oracle); a zero scattering length switches the contact off."""
 
     n_atoms: float
     species: AtomSpecies
@@ -106,13 +100,10 @@ class EnergyBreakdown(Record):
 
 
 class VariationalResult(Record):
-    """Equilibrium width and self-binding verdict.
-
-    ``bound_local``: a finite-w local minimum exists.  ``bound_global``: its
-    energy lies below the w -> infinity dissociation value (zero without a
-    trap).  When unbound, ``w_star`` and ``r_rms`` are NaN and ``breakdown``
-    is None.
-    """
+    """Equilibrium width and self-binding verdict.  ``bound_local``: a
+    finite-w local minimum exists.  ``bound_global``: its energy lies below
+    the w -> infinity dissociation value (zero without a trap).  Unbound:
+    ``w_star`` and ``r_rms`` are NaN and ``breakdown`` is None."""
 
     w_star: float
     r_rms: float
@@ -156,10 +147,8 @@ def _g_dawson(w: float, d_dw: bool) -> float:
 
 def pair_energy(w: float, kernel: str = "full", d_dw: bool = False) -> float:
     """Mean dimensionless pair energy g(w) = <U lam/u> over P(s; w), or with
-    ``d_dw`` its width derivative g'(w), in closed form (module docstring).
-
-    Takes one width in [W_MIN, W_MAX]; the -u/r kernel gives -sqrt(2/pi)/w.
-    """
+    ``d_dw`` its width derivative g'(w), in closed form (module docstring),
+    at one width in [W_MIN, W_MAX]; the -u/r kernel gives -sqrt(2/pi)/w."""
     if not W_MIN <= w <= W_MAX:
         raise ValueError(f"width must lie in [{W_MIN:g}, {W_MAX:g}], got {w}")
     if kernel == "near_zone":
@@ -174,17 +163,15 @@ def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
     if not W_MIN <= w <= W_MAX:
         raise ValueError(f"width must lie in [{W_MIN:g}, {W_MAX:g}], got {w}")
     k, t, s = _closed_coefficients(cfg)
-    grav = 0.0
-    if cfg.interaction.coupling != 0.0:
-        grav = 0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel)
+    grav = (0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel)
+            if cfg.interaction.coupling != 0.0 else 0.0)
     kinetic, trap, swave = k / w**2, t * w**2, s / w**3
     return EnergyBreakdown(kinetic, trap, swave, grav, kinetic + trap + swave + grav)
 
 
 def _closed_coefficients(cfg: AnsatzConfig) -> tuple[float, float, float]:
     """(k, t, s) such that kinetic + trap + s-wave = k/w^2 + t w^2 + s/w^3 (J)."""
-    lam = cfg.interaction.wavelength
-    m = cfg.species.mass
+    lam, m = cfg.interaction.wavelength, cfg.species.mass
     k = 0.0 if cfg.tf_limit else 3.0 * CONSTANTS.hbar**2 / (4.0 * m * lam * lam)
     t = 0.75 * m * cfg.trap_frequency**2 * lam * lam
     s = (cfg.species.contact_coupling * cfg.n_atoms
@@ -215,8 +202,7 @@ def tf_width(ratio: float) -> float:
     minimum) for 0 <= r <= 1, ``ValueError`` for r < 0 or NaN and
     :class:`NumericsError` past r = 1e150.  Above z = 6 it solves
     S_c (r - 1)/r = S_c - h, the deficit summed from the asymptotic F and F'
-    so that the root keeps its digits as r -> 1.
-    """
+    so that the root keeps its digits as r -> 1."""
     if not ratio >= 0.0:
         raise ValueError("intensity ratios must be non-negative")
     if ratio > 1e150:
@@ -243,8 +229,7 @@ def _tf_energies(w: float, ratios: Sequence[float]) -> list[float]:
     """TF energy per particle S_c/(r w^3) + g(w)/2, in units of N u/lam, at
     width ``w`` for each r = I/I0 in ``ratios``.  The two terms cancel to
     O(w^-5) at r = 1, so above z = 6 it sums S_c (1 - r)/(r w^3) + D, with
-    D = g/2 + S_c/w^3 from the asymptotic F and its z^-3 terms cancelled.
-    """
+    D = g/2 + S_c/w^3 from the asymptotic F and its z^-3 terms cancelled."""
     z = 2.0 * math.sqrt(2.0) * math.pi * w
     if z < _DAWSON_SWITCH:
         half_g = pair_energy(w) / 2
@@ -257,47 +242,71 @@ def _tf_energies(w: float, ratios: Sequence[float]) -> list[float]:
 
 
 def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
-    """Locate the lowest finite-width local energy minimum.
-
-    Trap-free TF with the full kernel and contact repulsion: :func:`tf_width`
-    at r = I/I0.  Else dE/dw on a log grid of widths over [1e-6, 1e3], every
-    - to + sign change refined with Brent's method on
-    :func:`energy_gradient_parts`, and the deepest minimum.  Raises
-    :class:`NumericsError` when a root can lie outside the grid: below it
-    while dE/dw > 0 at the bottom and a kinetic or contact term will outgrow
-    the attraction; above it while dE/dw < 0 at the top, with a trap or the
-    -u/r kernel (its slope falls off only as 1/w^2) always, else only below
-    w = 3A/(2k): h(w) < S_c bounds dE/dw < -2k/w^3 + 3A/w^4 with
-    A = S_c N u/lam - s.  Unbound (NaN width) means no minimum.
-    """
+    """Locate the deepest of the finite-width local energy minima that
+    :func:`_minima` finds at any width; unbound (NaN width) means none."""
     return _minimum(cfg, None)
 
 
 def _minimum(cfg: AnsatzConfig, ratio: float | None) -> VariationalResult:
-    k, t, s = _closed_coefficients(cfg)
-    if k == t == 0.0 and s > 0.0 and cfg.kernel == "full":
-        p = cfg.interaction
-        w_star = tf_width(p.intensity / _threshold_at(cfg.species, p.alpha_si)
-                          if ratio is None else ratio)
-        roots = [] if math.isnan(w_star) else [w_star]
-    else:
-        w = _WIDTHS
-        slope = [sum(energy_gradient_parts(x, cfg)) for x in w]
-        far = CONTACT_AT_THRESHOLD * tf_energy_unit(cfg) - s
-        rises = t > 0.0 or (cfg.kernel == "near_zone" and cfg.interaction.coupling > 0.0)
-        room = rises or (far > 0.0 and w[-1] < 1.5 * far / k)
-        if (slope[0] > 0.0 and (k > 0.0 or s > 0.0)) or (slope[-1] < 0.0 and room):
-            raise NumericsError("width minimum outside [1e-6, 1e3] wavelengths")
-        roots = [_brent_root(lambda x: sum(energy_gradient_parts(x, cfg)),
-                             w[i], w[i + 1], xtol=_ROOT_RTOL * w[i], rtol=_ROOT_RTOL)
-                 for i in range(len(w) - 1) if slope[i] < 0.0 <= slope[i + 1]]
+    roots = _minima(cfg, ratio)
     if not roots:
         return VariationalResult(math.nan, math.nan, None, False, False)
     best, w_star = min(((energy_breakdown(x, cfg), x) for x in roots),
                        key=lambda pair: pair[0].total)
-    r_rms = math.sqrt(1.5) * w_star * cfg.interaction.wavelength
-    return VariationalResult(w_star, r_rms, best, bound_local=True,
-                             bound_global=best.total < 0.0)
+    return VariationalResult(w_star, math.sqrt(1.5) * w_star * cfg.interaction.wavelength,
+                             best, bound_local=True, bound_global=best.total < 0.0)
+
+
+def _minima(cfg: AnsatzConfig, ratio: float | None = None) -> list[float]:
+    """Every finite-width minimum, ascending (trap-free TF: :func:`tf_width`):
+    the - to + sign changes of sigma = dE/dw w^4/(3 E_u) = h - b - (2/3)
+    kappa w + (2/3) tau w^5, (kappa, tau, b) = (k, t, s)/E_u, E_u = N u/lam
+    (the trap's t, and no h, at zero coupling), at 20 widths per decade
+    between ends past which sigma keeps one sign, refined by Brent's method:
+    below, < 0 (b >= 0: h <= _H_CAP w^2) or > 0 (w < 3|b|/(2 kappa)); above,
+    > 0 (a trap or the -u/r h) or < 0 (past 3 (S_c - b)/(2 kappa): h < S_c)."""
+    k, t, s = _closed_coefficients(cfg)
+    e, full = tf_energy_unit(cfg), cfg.kernel == "full"
+    if full and s > 0.0:
+        r = ratio if ratio is not None else cfg.interaction.intensity / _threshold_at(
+            cfg.species, cfg.interaction.alpha_si)
+        if k == t == 0.0:
+            return [w for w in (tf_width(r),) if not math.isnan(w)]
+    unit = e or t
+    if unit == 0.0 or not (k > 0.0 or s > 0.0):
+        return []  # nothing holds the cloud, or sigma > 0 collapses it
+    c, kappa, tau, b = e / unit, k / unit, t / unit, s / unit
+    exact, gap = full and s > 0.0 and e > 0.0, CONTACT_AT_THRESHOLD - b
+    if exact:  # h - b from _tf_slope, which keeps the digits of r - 1
+        b, gap = CONTACT_AT_THRESHOLD / r, CONTACT_AT_THRESHOLD * (r - 1.0) / r
+
+    def sigma(w):
+        hb = _tf_slope(w, r) if exact else c * w**4 * pair_energy(w, cfg.kernel, True) / 6 - b
+        return hb + 2.0 * (tau * w**5 - kappa * w) / 3.0
+    neg, trap = ((max(b, 0.0), 0), (2.0 * kappa / 3.0, 1)), (2.0 * tau / 3.0, 5)
+    lo = _span_end(((c * _H_CAP, 2), trap), neg, False) if b >= 0.0 else 1.5 * -b / kappa
+    rises = t > 0.0 or not full
+    hi = _span_end(((0.0 if full else c * _H_NEAR, 2), trap), neg, True) if rises \
+        else 1.5 * gap / kappa
+    lo, hi = min(max(lo, W_MIN), W_MAX), max(min(hi, W_MAX), W_MIN)
+    n = max(0, math.ceil(20.0 * math.log10(hi / lo)))  # 0: ends overlap, no root
+    w = [lo * (hi / lo) ** (i / n) for i in range(n)] + [hi]
+    y = [sigma(x) for x in w]
+    if (b >= 0.0 and y[0] > 0.0) or (rises and y[-1] < 0.0):
+        raise NumericsError(f"a width minimum lies past [{W_MIN:g}, {W_MAX:g}] wavelengths")
+    return [_brent_root(sigma, w[i], w[i + 1], xtol=1e-12 * w[i], rtol=1e-12)
+            for i in range(n) if y[i] < 0.0 <= y[i + 1]]
+
+
+def _span_end(pos, neg, upper: bool) -> float:
+    """Width above which Sum a w^p (``pos``) - Sum c w^q (``neg``), every p
+    above every q, stays positive (``upper``: one a w^p tops each c w^q
+    thrice) or below which it stays negative (each under a third of one)."""
+    ends = [[(3.0 * c / a if upper else c / a / 3.0) ** (1.0 / (p - q))
+             for c, q in neg if c > 0.0] for a, p in pos if a > 0.0]
+    if upper:
+        return min((max(row, default=0.0) for row in ends), default=math.inf)
+    return max(map(min, zip(*ends)), default=0.0)
 
 
 def threshold_intensity(species: AtomSpecies, use_detuned: bool = False) -> float:
@@ -309,8 +318,7 @@ def threshold_intensity(species: AtomSpecies, use_detuned: bool = False) -> floa
 def _threshold_at(species: AtomSpecies, alpha: float) -> float:
     a = species.scattering_length
     if not a > 0.0:
-        raise ValueError(
-            f"threshold undefined for non-positive scattering length a={a}")
+        raise ValueError(f"threshold undefined for non-positive scattering length a={a}")
     return (48.0 * math.pi / 7.0) * CONSTANTS.hbar**2 * CONSTANTS.c \
         * CONSTANTS.eps0**2 * a / (species.mass * alpha**2)
 
@@ -320,8 +328,7 @@ def config_at_ratio(species: AtomSpecies, ratio: float, wavelength: float,
                     trap_frequency: float = 0.0, tf_limit: bool = False) -> AnsatzConfig:
     """AnsatzConfig with total intensity ``ratio`` times the species threshold."""
     intensity = ratio * threshold_intensity(species, use_detuned)
-    params = InteractionParams.from_intensity(species, intensity, wavelength,
-                                              use_detuned)
+    params = InteractionParams.from_intensity(species, intensity, wavelength, use_detuned)
     return AnsatzConfig(n_atoms=n_atoms, species=species, interaction=params,
                         trap_frequency=trap_frequency, tf_limit=tf_limit)
 
@@ -344,34 +351,23 @@ def critical_intensity_ratio(species: AtomSpecies, wavelength: float,
                              n_atoms: float = 1.0,
                              use_detuned: bool = False) -> float:
     """I_c/I0 = S/S_c above which a TF cloud self-binds: 1 to rounding.
-
-    Without a trap dE/dw = 3 (h(w) - S/r)/w^4 in units of N u/lam, with
-    h = w^4 g'/6 rising to S_c and S the contact coefficient at I0, which
-    the threshold formula makes S_c; :func:`tf_width` takes it as exact.
-    """
+    Without a trap dE/dw = 3 (h(w) - S/r)/w^4 in units of N u/lam, with h =
+    w^4 g'/6 rising to S_c and S the contact coefficient at I0, which the
+    threshold formula makes S_c; :func:`tf_width` takes it as exact."""
     cfg = config_at_ratio(species, 1.0, wavelength, n_atoms, use_detuned,
                           tf_limit=True)
     return _closed_coefficients(cfg)[2] / tf_energy_unit(cfg) / CONTACT_AT_THRESHOLD
 
 
-def mfa_validity(rho_peak: float, species: AtomSpecies,
-                 coupling: float) -> dict:
-    """Both mean-field validity numbers at peak density.
-
-    ``rho_a3`` (= rho a^3) must be small for the contact interaction,
-    ``rho_astar3`` (= rho (h^2/(m u))^3) must be large for the long-range
-    attraction.  The flags use documented cutoffs 1e-2 and 1e2.
-    """
-    a3 = species.scattering_length**3
-    astar = CONSTANTS.h**2 / (species.mass * coupling)
-    rho_a3 = rho_peak * a3
-    rho_astar3 = rho_peak * astar**3
-    return {
-        "rho_a3": rho_a3,
-        "rho_astar3": rho_astar3,
-        "dilute_ok": rho_a3 < 1e-2,
-        "long_range_ok": rho_astar3 > 1e2,
-    }
+def mfa_validity(rho_peak: float, species: AtomSpecies, coupling: float) -> dict:
+    """Both mean-field validity numbers at peak density: ``rho_a3`` (= rho
+    a^3) must be small for the contact interaction, ``rho_astar3`` (= rho
+    (h^2/(m u))^3) large for the long-range attraction, with cutoffs 1e-2
+    and 1e2 for the flags."""
+    rho_a3 = rho_peak * species.scattering_length**3
+    rho_astar3 = rho_peak * (CONSTANTS.h**2 / (species.mass * coupling))**3
+    return {"rho_a3": rho_a3, "rho_astar3": rho_astar3,
+            "dilute_ok": rho_a3 < 1e-2, "long_range_ok": rho_astar3 > 1e2}
 
 
 def peak_density(n_atoms: float, w: float, wavelength: float) -> float:

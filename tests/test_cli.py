@@ -16,6 +16,7 @@ from lasergrav import gpe, regimes, variational
 from lasergrav.cli import (_SHARED, _linspace, _parse_ratio_spec,
                            _resolve_intensity, build_parser, emit_csv, run)
 from lasergrav.species import SpeciesTable
+from scan_oracle import scanned_minima
 
 def _run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "lasergrav.cli", *argv],
@@ -539,9 +540,11 @@ def test_atom_count(tmp_path):
 
 @pytest.mark.parametrize("wavelength, rho, ratio, n_atoms", [
     ("589e-9", "1e22", "1.5", 863.53896484), ("1e-6", "1e22", "3", 293.78669644),
-    ("5e-6", "1e20", "1.5", 6202.9700041)])
+    ("5e-6", "1e20", "1.5", 6202.9700041),
+    ("589e-9", "1e22", "1.000000000001", 2.2599460350e20)])
 def test_atom_count_self_consistent(wavelength, rho, ratio, n_atoms, tmp_path):
-    # bound clouds of this peak density the fixed-point iteration missed
+    # bound clouds of this peak density the fixed-point iteration missed; the
+    # last, near threshold, once failed in the verifying minimization
     out = tmp_path / "n.json"
     assert run(["atom-count", "--species", "Na", "--wavelength", wavelength,
                 "--rho-peak", rho, "--ratio", ratio, "--self-consistent",
@@ -555,6 +558,14 @@ def test_atom_count_self_consistent_unbinds(capsys):
     assert capsys.readouterr().err == (
         "lasergrav: kinetic pressure unbinds the cloud near N = 551; "
         "no self-consistent capacity at I/I0 = 1.5\n")
+
+
+def test_atom_count_self_consistent_past_the_width_domain(capsys):
+    assert run(["atom-count", "--species", "Na", "--wavelength", "589e-9",
+                "--rho-peak", "1e-300", "--ratio", "1.5", "--self-consistent"]) == 1
+    assert capsys.readouterr().err == (
+        "lasergrav: numerical failure: no self-consistent capacity at rho = 1e-300 m^-3, "
+        "I/I0 = 1.5: w lies past 1e+40\n")
 
 
 def test_atom_count_unbound_is_numerical_failure(tmp_path):
@@ -960,12 +971,30 @@ def test_shared_options_match_their_one_declaration():
     assert all(command in takers[flag] for command, flag in _SHARED_OVERRIDES)
 
 
-def test_width_sweep_without_a_minimum_in_range_is_numerical_failure(capsys):
-    # a trap this weak puts the kinetic-trap balance far past 1e3 wavelengths
+def test_width_sweep_answers_where_the_minimum_lies_past_the_old_grid(tmp_path):
+    # a trap this weak puts the kinetic-trap balance at 2.8e3 wavelengths,
+    # past the fixed [1e-6, 1e3] grid that once failed here: a bound row at
+    # the minimum of a dense dE/dw scan
+    out = tmp_path / "sweep.csv"
     assert run(["width-sweep", "--species", "Na", "--no-tf", "--trap", "1e-3",
-                "--ratios", "0.5"]) == 1
-    err = capsys.readouterr().err
-    assert "width minimum outside [1e-6, 1e3] wavelengths" in err
+                "--ratios", "0.5", "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    row = dict(zip(header, row))
+    assert row["bound_local"] == "true"
+    cfg = variational.config_at_ratio(SpeciesTable()["Na"], 0.5, 589e-9, n_atoms=1e4,
+                                      use_detuned=True, trap_frequency=1e-3)
+    (w_scan, _, _), = scanned_minima(cfg)
+    assert float(row["w_star"]) == pytest.approx(w_scan, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("ratio, atoms, bound", [("1e12", "1", "true"),
+                                                 ("1.000000001", "1e15", "false")])
+def test_width_sweep_no_tf_answers_at_both_ends_of_the_old_grid(ratio, atoms, bound, capsys):
+    # each once exited 1 with "width minimum outside [1e-6, 1e3] wavelengths"
+    assert run(["width-sweep", "--species", "Na", "--no-tf", "--ratios", ratio,
+                "--atoms", atoms]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1].split(",")[3] == bound
 
 
 def test_width_sweep_schema(tmp_path):

@@ -11,6 +11,7 @@ from lasergrav import (CONSTANTS, InteractionParams, UnboundError, atom_capacity
                        phase_map, regimes, threshold_intensity, trap_relevance,
                        variational)
 from lasergrav.cli import run
+from lasergrav.errors import NumericsError
 
 LAM = 589e-9
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -201,10 +202,11 @@ def _fixed_point_capacity(lam, rho, ratio, species):
 
 @pytest.mark.parametrize("lam, rho, ratio", [
     (589e-9, 1e22, 1.5), (1e-6, 1e22, 3.0), (5e-6, 1e20, 1.5),
-    (1.2e-5, 1e20, 3.0), (1e-6, 1e22, 1.2)])
+    (1.2e-5, 1e20, 3.0), (1e-6, 1e22, 1.2), (589e-9, 1e22, 1.000000000001)])
 def test_self_consistent_capacity_is_the_fixed_point(na, lam, rho, ratio, monkeypatch):
     # one Brent root and one verifying minimization against a root of
-    # F(N) - N; the first three once read "unbinds" or "did not settle"
+    # F(N) - N; the first three once read "unbinds" or "did not settle", and
+    # the last, whose w* = 2.7e5 lay past a fixed width grid, failed
     oracle = _fixed_point_capacity(lam, rho, ratio, na)
     calls = {"minimize_width": 0, "_brent_root": 0}
     for name in calls:
@@ -215,6 +217,22 @@ def test_self_consistent_capacity_is_the_fixed_point(na, lam, rho, ratio, monkey
     n = atom_capacity(lam, rho, ratio, na, use_detuned=True, self_consistent=True)
     assert n == pytest.approx(oracle, rel=1e-10, abs=0.0)
     assert calls == {"minimize_width": 1, "_brent_root": 1}
+
+
+@pytest.mark.parametrize("ratio", [12.97, 21.62, 36.02])
+def test_self_consistent_capacity_below_rounding_is_numerical(na, ratio):
+    # at 1e40 m^-3 the kinetic term c falls below the rounding of h - S_c/r
+    # at the TF width, so no width of this density can be told from it
+    with pytest.raises(NumericsError, match=(
+            rf"capacity at rho = 1e\+40 m\^-3, I/I0 = {ratio}: c = \S+ is below "
+            r"the rounding of h - S_c/r$")):
+        atom_capacity(LAM, 1e40, ratio, na, use_detuned=True, self_consistent=True)
+
+
+def test_self_consistent_capacity_past_the_width_domain_is_numerical(na):
+    # at 1e-300 m^-3 a width of that density lies past W_MAX
+    with pytest.raises(NumericsError, match=r"I/I0 = 1.5: w lies past 1e\+40$"):
+        atom_capacity(LAM, 1e-300, 1.5, na, use_detuned=True, self_consistent=True)
 
 
 @pytest.mark.parametrize("name, detuned, lam, rho, ratio", [

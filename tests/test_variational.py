@@ -15,6 +15,7 @@ from lasergrav.variational import (CONTACT_AT_THRESHOLD, W_MAX, W_MIN,
                                    W_SWITCH, _brent_root, pair_energy,
                                    tf_energy_unit)
 from quadrature_oracle import pair_interaction_integral
+from scan_oracle import scanned_minima
 
 LAM = 589e-9
 
@@ -163,8 +164,8 @@ def test_far_field_slope_rises_below_contact_coefficient():
 
 
 def test_tf_bound_beyond_the_default_scan(na):
-    # I/I0 = 1e4 puts w* below the scan floor 1e-2; 1 + 1e-4 puts it far out
-    # where h(w) is within 1e-4 of S_c
+    # I/I0 = 1e4 puts w* below 1e-2; 1 + 1e-4 puts it far out, where h(w)
+    # is within 1e-4 of S_c
     for ratio, lo, hi in ((1e4, 1e-3, 1e-2), (1.0 + 1e-4, 10.0, 100.0)):
         cfg = config_at_ratio(na, ratio, LAM, use_detuned=True, tf_limit=True)
         result = minimize_width(cfg)
@@ -172,6 +173,75 @@ def test_tf_bound_beyond_the_default_scan(na):
         assert lo < result.w_star < hi
         closed, grav = energy_gradient_parts(result.w_star, cfg)
         assert abs(closed + grav) < 1e-9 * abs(closed)
+
+
+def test_minima_without_light_is_the_oscillator_width(na):
+    # zero coupling takes the trap's t as the energy unit and drops h; with
+    # no contact term the one minimum is w* = l0/lam (acceptance 8c's cloud)
+    species = na.replace(scattering_length=0.0, detuned=None)
+    omega0 = 2 * math.pi * 100.0
+    l0 = math.sqrt(CONSTANTS.hbar / (species.mass * omega0))
+    params = InteractionParams(intensity=0.0, wavelength=LAM, coupling=0.0,
+                               alpha_si=species.alpha_si())
+    cfg = AnsatzConfig(n_atoms=100.0, species=species, interaction=params,
+                       trap_frequency=omega0)
+    assert variational._minima(cfg) == [pytest.approx(l0 / LAM, rel=1e-12, abs=0.0)]
+    assert minimize_width(cfg).w_star == pytest.approx(l0 / LAM, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ratio, n_atoms", [(1.5, 1e3), (3.0, 10.0), (1.01, 1e6),
+                                            (0.5, 100.0)])
+def test_minima_of_the_trap_free_near_zone_kernel_is_its_quadratic_root(na, ratio,
+                                                                          n_atoms):
+    # the -u/r kernel's h is sqrt(2/pi) w^2/6, so its slope sigma is the
+    # quadratic sqrt(2/pi) w^2/6 - (2/3) kappa w - b with one positive root
+    cfg = config_at_ratio(na, ratio, LAM, n_atoms, use_detuned=True).replace(
+        kernel="near_zone")
+    k, _, s = variational._closed_coefficients(cfg)
+    kappa, b = k / tf_energy_unit(cfg), s / tf_energy_unit(cfg)
+    c0 = math.sqrt(2.0 / math.pi) / 6.0
+    root = (2 * kappa / 3 + math.sqrt(4 * kappa**2 / 9 + 4 * c0 * b)) / (2 * c0)
+    assert variational._minima(cfg) == [pytest.approx(root, rel=1e-12, abs=0.0)]
+
+
+def _assert_minima_match_the_scan(cfg):
+    scan = scanned_minima(cfg)
+    roots = variational._minima(cfg)
+    assert len(roots) == len(scan)
+    for root, (w, lo, hi) in zip(roots, scan):
+        assert lo * (1 - 1e-12) <= root <= hi * (1 + 1e-12)
+        assert root == pytest.approx(w, rel=1e-9, abs=0.0)
+    return roots
+
+
+def test_minima_lists_both_branches_of_the_trapped_transition(na):
+    # 30 Hz, 1e3 atoms, I/I0 = 1.34: a compact and a trapped minimum, and
+    # minimize_width keeps the deeper, trapped one
+    cfg = config_at_ratio(na, 1.34, LAM, n_atoms=1e3, use_detuned=True,
+                          trap_frequency=188.49555921538757)
+    roots = _assert_minima_match_the_scan(cfg)
+    assert roots == pytest.approx([0.5874053, 6.1366339], rel=1e-7, abs=0.0)
+    assert minimize_width(cfg).w_star == roots[1]
+
+
+@pytest.mark.parametrize("ratio, n_atoms, bound", [(1e12, 1.0, True),
+                                                   (1.0 + 1e-9, 1e15, False)])
+def test_minima_where_the_old_width_grid_failed(na, ratio, n_atoms, bound):
+    # once "width minimum outside [1e-6, 1e3] wavelengths": w* = 2.5e-7 at
+    # I/I0 = 1e12, and a cloud near threshold whose kinetic term unbinds it
+    cfg = config_at_ratio(na, ratio, LAM, n_atoms, use_detuned=True)
+    assert len(_assert_minima_match_the_scan(cfg)) == bound
+    assert minimize_width(cfg).bound_local == bound
+
+
+@pytest.mark.parametrize("ratio, n_atoms, kernel", [(1e-90, 1.0, "near_zone"),
+                                                    (1e200, 1.0, "full")])
+def test_minimum_past_the_width_domain_is_numerical_failure(na, ratio, n_atoms, kernel):
+    # the -u/r minimum sits near 1e91 wavelengths when the light is this weak,
+    # the TF one near 2.5e-101 when it is this strong: past [W_MIN, W_MAX]
+    cfg = config_at_ratio(na, ratio, LAM, n_atoms, use_detuned=True).replace(kernel=kernel)
+    with pytest.raises(NumericsError, match=r"lies past \[1e-76, 1e\+40\] wavelengths"):
+        minimize_width(cfg)
 
 
 def test_tf_tail_follows_inverse_sqrt_intensity(na):
