@@ -22,7 +22,8 @@ solves its bordered Jacobian system by GMRES to a tenth of the eigen-residual
 ||(H[rho] - mu) v|| / sum |E_term|, a forcing term that the Newton update sets
 from the state it steps from (inexact Newton: Eisenstat & Walker, SIAM J. Sci.
 Comput. 17, 16 (1996)), with the Jacobian applied as a product, never formed,
-and preconditioned by its tridiagonal part.  GMRES's small triangular system
+and preconditioned by its tridiagonal part, factored once per step and
+applied by recursive doubling.  GMRES's small triangular system
 is solved by back substitution in the module, so the solve makes no LAPACK
 call.  Where Newton heads for a noded state of higher energy (in a box below
 threshold, where the wall holds the cloud), a Levenberg-Marquardt shift on
@@ -38,6 +39,7 @@ kernel.  An unbound variational state gives no radius, so it needs a box.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -66,7 +68,7 @@ MIN_POINTS = 256
 # full kernel needs >= 20 grid points per lam/2 oscillation
 _MIN_POINTS_PER_HALF_WAVE = 20
 # most points solve_ground picks by itself: a solve at this size takes about
-# 0.9 s and 60 MB on a 2-core host, so wider boxes need an explicit n_points
+# 0.45 s and 61 MB on a 2-core host, so wider boxes need an explicit n_points
 _MAX_DEFAULT_POINTS = 65_536
 # stop when ||(H[rho] - mu) v|| / sum |E_term| falls below this
 RESIDUAL_TOL = 1e-8
@@ -75,6 +77,11 @@ MAX_ITERATIONS = 100
 _ENERGY_SLACK = 1e-12
 # Krylov steps at most per Newton step
 _GMRES_MAX_STEPS = 60
+# a preconditioner factorization keeps doubling levels while their products
+# total at most this many floats (1 MiB), and its first level always:
+# every level up to 8,192 points, the first 2 of 16 at 65,536, where all
+# would take 7.5 MiB beside the GMRES basis
+_KEPT_PRODUCTS = 1 << 17
 
 
 class RadialGrid(Record):
@@ -190,28 +197,58 @@ class _HartreeOperator:
         return (2.0 * math.pi / self._x) * self.product(self._x * rho_dimless)
 
 
-def _solve_tridiagonal(off: float, diag: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetric tridiagonal system with diagonal ``diag`` and the
-    constant off-diagonal ``off`` by Thomas elimination.
+class _Tridiagonal:
+    """The symmetric tridiagonal matrix with diagonal ``diag`` and the
+    constant off-diagonal ``off``, factored once for many solves.
 
-    Two plain-Python loops over list copies, since indexing Python floats
-    costs several times less than indexing numpy elements one at a time.
+    The pivots are the Thomas elimination's, in its order, ``p_0 = d_0``
+    and ``p_i = d_i - (off / p_(i-1)) off``.  A solve is then two linear
+    recurrences with the coefficients ``a_i = -off / p_(i-1)``: forward
+    ``y_i = z_i + a_i y_(i-1)``, and backward ``x_i = y_i / p_i + a_(i+1)
+    x_(i+1)``.  Each is taken by recursive doubling (Stone, J. ACM 20, 27
+    (1973)), ``ceil(log2 n)`` whole-array passes at strides s = 1, 2, 4, ...,
+    each adding to every entry the entry s away times the product of the s
+    coefficients between them; both recurrences use the same products.
+    Where every pivot is at least ``|off|`` (a diagonal of at least twice
+    ``|off|``), every coefficient lies in (0, 1], so the products only
+    shrink and nothing divides by them.
     """
-    pivots = diag.tolist()
-    y = rhs.tolist()
-    pivot, y_i = pivots[0], y[0]
-    for i in range(1, len(y)):
-        ratio = off / pivot
-        pivot = pivots[i] - ratio * off
-        y_i = y[i] - ratio * y_i
-        pivots[i] = pivot
-        y[i] = y_i
-    x_i = 0.0
-    for i in range(len(y) - 1, -1, -1):
-        x_i = (y[i] - off * x_i) / pivots[i]
-        y[i] = x_i
-    return np.array(y)
+
+    def __init__(self, off: float, diag: np.ndarray):
+        n = diag.size
+        self.pivots = np.array(list(itertools.accumulate(
+            diag.tolist(), lambda pivot, d: d - off / pivot * off)))
+        # the products of each doubling level, kept while they fit the
+        # budget; a solve forms the levels past it from the last one kept
+        self.levels = [-off / self.pivots[:-1]]
+        kept, stride = n - 1, 1
+        while 2 * stride < n and kept + n - 2 * stride <= _KEPT_PRODUCTS:
+            last = self.levels[-1]
+            self.levels.append(last[:-stride] * last[stride:])
+            kept += n - 2 * stride
+            stride *= 2
+
+    def _passes(self):
+        """(stride, products of ``stride`` consecutive coefficients) per
+        doubling level, the i-th product spanning ``a_(i+1) .. a_(i+stride)``."""
+        stride = 1
+        for products in self.levels:
+            yield stride, products
+            stride *= 2
+        while stride < self.pivots.size:
+            half = stride // 2
+            products = products[:-half] * products[half:]
+            yield stride, products
+            stride *= 2
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = np.array(rhs, dtype=float)
+        for stride, products in self._passes():
+            x[stride:] += products * x[:-stride]
+        x /= self.pivots
+        for stride, products in self._passes():
+            x[:-stride] += products * x[stride:]
+        return x
 
 
 def hartree_potential(rho: np.ndarray, grid: RadialGrid, coupling: float,
@@ -366,18 +403,18 @@ class _MeanField:
         block replaced by ``T + diag(V - min V + 2 g chi^2 + shift)``:
         symmetric, with a diagonal of at least twice the off-diagonal and
         more in the first row, so irreducibly diagonally dominant and
-        positive definite, and its Thomas elimination needs no pivoting.  The border
-        is eliminated through the Schur complement ``2 v^T P^-1 v``.
+        positive definite, and its Thomas elimination needs no pivoting.  It
+        is factored once per step (:class:`_Tridiagonal`), and the border is
+        eliminated through the Schur complement ``2 v^T P^-1 v``.
         """
         vec, local = state.v, state.local
-        off = -0.5 / self.h**2
-        pre_diag = 1.0 / self.h**2 + local - local.min() \
-            + 2.0 * self.g_sw * (vec / self.x) ** 2 + shift
-        pre_v = _solve_tridiagonal(off, pre_diag, vec)
+        pre = _Tridiagonal(-0.5 / self.h**2, 1.0 / self.h**2 + local - local.min()
+                           + 2.0 * self.g_sw * (vec / self.x) ** 2 + shift)
+        pre_v = pre.solve(vec)
         schur = 2.0 * float(vec @ pre_v)
 
         def precondition(z: np.ndarray) -> np.ndarray:
-            y = _solve_tridiagonal(off, pre_diag, z[:-1])
+            y = pre.solve(z[:-1])
             dmu = (z[-1] - 2.0 * float(vec @ y)) / schur
             return np.append(y + dmu * pre_v, dmu)
 

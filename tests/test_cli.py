@@ -33,6 +33,35 @@ def test_unknown_subcommand_is_usage_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gpe", "--species", "Na", "--ratio", "1.5", "--n", "512", "--out", "-"],
+    ["threshold", "--out", "-"]], ids=" ".join)
+def test_process_exit_flushes_what_run_writes(argv, tmp_path, capsys):
+    # main() freezes the collector before it exits; the process still
+    # prints run()'s bytes and closes its files
+    extra = ["--profile", str(tmp_path / "main.csv")] if argv[0] == "gpe" else []
+    proc = _run_cli(*argv, *extra)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    extra = ["--profile", str(tmp_path / "run.csv")] if extra else []
+    assert run([*argv, *extra]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    if extra:
+        profile = (tmp_path / "main.csv").read_text()
+        assert profile == (tmp_path / "run.csv").read_text()
+        assert len(profile.splitlines()) == 512 + 1
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["gpe", "--n", "10"], 2, "--n must be at least 256, got 10",
+                 id="usage error"),
+    pytest.param(["fig1a", "--ratios", "1e-308"], 1, "numerical failure: the "
+                 "contact term S_c/(r w^3) overflows at w = 0.05",
+                 id="numerical failure")])
+def test_process_exit_keeps_error_codes(argv, code, message):
+    proc = _run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"lasergrav: {message}\n")
+
+
 _SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 
 

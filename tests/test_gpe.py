@@ -14,9 +14,9 @@ from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        pair_potential, solve_ground)
 from lasergrav import gpe
 from lasergrav.cli import run
-from lasergrav.gpe import (RESIDUAL_TOL, _back_substitute, _gmres,
-                           _HartreeOperator, _j_table, _MeanField,
-                           _solve_tridiagonal)
+from lasergrav.gpe import (_KEPT_PRODUCTS, RESIDUAL_TOL, _back_substitute,
+                           _gmres, _HartreeOperator, _j_table, _MeanField,
+                           _Tridiagonal)
 from lasergrav.interaction import X_SWITCH, kernel_shape
 
 LAM = 589e-9
@@ -436,13 +436,31 @@ def _solver_system(n, shift_h2):
     return off, diag, rng.standard_normal(n)
 
 
+def _thomas(off, diag, rhs):
+    """Pivots and solution of Thomas elimination, one entry at a time: the
+    loop that the factored solver replaced."""
+    pivots, y = diag.tolist(), rhs.tolist()
+    for i in range(1, len(y)):
+        ratio = off / pivots[i - 1]
+        pivots[i] -= ratio * off
+        y[i] -= ratio * y[i - 1]
+    x = [0.0] * len(y)
+    x_next = 0.0
+    for i in range(len(y) - 1, -1, -1):
+        x[i] = x_next = (y[i] - off * x_next) / pivots[i]
+    return pivots, np.array(x)
+
+
 @pytest.mark.parametrize("shift_h2",
                          [0.0, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e12])
-@pytest.mark.parametrize("n", [256, 512, 1024, 4458, 65536])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 256, 512, 1000, 1024, 4458, 65536])
 def test_solve_tridiagonal_matches_dense_and_banded(n, shift_h2):
     off, diag, rhs = _solver_system(n, shift_h2)
-    x = _solve_tridiagonal(off, diag, rhs)
-    references = [solveh_banded(np.vstack((np.full(n, off), diag)), rhs)]
+    x = _Tridiagonal(off, diag).solve(rhs)
+    references = [_thomas(off, diag, rhs)[1]]
+    # LAPACK's banded solve takes no 1 x 1 system
+    if n > 1:
+        references.append(solveh_banded(np.vstack((np.full(n, off), diag)), rhs))
     # a dense matrix of 65,536^2 entries would take 34 GB
     if n <= 1024:
         dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
@@ -454,13 +472,42 @@ def test_solve_tridiagonal_matches_dense_and_banded(n, shift_h2):
 @pytest.mark.parametrize("shift_h2", [0.0, 0.1, 1.0, 1e2, 1e4, 1e6])
 def test_solve_tridiagonal_pivots_stay_above_off(shift_h2):
     # diagonal dominance, diag >= 2|off| (V >= min V, shift >= 0), keeps
-    # every pivot at or above |off|, so the elimination needs no pivoting.
-    # The leading k x k system with right-hand side e_k has last component
-    # exactly 1/pivot_k, so the pivots are read off the elimination itself.
-    off, diag, _ = _solver_system(256, shift_h2)
-    pivots = [1.0 / _solve_tridiagonal(off, diag[:k], np.eye(k)[-1])[-1]
-              for k in range(1, len(diag) + 1)]
+    # every pivot at or above |off|, so the elimination needs no pivoting;
+    # the factorization's pivots are the elimination's, bit for bit
+    off, diag, rhs = _solver_system(256, shift_h2)
+    pivots = _Tridiagonal(off, diag).pivots
+    assert pivots.tolist() == _thomas(off, diag, rhs)[0]
     assert min(pivots) >= abs(off)
+
+
+def test_one_factorization_solves_many_right_hand_sides():
+    # GMRES applies one factorization up to 61 times per Newton step, and
+    # each solve must not depend on the ones before it
+    off, diag, _ = _solver_system(1024, 1.0)
+    factor = _Tridiagonal(off, diag)
+    rng = np.random.default_rng(60)
+    for rhs in rng.standard_normal((60, 1024)):
+        kept = rhs.copy()
+        x = factor.solve(rhs)
+        assert np.array_equal(rhs, kept)
+        assert x.tobytes() == _Tridiagonal(off, diag).solve(rhs).tobytes()
+
+
+@pytest.mark.parametrize("n", [1024, 8192, 65536])
+def test_factorization_keeps_its_levels_within_budget(n, monkeypatch):
+    # every doubling level while they fit, so the grids of up to 8,192
+    # points form none in a solve; at 65,536 points the first 2 of 16
+    off, diag, rhs = _solver_system(n, 0.0)
+    factor = _Tridiagonal(off, diag)
+    assert sum(products.size for products in factor.levels) <= _KEPT_PRODUCTS
+    assert len(factor.levels) == (2 if n == 65536 else (n - 1).bit_length())
+    # a solve forms the other levels as the factorization would have kept them
+    monkeypatch.setattr(gpe, "_KEPT_PRODUCTS", n * n)
+    every = _Tridiagonal(off, diag)
+    assert len(every.levels) == (n - 1).bit_length()
+    assert [(stride, products.tobytes()) for stride, products in factor._passes()] \
+        == [(1 << k, products.tobytes()) for k, products in enumerate(every.levels)]
+    assert factor.solve(rhs).tobytes() == every.solve(rhs).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 10, 60])
