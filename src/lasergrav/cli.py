@@ -9,7 +9,6 @@ order, so repeated runs produce byte-identical files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -186,18 +185,6 @@ def _add(p, *names, **overrides):
         p.add_argument(flag, **{**_SHARED[flag], **overrides})
 
 
-def _add_species_options(p):
-    p.add_argument("--species", default="Na",
-                   help=f"species name (catalog: {', '.join(catalog_names())})")
-    _add(p, "species-file")
-    # plain flags on one dest so a later flag overrides an earlier one
-    # (needed for config-file preloading)
-    p.add_argument("--detuned", action="store_true", default=True,
-                   help="use the near-resonant polarizability (default)")
-    p.add_argument("--static", dest="detuned", action="store_false",
-                   help="use the static polarizability")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lasergrav",
@@ -208,14 +195,29 @@ def build_parser() -> argparse.ArgumentParser:
                              "explicit flags win")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    # every subcommand shows its defaults in --help
-    add_parser = functools.partial(subparsers.add_parser, formatter_class=_DefaultsHelp)
+    # shared option groups: a set_defaults on one of their dests changes every taker
+    species = argparse.ArgumentParser(add_help=False)
+    species.add_argument("--species", default="Na",
+                         help=f"species name (catalog: {', '.join(catalog_names())})")
+    _add(species, "species-file")
+    # plain flags on one dest so a later flag overrides an earlier one
+    # (needed for config-file preloading)
+    species.add_argument("--detuned", action="store_true", default=True,
+                         help="use the near-resonant polarizability (default)")
+    species.add_argument("--static", dest="detuned", action="store_false",
+                         help="use the static polarizability")
+    output = argparse.ArgumentParser(add_help=False)
+    _add(output, "out", "seed", "plot-script")
 
-    p = add_parser("catalog", help="dump species data")
+    def add_parser(name, help, *parents):  # with the output group, defaults in --help
+        return subparsers.add_parser(name, help=help, parents=[*parents, output],
+                                     formatter_class=_DefaultsHelp)
+
+    p = add_parser("catalog", "dump species data")
     p.add_argument("--species", default=None, help="single species (default: all)")
     _add(p, "species-file")
 
-    p = add_parser("potential", help="pair potential samples (CSV)")
+    p = add_parser("potential", "pair potential samples (CSV)")
     p.add_argument("--rmin", type=float, default=1e-3, help="smallest r/lam")
     p.add_argument("--rmax", type=float, default=3.0, help="largest r/lam")
     p.add_argument("--samples", type=_positive_int, default=600,
@@ -223,11 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linear", action="store_true",
                    help="linear instead of log spacing in r/lam")
 
-    p = add_parser("threshold", help="self-binding threshold intensity (JSON)")
-    _add_species_options(p)
+    add_parser("threshold", "self-binding threshold intensity (JSON)", species)
 
-    p = add_parser("fig1a", help="TF energy curves E/N vs width (CSV)")
-    _add_species_options(p)
+    p = add_parser("fig1a", "TF energy curves E/N vs width (CSV)", species)
     _add(p, "ratios", default="0.5,0.8,1.0,1.2,1.5,2.0")
     p.add_argument("--wmin", type=float, default=0.05,
                    help="smallest trial width w")
@@ -237,25 +237,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of width samples")
     _add(p, "wavelength")
 
-    p = add_parser("fig1b", help="equilibrium width vs I/I0 (CSV)")
-    _add_species_options(p)
+    p = add_parser("fig1b", "equilibrium width vs I/I0 (CSV)", species)
     _add(p, "ratios", "wavelength")
     # the width-sweep of one trap-free TF atom, cut to three columns
     p.set_defaults(atoms=1.0, trap=0.0, tf_limit=True)
 
-    p = add_parser("width-sweep", help="full variational sweep (CSV)")
-    _add_species_options(p)
+    p = add_parser("width-sweep", "full variational sweep (CSV)", species)
     _add(p, "ratios", "wavelength", "atoms", "trap")
     p.add_argument("--no-tf", dest="tf_limit", action="store_false",
                    help="retain the kinetic term")
 
-    p = add_parser("phase-map", help="regime label grid (CSV)")
-    _add_species_options(p)
+    p = add_parser("phase-map", "regime label grid (CSV)", species)
     p.add_argument("--nx", type=int, default=51, help="points of x over [-2, 3]")
     p.add_argument("--ny", type=int, default=41, help="points of y over [-1, 3]")
 
-    p = add_parser("fig2", help="atom capacity band vs wavelength (CSV)")
-    _add_species_options(p)
+    p = add_parser("fig2", "atom capacity band vs wavelength (CSV)", species)
     _add(p, "ratio")
     p.add_argument("--rho-low", type=float, default=1e21,
                    help="lower peak density (m^-3)")
@@ -268,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_positive_int, default=20,
                    help="number of wavelengths, log-spaced")
 
-    p = add_parser("gpe", help="mean-field ground state (JSON + CSV profile)")
-    _add_species_options(p)
+    p = add_parser("gpe", "mean-field ground state (JSON + CSV profile)", species)
     g = p.add_mutually_exclusive_group()
     _add(g, "ratio", default=None, help="intensity as I/I0")
     g.add_argument("--intensity", type=float, help="absolute total intensity")
@@ -288,16 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None,
                    help="write the radial profile CSV here")
 
-    p = add_parser("losses", help="loss-rate budget (JSON)")
-    _add_species_options(p)
+    p = add_parser("losses", "loss-rate budget (JSON)", species)
     _add(p, "ratio")
     p.add_argument("--n", type=float, default=40.0, help="atom number")
     _add(p, "wavelength")
     p.add_argument("--omega-triad", type=float, default=None,
                    help="triad relative detuning (default: plasma frequency)")
 
-    p = add_parser("atom-count", help="capacity at one wavelength (JSON)")
-    _add_species_options(p)
+    p = add_parser("atom-count", "capacity at one wavelength (JSON)", species)
     _add(p, "wavelength", required=True, help="laser wavelength in m")
     p.add_argument("--rho-peak", type=float, required=True,
                    help="peak density (m^-3)")
@@ -306,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep the kinetic term: the width is the one root of "
                         "w^2 (h(w) - S_c/r) = c, if it is the deepest minimum at N")
 
-    for p in subparsers.choices.values():  # every subcommand ends with these
-        _add(p, "out", "seed", "plot-script")
     return parser
 
 
@@ -496,12 +487,13 @@ def _dispatch(args):
             "mfa_validity": variational.mfa_validity(rho_peak, species,
                                                      params.coupling),
         }, args.out)
-        if args.profile:
-            emit_csv(({"R_m": float(r), "psi": float(p), "rho_m3": float(d),
-                       "phi_J": float(ph)}
-                      for r, p, d, ph in zip(state.grid.nodes, state.psi,
-                                             state.density, state.potential)),
-                     args.profile)
+        if args.profile:  # one row template; chunks, so no column is held as floats
+            def lines(cols=(state.grid.nodes, state.psi, state.density, state.potential)):
+                yield "R_m,psi,rho_m3,phi_J\n"
+                for i in range(0, len(cols[0]), 4096):
+                    yield from map((",".join([_FLOAT_FORMAT] * 4) + "\n").format,
+                                   *(c[i:i + 4096].tolist() for c in cols))
+            _write(lines(), args.profile)
 
     elif cmd == "losses":
         from . import losses

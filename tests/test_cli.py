@@ -15,7 +15,7 @@ import pytest
 from lasergrav import gpe, regimes, variational
 from lasergrav.cli import (_SHARED, _linspace, _parse_ratio_spec,
                            _resolve_intensity, build_parser, emit_csv, run)
-from lasergrav.species import SpeciesTable
+from lasergrav.species import SpeciesTable, catalog_names
 from scan_oracle import scanned_minima
 
 def _run_cli(*argv):
@@ -1000,6 +1000,41 @@ def test_shared_options_match_their_one_declaration():
     assert all(command in takers[flag] for command, flag in _SHARED_OVERRIDES)
 
 
+# the commands that take the species group: the species, its file and the
+# polarizability route
+_SPECIES_COMMANDS = ("threshold", "fig1a", "fig1b", "width-sweep", "phase-map", "fig2",
+                     "gpe", "losses", "atom-count")
+
+
+def test_species_group_is_on_exactly_the_species_commands():
+    # one declaration of the group: the same dest, default and help on each
+    # command that takes it, and on no other; catalog lists every species
+    # unless one is named
+    expected = {
+        "--species": {"dest": "species", "default": "Na",
+                      "help": f"species name (catalog: {', '.join(catalog_names())})"},
+        "--species-file": {"dest": "species_file", "default": None,
+                           "help": _SHARED["--species-file"]["help"]},
+        "--detuned": {"dest": "detuned", "default": True, "const": True,
+                      "help": "use the near-resonant polarizability (default)"},
+        "--static": {"dest": "detuned", "default": True, "const": False,
+                     "help": "use the static polarizability"},
+    }
+    assert set(_SPECIES_COMMANDS) < set(_SUBCOMMANDS)
+    for command, subparser in _SUBCOMMANDS.items():
+        actions = {action.option_strings[0]: action for action in subparser._actions}
+        if command == "catalog":
+            species = actions["--species"]
+            assert (species.dest, species.default) == ("species", None)
+            assert "--detuned" not in actions and "--static" not in actions
+            continue
+        taken = [flag for flag in expected if flag in actions]
+        assert taken == (list(expected) if command in _SPECIES_COMMANDS else []), command
+        for flag in taken:
+            assert {key: getattr(actions[flag], key) for key in expected[flag]} \
+                == expected[flag], f"{command} {flag}"
+
+
 def test_width_sweep_answers_where_the_minimum_lies_past_the_old_grid(tmp_path):
     # a trap this weak puts the kinetic-trap balance at 2.8e3 wavelengths,
     # past the fixed [1e-6, 1e3] grid that once failed here: a bound row at
@@ -1072,6 +1107,32 @@ def test_gpe_profile_builds_one_hartree_operator(tmp_path, monkeypatch):
                 "--n", "256", "--out", str(tmp_path / "gpe.json"),
                 "--profile", str(tmp_path / "profile.csv")]) == 0
     assert len(built) == 1
+
+
+def test_gpe_profile_is_the_dict_row_csv_across_chunks(tmp_path, monkeypatch):
+    # the profile formats 4,096-row chunks of its columns through one row
+    # template; over two chunks, with a nan cell, it is the CSV that
+    # emit_csv writes from one dict per row of the same state
+    solve, solved = gpe.solve_ground, []
+
+    def solve_ground(*args):
+        state = solve(*args)
+        potential = state.potential.copy()
+        potential[4096] = math.nan  # the first row of the second chunk
+        solved.append(state.replace(potential=potential))
+        return solved[-1]
+
+    monkeypatch.setattr(gpe, "solve_ground", solve_ground)
+    profile, rows = tmp_path / "profile.csv", tmp_path / "rows.csv"
+    assert run(["gpe", "--ratio", "1.5", "--n", "5000", "--out", str(tmp_path / "gpe.json"),
+                "--profile", str(profile)]) == 0
+    state, = solved
+    emit_csv(({"R_m": float(r), "psi": float(p), "rho_m3": float(d), "phi_J": float(ph)}
+              for r, p, d, ph in zip(state.grid.nodes, state.psi, state.density,
+                                     state.potential)), str(rows))
+    lines = profile.read_text().splitlines()
+    assert len(lines) == 5000 + 1 and lines[4097].endswith(",nan")
+    assert profile.read_bytes() == rows.read_bytes()
 
 
 @pytest.mark.parametrize("argv, n_points", [pytest.param(*case, id=" ".join(case[0])) for case in (
