@@ -49,7 +49,7 @@ from ._record import Record
 from .constants import CONSTANTS
 from .errors import CollapseError, ConvergenceError, NumericsError, UnboundError
 from .interaction import kernel_shape
-from .variational import AnsatzConfig, EnergyBreakdown, minimize_width
+from .variational import AnsatzConfig, EnergyBreakdown, _minimum, _reduced
 
 # 6-point Gauss-Legendre rule per J-table cell: numpy's leggauss(6) bit for bit,
 # without loading numpy.polynomial.  A full-kernel cell is at most lam/40 wide,
@@ -319,29 +319,23 @@ _State = namedtuple("_State", "v local terms mu r scale residual")
 
 
 class _MeanField:
-    """The dimensionless problem of one configuration on one grid.
+    """The reduced problem ``p`` (:func:`~lasergrav.variational._reduced`,
+    TF flag ignored) on one grid: lengths in wavelengths, energies per atom
+    in hbar^2/(m lam^2) = (4/3) kappa in any unit, so the attraction gamma =
+    (3/4) c/kappa, the contact g_sw = (3/2) (2 pi)^1.5 b/kappa and the trap
+    omega_t^2 = tau/kappa.  The state is v = x chi, chi = Psi lam^1.5/sqrt(N),
+    on the nodes with the norm 4 pi h v.v = 1; v = x Psi makes T = -(1/2)
+    d^2/dx^2 tridiagonal, with Dirichlet ends.  Without coupling the Hartree
+    map is zero and every solve takes the same path."""
 
-    Lengths are in wavelengths and energies per atom in hbar^2/(m lam^2).
-    The state is v = x chi on the nodes, chi = Psi lam^1.5/sqrt(N), with
-    the norm 4 pi h v.v = 1; v = x Psi makes the kinetic operator
-    T = -(1/2) d^2/dx^2 tridiagonal, with Dirichlet ends.  Without coupling
-    the Hartree map is zero and every solve takes the same path.
-    """
-
-    def __init__(self, cfg: AnsatzConfig, grid: RadialGrid):
-        lam = cfg.interaction.wavelength
-        m = cfg.species.mass
-        hbar = CONSTANTS.hbar
-        self.h = grid.spacing / lam
-        self.x = grid.nodes / lam
-        # dimensionless couplings: contact 4 pi N a / lam, attraction
-        # u N m lam / hbar^2
-        self.g_sw = 4.0 * math.pi * cfg.n_atoms * cfg.species.scattering_length / lam
-        self.gamma = cfg.interaction.coupling * cfg.n_atoms * m * lam / hbar**2
-        omega_t = m * cfg.trap_frequency * lam**2 / hbar
-        self.v_trap = 0.5 * omega_t**2 * self.x**2
+    def __init__(self, p, grid: RadialGrid):
+        self.h = grid.spacing / p.lam
+        self.x = grid.nodes / p.lam
+        self.gamma = 0.75 * p.c / p.kappa
+        self.g_sw = 1.5 * (2.0 * math.pi) ** 1.5 * p.b / p.kappa
+        self.v_trap = 0.5 * (p.tau / p.kappa) * self.x**2
         # no coupling means no kernel resolution constraint on the grid
-        self.hartree = _HartreeOperator(grid, lam, cfg.kernel) \
+        self.hartree = _HartreeOperator(grid, p.lam, p.kernel) \
             if self.gamma != 0.0 else np.zeros_like
 
     def kinetic(self, vec: np.ndarray) -> np.ndarray:
@@ -429,10 +423,11 @@ def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,
     """Relax to the mean-field ground state on a grid of ``n_points`` nodes
     out to ``r_max`` (m), returned as ``GroundState.grid``.
 
-    One :func:`minimize_width` sizes the grid and sets the start.  ``r_max``
-    defaults to 8 times the variational ``r_rms``; where the variational
-    state is unbound there is no radius to size the box by, and without an
-    explicit ``r_max`` :class:`UnboundError` is raised before any solve.
+    One variational solve, of the reduced problem the solver takes, sizes
+    the grid and sets the start.  ``r_max`` defaults to 8 times the
+    variational ``r_rms``; where the variational state is unbound there is
+    no radius to size the box by, and without an explicit ``r_max``
+    :class:`UnboundError` is raised before any solve.
     ``n_points`` defaults to 512 for the ``-u/r`` kernel, and for the full
     kernel to as many as a spacing of ``lam/40`` needs over the box, at
     least 512 and at most ``_MAX_DEFAULT_POINTS``; past that cap the
@@ -470,7 +465,8 @@ def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,
     :func:`hartree_potential` of the final density.
     """
     lam = cfg.interaction.wavelength
-    trial = minimize_width(cfg)
+    reduced = _reduced(cfg)
+    trial = _minimum(reduced)
     if r_max is None and not trial.bound_local:
         raise UnboundError("no bound variational state to size the box; pass r_max")
     r_max = 8.0 * trial.r_rms if r_max is None else r_max
@@ -479,7 +475,7 @@ def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,
             512, math.ceil(2 * _MIN_POINTS_PER_HALF_WAVE * r_max / lam)),
             _MAX_DEFAULT_POINTS)
     grid = RadialGrid(n_points=n_points, r_max=r_max)
-    problem = _MeanField(cfg, grid)
+    problem = _MeanField(reduced, grid)
     energy_unit = CONSTANTS.hbar**2 / (cfg.species.mass * lam**2)
 
     width = trial.w_star if trial.bound_local else 1.0

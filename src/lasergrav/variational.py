@@ -24,6 +24,7 @@ summed instead.  For the -u/r kernel g = -sqrt(2/pi)/w.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 
 from ._record import Record
@@ -65,6 +66,8 @@ _H_CAP, _H_NEAR = 0.15393, math.sqrt(2.0 / math.pi) / 6.0
 # units of N u/lam); also the w -> infinity limit, approached from below, of
 # the full kernel's h(w) = w^4 g'(w)/6.  The threshold formula states this.
 CONTACT_AT_THRESHOLD = 35.0 / (88.0 * math.pi * (2.0 * math.pi) ** 1.5)
+
+_Reduced = namedtuple("_Reduced", "unit lam c kappa tau b r kernel tf")
 
 
 class AnsatzConfig(Record):
@@ -160,31 +163,38 @@ def pair_energy(w: float, kernel: str = "full", d_dw: bool = False) -> float:
 
 def energy_breakdown(w: float, cfg: AnsatzConfig) -> EnergyBreakdown:
     """Per-particle energy terms of the Gaussian trial state at width ``w``."""
+    return _breakdown(w, _reduced(cfg))
+
+
+def _breakdown(w: float, p: _Reduced) -> EnergyBreakdown:
     if not W_MIN <= w <= W_MAX:
         raise ValueError(f"width must lie in [{W_MIN:g}, {W_MAX:g}], got {w}")
-    k, t, s = _closed_coefficients(cfg)
-    grav = (0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel)
-            if cfg.interaction.coupling != 0.0 else 0.0)
-    kinetic, trap, swave = k / w**2, t * w**2, s / w**3
+    u = p.unit
+    kinetic, trap, swave = (0.0 if p.tf else u * p.kappa / w**2), u * p.tau * w**2, u * p.b / w**3
+    grav = 0.5 * u * p.c * pair_energy(w, p.kernel) if p.c else 0.0
     return EnergyBreakdown(kinetic, trap, swave, grav, kinetic + trap + swave + grav)
 
 
-def _closed_coefficients(cfg: AnsatzConfig) -> tuple[float, float, float]:
-    """(k, t, s) such that kinetic + trap + s-wave = k/w^2 + t w^2 + s/w^3 (J)."""
-    lam, m = cfg.interaction.wavelength, cfg.species.mass
-    k = 0.0 if cfg.tf_limit else 3.0 * CONSTANTS.hbar**2 / (4.0 * m * lam * lam)
+def _reduced(cfg: AnsatzConfig) -> _Reduced:
+    """The one map from SI: E per particle = unit (kappa/w^2 + tau w^2 + b/w^3 +
+    c g/2), kappa dropped where tf; unit = N u/lam (c = 1, b = S_c/r to rounding)
+    or, without coupling, 3 hbar^2/(4 m lam^2) (c = 0); r = I/I0 where a > 0, else NaN."""
+    i, lam, m = cfg.interaction, cfg.interaction.wavelength, cfg.species.mass
+    k, e = 3.0 * CONSTANTS.hbar**2 / (4.0 * m * lam * lam), tf_energy_unit(cfg)
+    unit = e or k
     t = 0.75 * m * cfg.trap_frequency**2 * lam * lam
-    s = (cfg.species.contact_coupling * cfg.n_atoms
-         / (2.0 * (2.0 * math.pi) ** 1.5 * lam**3))
-    return k, t, s
+    s = cfg.species.contact_coupling * cfg.n_atoms / (2.0 * (2.0 * math.pi) ** 1.5 * lam**3)
+    r = i.intensity / _threshold_at(cfg.species, i.alpha_si) if s > 0.0 else math.nan
+    return _Reduced(unit, lam, *(x / unit for x in (e, k, t, s)), r, cfg.kernel, cfg.tf_limit)
 
 
 def energy_gradient_parts(w: float, cfg: AnsatzConfig) -> tuple[float, float]:
     """(dE/dw of kinetic+trap+swave, dE/dw of the attraction term), both
     closed form and per particle in J per unit w."""
-    k, t, s = _closed_coefficients(cfg)
-    grav = 0.5 * tf_energy_unit(cfg) * pair_energy(w, cfg.kernel, d_dw=True)
-    return -2.0 * k / w**3 + 2.0 * t * w - 3.0 * s / w**4, grav
+    p = _reduced(cfg)
+    parts = _breakdown(w, p)
+    grav = 0.5 * p.unit * p.c * pair_energy(w, p.kernel, d_dw=True)
+    return (2.0 * (parts.trap - parts.kinetic) - 3.0 * parts.swave) / w, grav
 
 
 def total_energy(w: float, cfg: AnsatzConfig) -> float:
@@ -244,48 +254,41 @@ def _tf_energies(w: float, ratios: Sequence[float]) -> list[float]:
 def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
     """Locate the deepest of the finite-width local energy minima that
     :func:`_minima` finds at any width; unbound (NaN width) means none."""
-    return _minimum(cfg, None)
+    return _minimum(_reduced(cfg))
 
 
-def _minimum(cfg: AnsatzConfig, ratio: float | None) -> VariationalResult:
-    roots = _minima(cfg, ratio)
+def _minimum(p: _Reduced) -> VariationalResult:
+    roots = _minima(p)
     if not roots:
         return VariationalResult(math.nan, math.nan, None, False, False)
-    best, w_star = min(((energy_breakdown(x, cfg), x) for x in roots),
+    best, w_star = min(((_breakdown(x, p), x) for x in roots),
                        key=lambda pair: pair[0].total)
-    return VariationalResult(w_star, math.sqrt(1.5) * w_star * cfg.interaction.wavelength,
+    return VariationalResult(w_star, math.sqrt(1.5) * w_star * p.lam,
                              best, bound_local=True, bound_global=best.total < 0.0)
 
 
-def _minima(cfg: AnsatzConfig, ratio: float | None = None) -> list[float]:
+def _minima(p: _Reduced) -> list[float]:
     """Every finite-width minimum, ascending (trap-free TF: :func:`tf_width`):
-    the - to + sign changes of sigma = dE/dw w^4/(3 E_u) = h - b - (2/3)
-    kappa w + (2/3) tau w^5, (kappa, tau, b) = (k, t, s)/E_u, E_u = N u/lam
-    (the trap's t, and no h, at zero coupling), at 20 widths per decade
+    the - to + sign changes of sigma = dE/dw w^4/(3 unit) = c h - b - (2/3)
+    kappa w + (2/3) tau w^5 (:func:`_reduced`), at 20 widths per decade
     between ends past which sigma keeps one sign, refined by Brent's method:
     below, < 0 (b >= 0: h <= _H_CAP w^2) or > 0 (w < 3|b|/(2 kappa)); above,
     > 0 (a trap or the -u/r h) or < 0 (past 3 (S_c - b)/(2 kappa): h < S_c)."""
-    k, t, s = _closed_coefficients(cfg)
-    e, full = tf_energy_unit(cfg), cfg.kernel == "full"
-    if full and s > 0.0:
-        r = ratio if ratio is not None else cfg.interaction.intensity / _threshold_at(
-            cfg.species, cfg.interaction.alpha_si)
-        if k == t == 0.0:
-            return [w for w in (tf_width(r),) if not math.isnan(w)]
-    unit = e or t
-    if unit == 0.0 or not (k > 0.0 or s > 0.0):
+    c, kappa, tau, b, full = p.c, 0.0 if p.tf else p.kappa, p.tau, p.b, p.kernel == "full"
+    exact, gap = full and b > 0.0 and c > 0.0, CONTACT_AT_THRESHOLD - b
+    if exact and kappa == tau == 0.0:
+        return [w for w in (tf_width(p.r),) if not math.isnan(w)]
+    if c == tau == 0.0 or not (kappa > 0.0 or b > 0.0):
         return []  # nothing holds the cloud, or sigma > 0 collapses it
-    c, kappa, tau, b = e / unit, k / unit, t / unit, s / unit
-    exact, gap = full and s > 0.0 and e > 0.0, CONTACT_AT_THRESHOLD - b
     if exact:  # h - b from _tf_slope, which keeps the digits of r - 1
-        b, gap = CONTACT_AT_THRESHOLD / r, CONTACT_AT_THRESHOLD * (r - 1.0) / r
+        b, gap = CONTACT_AT_THRESHOLD / p.r, CONTACT_AT_THRESHOLD * (p.r - 1.0) / p.r
 
     def sigma(w):
-        hb = _tf_slope(w, r) if exact else c * w**4 * pair_energy(w, cfg.kernel, True) / 6 - b
+        hb = _tf_slope(w, p.r) if exact else c * w**4 * pair_energy(w, p.kernel, True) / 6 - b
         return hb + 2.0 * (tau * w**5 - kappa * w) / 3.0
     neg, trap = ((max(b, 0.0), 0), (2.0 * kappa / 3.0, 1)), (2.0 * tau / 3.0, 5)
     lo = _span_end(((c * _H_CAP, 2), trap), neg, False) if b >= 0.0 else 1.5 * -b / kappa
-    rises = t > 0.0 or not full
+    rises = tau > 0.0 or not full
     hi = _span_end(((0.0 if full else c * _H_NEAR, 2), trap), neg, True) if rises \
         else 1.5 * gap / kappa
     lo, hi = min(max(lo, W_MIN), W_MAX), max(min(hi, W_MAX), W_MIN)
@@ -342,9 +345,8 @@ def width_vs_intensity(cfg: AnsatzConfig,
         raise ValueError("intensity ratios must be non-negative")
     alpha, lam = cfg.interaction.alpha_si, cfg.interaction.wavelength
     i0 = _threshold_at(cfg.species, alpha)
-    return [_minimum(cfg.replace(
-                interaction=InteractionParams.from_alpha(r * i0, lam, alpha)), r)
-            for r in ratios]
+    return [_minimum(_reduced(cfg.replace(interaction=InteractionParams.from_alpha(
+        r * i0, lam, alpha)))._replace(r=r)) for r in ratios]
 
 
 def critical_intensity_ratio(species: AtomSpecies, wavelength: float,
@@ -353,10 +355,11 @@ def critical_intensity_ratio(species: AtomSpecies, wavelength: float,
     """I_c/I0 = S/S_c above which a TF cloud self-binds: 1 to rounding.
     Without a trap dE/dw = 3 (h(w) - S/r)/w^4 in units of N u/lam, with h =
     w^4 g'/6 rising to S_c and S the contact coefficient at I0, which the
-    threshold formula makes S_c; :func:`tf_width` takes it as exact."""
-    cfg = config_at_ratio(species, 1.0, wavelength, n_atoms, use_detuned,
-                          tf_limit=True)
-    return _closed_coefficients(cfg)[2] / tf_energy_unit(cfg) / CONTACT_AT_THRESHOLD
+    threshold formula makes S_c; :func:`tf_width` takes it as exact.  An SI
+    check: S comes from ``contact_coupling`` and ``coupling``, not :func:`_reduced`."""
+    cfg = config_at_ratio(species, 1.0, wavelength, n_atoms, use_detuned)
+    s = species.contact_coupling * cfg.n_atoms / (2.0 * (2.0 * math.pi) ** 1.5 * wavelength**3)
+    return s / tf_energy_unit(cfg) / CONTACT_AT_THRESHOLD
 
 
 def mfa_validity(rho_peak: float, species: AtomSpecies, coupling: float) -> dict:

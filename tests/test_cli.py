@@ -1146,7 +1146,7 @@ def test_gpe_default_grid_resolves_the_kernel(argv, n_points, monkeypatch):
     class Solved(Exception):
         pass
 
-    def mean_field(cfg, grid):
+    def mean_field(problem, grid):
         raise Solved(grid.n_points)
 
     monkeypatch.setattr(gpe, "_MeanField", mean_field)
@@ -1156,16 +1156,16 @@ def test_gpe_default_grid_resolves_the_kernel(argv, n_points, monkeypatch):
 
 
 def test_gpe_runs_one_variational_solve(tmp_path, monkeypatch):
-    # the one minimize_width sizes the box and sets the solver's start
+    # the one variational solve sizes the box and sets the solver's start:
+    # every width minimization, by any entry point, runs _minima once
     calls = []
-    minimize = variational.minimize_width
+    minima = variational._minima
 
-    def counted(cfg):
-        calls.append(cfg)
-        return minimize(cfg)
+    def counted(problem):
+        calls.append(problem)
+        return minima(problem)
 
-    monkeypatch.setattr(variational, "minimize_width", counted)
-    monkeypatch.setattr(gpe, "minimize_width", counted)
+    monkeypatch.setattr(variational, "_minima", counted)
     assert run(["gpe", "--species", "Na", "--ratio", "1.5", "--atoms", "1e4",
                 "--n", "256", "--out", str(tmp_path / "gpe.json")]) == 0
     assert len(calls) == 1

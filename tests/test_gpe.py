@@ -12,12 +12,13 @@ from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        UnboundError, border_atom_number, config_at_ratio,
                        f_factor, hartree_potential, minimize_width,
                        pair_potential, solve_ground)
-from lasergrav import gpe
+from lasergrav import gpe, variational
 from lasergrav.cli import run
 from lasergrav.gpe import (_KEPT_PRODUCTS, RESIDUAL_TOL, _back_substitute,
                            _gmres, _HartreeOperator, _j_table, _MeanField,
                            _Tridiagonal)
 from lasergrav.interaction import X_SWITCH, kernel_shape
+from lasergrav.variational import _reduced
 
 LAM = 589e-9
 
@@ -113,7 +114,7 @@ def _levels_below_mu(cfg, state):
     ``LDL^T`` factorization at that shift (Sylvester's law of inertia; the
     Sturm count of Golub & Van Loan, Matrix Computations, section 8.4).
     """
-    field = _MeanField(cfg, state.grid)
+    field = _MeanField(_reduced(cfg), state.grid)
     lam = cfg.interaction.wavelength
     v = field.x * state.psi * lam**1.5 / math.sqrt(state.n_atoms)
     evaluated = field.evaluate(v)
@@ -191,7 +192,7 @@ def test_jacobian_product_matches_finite_differences(na, setup):
     # a central difference is off the exact product only by t^2/6 times the
     # third derivative, and by rounding
     cfg, grid, width = _field_setups(na)[setup]
-    field = _MeanField(cfg, grid)
+    field = _MeanField(_reduced(cfg), grid)
     v = field.x * np.exp(-field.x**2 / (2.0 * width**2))
     v /= field.norm(v)
     evaluated = field.evaluate(v)
@@ -216,6 +217,55 @@ def test_jacobian_product_matches_finite_differences(na, setup):
     assert np.max(np.abs(shifted[:-1] - shift * direction[:-1])) \
         <= 1e-12 * np.max(np.abs(shift * direction[:-1]))
     assert shifted[-1] == 0.0
+
+
+@pytest.mark.parametrize("setup", ["trapped", "oscillator"])
+def test_mean_field_couplings_match_their_si_forms(na, setup):
+    # gamma = (3/4) c/kappa, g_sw = (3/2) (2 pi)^1.5 b/kappa and omega_t^2 =
+    # tau/kappa of the reduced problem, in any unit, against u N m lam/hbar^2,
+    # 4 pi N a/lam and m omega lam^2/hbar built from SI
+    if setup == "trapped":
+        cfg = config_at_ratio(na, 1.34, LAM, n_atoms=1e3, use_detuned=True,
+                              trap_frequency=2 * math.pi * 30.0)
+    else:
+        cfg = _field_setups(na)["oscillator"][0]
+    grid = RadialGrid(512, 3.0 * LAM)
+    field = _MeanField(_reduced(cfg), grid)
+    hbar, m, n = CONSTANTS.hbar, na.mass, cfg.n_atoms
+    omega_t = m * cfg.trap_frequency * LAM**2 / hbar
+    assert field.gamma == pytest.approx(cfg.interaction.coupling * n * m * LAM / hbar**2,
+                                        rel=1e-15, abs=0.0)
+    assert field.g_sw == pytest.approx(4 * math.pi * n * na.scattering_length / LAM,
+                                       rel=1e-15, abs=0.0)
+    np.testing.assert_allclose(field.v_trap, 0.5 * omega_t**2 * (grid.nodes / LAM) ** 2,
+                               rtol=1e-15, atol=0.0)
+    assert (field.gamma == 0.0) == (setup == "oscillator")
+
+
+def _matched_clouds(na, rb, ratio):
+    """Na detuned at 589 nm (1e3 atoms, 30 Hz) and Rb87 static at 780 nm with
+    N a/lam and m^2 omega^2 lam^5/(a N) matched: the same reduced problem."""
+    lam_rb, n_na, omega_na = 780e-9, 1e3, 2 * math.pi * 30.0
+    n_rb = n_na * na.scattering_length / LAM * lam_rb / rb.scattering_length
+    omega_rb = omega_na * math.sqrt(
+        na.mass**2 * LAM**5 / (na.scattering_length * n_na)
+        * rb.scattering_length * n_rb / (rb.mass**2 * lam_rb**5))
+    return (config_at_ratio(na, ratio, LAM, n_na, use_detuned=True, trap_frequency=omega_na),
+            config_at_ratio(rb, ratio, lam_rb, n_rb, trap_frequency=omega_rb))
+
+
+def test_reduced_problem_is_species_invariant(na, rb):
+    # metamorphic: species, wavelength, N and trap enter only through the
+    # reduced problem, so matched clouds share their widths in wavelengths,
+    # on both branches of the trapped transition at 1.34 and 1.5
+    for ratio, branches in ((1.34, 2), (1.5, 2), (3.0, 1)):
+        widths = [variational._minima(_reduced(cfg)) for cfg in _matched_clouds(na, rb, ratio)]
+        assert len(widths[0]) == branches
+        assert widths[1] == pytest.approx(widths[0], rel=1e-12, abs=0.0)
+    cfg_na, cfg_rb = _matched_clouds(na, rb, 1.5)
+    state_na = solve_ground(cfg_na)
+    state_rb = solve_ground(cfg_rb, state_na.grid.n_points)
+    assert state_rb.r_rms / 780e-9 == pytest.approx(state_na.r_rms / LAM, rel=1e-12, abs=0.0)
 
 
 def test_gmres_solves_a_nonsymmetric_system():

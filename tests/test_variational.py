@@ -12,7 +12,7 @@ from lasergrav import (CONSTANTS, AnsatzConfig, InteractionParams,
 from lasergrav import variational
 from lasergrav.errors import NumericsError
 from lasergrav.variational import (CONTACT_AT_THRESHOLD, W_MAX, W_MIN,
-                                   W_SWITCH, _brent_root, pair_energy,
+                                   W_SWITCH, _brent_root, _reduced, pair_energy,
                                    tf_energy_unit)
 from quadrature_oracle import pair_interaction_integral
 from scan_oracle import scanned_minima
@@ -176,8 +176,9 @@ def test_tf_bound_beyond_the_default_scan(na):
 
 
 def test_minima_without_light_is_the_oscillator_width(na):
-    # zero coupling takes the trap's t as the energy unit and drops h; with
-    # no contact term the one minimum is w* = l0/lam (acceptance 8c's cloud)
+    # zero coupling takes the kinetic 3 hbar^2/(4 m lam^2) as the energy unit
+    # and drops h; with no contact term the one minimum is w* = l0/lam
+    # (acceptance 8c's cloud)
     species = na.replace(scattering_length=0.0, detuned=None)
     omega0 = 2 * math.pi * 100.0
     l0 = math.sqrt(CONSTANTS.hbar / (species.mass * omega0))
@@ -185,7 +186,7 @@ def test_minima_without_light_is_the_oscillator_width(na):
                                alpha_si=species.alpha_si())
     cfg = AnsatzConfig(n_atoms=100.0, species=species, interaction=params,
                        trap_frequency=omega0)
-    assert variational._minima(cfg) == [pytest.approx(l0 / LAM, rel=1e-12, abs=0.0)]
+    assert variational._minima(_reduced(cfg)) == [pytest.approx(l0 / LAM, rel=1e-12, abs=0.0)]
     assert minimize_width(cfg).w_star == pytest.approx(l0 / LAM, rel=1e-12, abs=0.0)
 
 
@@ -197,16 +198,19 @@ def test_minima_of_the_trap_free_near_zone_kernel_is_its_quadratic_root(na, rati
     # quadratic sqrt(2/pi) w^2/6 - (2/3) kappa w - b with one positive root
     cfg = config_at_ratio(na, ratio, LAM, n_atoms, use_detuned=True).replace(
         kernel="near_zone")
-    k, _, s = variational._closed_coefficients(cfg)
-    kappa, b = k / tf_energy_unit(cfg), s / tf_energy_unit(cfg)
+    # in units of N u/lam: kappa = 3 hbar^2/(4 m lam N u), b = g/(2 (2 pi)^1.5 lam^2 u)
+    u, hbar = cfg.interaction.coupling, CONSTANTS.hbar
+    g = 4 * math.pi * hbar**2 * na.scattering_length / na.mass
+    kappa = 3 * hbar**2 / (4 * na.mass * LAM * n_atoms * u)
+    b = g / (2 * (2 * math.pi) ** 1.5 * LAM**2 * u)
     c0 = math.sqrt(2.0 / math.pi) / 6.0
     root = (2 * kappa / 3 + math.sqrt(4 * kappa**2 / 9 + 4 * c0 * b)) / (2 * c0)
-    assert variational._minima(cfg) == [pytest.approx(root, rel=1e-12, abs=0.0)]
+    assert variational._minima(_reduced(cfg)) == [pytest.approx(root, rel=1e-12, abs=0.0)]
 
 
 def _assert_minima_match_the_scan(cfg):
     scan = scanned_minima(cfg)
-    roots = variational._minima(cfg)
+    roots = variational._minima(_reduced(cfg))
     assert len(roots) == len(scan)
     for root, (w, lo, hi) in zip(roots, scan):
         assert lo * (1 - 1e-12) <= root <= hi * (1 + 1e-12)
