@@ -319,10 +319,10 @@ _State = namedtuple("_State", "v local terms mu r scale residual")
 
 
 class _MeanField:
-    """The reduced problem ``p`` (:func:`~lasergrav.variational._reduced`,
-    TF flag ignored) on one grid: lengths in wavelengths, energies per atom
-    in hbar^2/(m lam^2) = (4/3) kappa in any unit, so the attraction gamma =
-    (3/4) c/kappa, the contact g_sw = (3/2) (2 pi)^1.5 b/kappa and the trap
+    """The reduced problem ``p`` (:func:`~lasergrav.variational._reduced`)
+    on one grid: lengths in wavelengths, energies per atom in hbar^2/(m
+    lam^2) = (4/3) kappa in any unit, so the attraction gamma = (3/4)
+    c/kappa, the contact g_sw = (3/2) (2 pi)^1.5 b/kappa and the trap
     omega_t^2 = tau/kappa.  The state is v = x chi, chi = Psi lam^1.5/sqrt(N),
     on the nodes with the norm 4 pi h v.v = 1; v = x Psi makes T = -(1/2)
     d^2/dx^2 tridiagonal, with Dirichlet ends.  Without coupling the Hartree
@@ -459,13 +459,13 @@ def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,
     :class:`ConvergenceError` after ``MAX_ITERATIONS`` of them,
     :class:`CollapseError` when the cloud shrinks below four grid spacings
     and :class:`NumericsError` when the starting Gaussian is zero on the
-    grid.  The kinetic term is always retained (``cfg.tf_limit`` only
-    affects the variational treatment).  ``on_step(iteration, energy_J,
+    grid.  The kinetic term is always retained: the solve, its box and its
+    start take ``cfg`` with ``tf_limit`` off.  ``on_step(iteration, energy_J,
     mu_J)`` is invoked after every accepted step.  ``potential`` is
     :func:`hartree_potential` of the final density.
     """
     lam = cfg.interaction.wavelength
-    reduced = _reduced(cfg)
+    reduced = _reduced(cfg.replace(tf_limit=False))
     trial = _minimum(reduced)
     if r_max is None and not trial.bound_local:
         raise UnboundError("no bound variational state to size the box; pass r_max")

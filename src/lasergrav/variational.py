@@ -45,19 +45,18 @@ _G_SERIES = tuple(-(15.0 / 11.0) * math.sqrt(math.pi) * c
                   * math.factorial(n) for n, c in enumerate(_series_coefficients(24)))
 _G_PRIME_SERIES = tuple((2 * n - 1) * c for n, c in enumerate(_G_SERIES))
 
-# Dawson's integral: the positive Taylor series exp(-z^2) Sum z^(2n+1)/(n!
-# (2n+1)) below _DAWSON_SWITCH, with terms below 1e-17 of the sum at z = 6
-# after 100; above it the asymptotic series (1/2z) Sum (2n-1)!!/(2z^2)^n,
-# whose terms bottom out at 3e-16 near n = 36 for z = 6.
-_DAWSON_SWITCH = 6.0
+# Dawson's F(z), z = 2 sqrt(2) pi w: the Taylor series exp(-z^2) Sum z^(2n+1)/(n! (2n+1))
+# below W_ASYMPTOTIC (z = 6), terms under 1e-17 of the sum there after 100; above it
+# (1/2z) Sum (2n-1)!!/(2z^2)^n, whose terms bottom out at 3e-16 near n = 36 at z = 6.
+W_ASYMPTOTIC = 6.0 / (2.0 * math.sqrt(2.0) * math.pi)
 _DAWSON_TAYLOR = tuple(1.0 / (math.factorial(n) * (2 * n + 1))
                        for n in range(100))
 _DAWSON_ASYMPTOTIC = tuple(float(math.prod(range(1, 2 * n, 2)))
                            for n in range(1, 37))
 
 # widths g, g' and the energy take: a scan finds g and g' on their far and
-# near laws (to 1.1e-15, 4.8e-15) and w^4 normal from 1.3e-77 until Dawson's
-# z^7 overflows at 1.2e43; hold tf_width's range and every minimum _minima finds
+# near laws (to 1.1e-15, 4.8e-15) and w^4 normal from 1.3e-77 until _tf_deficit's
+# z^6 overflows at 2.7e50; hold tf_width's range and every minimum _minima finds
 W_MIN, W_MAX = 1e-76, 1e40
 # h = w^4 g'/6 <= _H_CAP w^2 (h/w^2 peaks at 0.1539291 at w = 0.0895); -u/r: _H_NEAR w^2
 _H_CAP, _H_NEAR = 0.15393, math.sqrt(2.0 / math.pi) / 6.0
@@ -67,7 +66,7 @@ _H_CAP, _H_NEAR = 0.15393, math.sqrt(2.0 / math.pi) / 6.0
 # the full kernel's h(w) = w^4 g'(w)/6.  The threshold formula states this.
 CONTACT_AT_THRESHOLD = 35.0 / (88.0 * math.pi * (2.0 * math.pi) ** 1.5)
 
-_Reduced = namedtuple("_Reduced", "unit lam c kappa tau b r kernel tf")
+_Reduced = namedtuple("_Reduced", "unit lam c kappa tau b r kernel")
 
 
 class AnsatzConfig(Record):
@@ -115,18 +114,6 @@ class VariationalResult(Record):
     bound_global: bool
 
 
-def _dawson(z: float) -> tuple[float, float]:
-    """Dawson's integral F(z) and its derivative F'(z) = 1 - 2 z F."""
-    if z < _DAWSON_SWITCH:
-        f = z * math.exp(-z * z) * _horner(z * z, _DAWSON_TAYLOR)
-        return f, 1.0 - 2.0 * z * f
-    # 1 - 2zF cancels to F' ~ -1/(2z^2): sum F' = -Sum_{n>=1} (2n-1)!!/(2z^2)^n
-    # directly so that g' keeps its digits far out, where minimum roots sit
-    x = 0.5 / (z * z)
-    fp = -x * _horner(x, _DAWSON_ASYMPTOTIC)
-    return (1.0 - fp) / (2.0 * z), fp
-
-
 def _g_series(w: float, d_dw: bool) -> float:
     w2 = w * w
     if d_dw:
@@ -135,17 +122,32 @@ def _g_series(w: float, d_dw: bool) -> float:
 
 
 def _g_dawson(w: float, d_dw: bool) -> float:
+    if w >= W_ASYMPTOTIC:
+        d, q = _tf_deficit(w)
+        return 6.0 * CONTACT_AT_THRESHOLD * (1.0 - q) / w**4 if d_dw \
+            else 2.0 * (d - CONTACT_AT_THRESHOLD / w**3)
     z = 2.0 * math.sqrt(2.0) * math.pi * w
     z2 = z * z
-    f, fp = _dawson(z)
+    f = z * math.exp(-z2) * _horner(z2, _DAWSON_TAYLOR)
     if d_dw:
         return (-(120.0 * math.sqrt(2.0) * math.pi ** 1.5 / 11.0)
-                * (z * (z2 * z2 + 2.0 * z2 + 4.0) * fp
+                * (z * (z2 * z2 + 2.0 * z2 + 4.0) * (1.0 - 2.0 * z * f)
                    - 2.0 * (z2 * z2 + 4.0 * z2 + 12.0) * f
                    - 2.0 * z2 * z + 20.0 * z) / (z2 * z2 * z2 * z))
     return (-(20.0 * math.sqrt(math.pi) / 11.0)
             * (3.0 * (z2 * z2 + 2.0 * z2 + 4.0) * f + 2.0 * z2 * z - 12.0 * z)
             / (z2 * z2 * z2))
+
+
+def _tf_deficit(w: float) -> tuple[float, float]:
+    """D = g/2 + S_c/w^3 and q = (S_c - h)/S_c, h = w^4 g'/6, at w >= W_ASYMPTOTIC,
+    their cancelling terms dropped from the asymptotic F = (1 + x A(x))/(2z)."""
+    x = 1.0 / (16.0 * (math.pi * w) ** 2)
+    tail = _horner(x, _DAWSON_ASYMPTOTIC[1:])  # A(x) = 1 + x tail
+    a, z = 1.0 + x * tail, 2.0 * math.sqrt(2.0) * math.pi * w
+    d = (-(10.0 * math.sqrt(math.pi) / 11.0)
+         * (-9.0 * z + 6.0 / z + 0.75 * a * (z + 2.0 / z + 4.0 / z**3)) / z**6)
+    return d, x / 3.5 * (32.0 - 48.0 * x - tail / 2 - (3.0 + 16.0 * x + 48.0 * x * x) * a)
 
 
 def pair_energy(w: float, kernel: str = "full", d_dw: bool = False) -> float:
@@ -170,22 +172,30 @@ def _breakdown(w: float, p: _Reduced) -> EnergyBreakdown:
     if not W_MIN <= w <= W_MAX:
         raise ValueError(f"width must lie in [{W_MIN:g}, {W_MAX:g}], got {w}")
     u = p.unit
-    kinetic, trap, swave = (0.0 if p.tf else u * p.kappa / w**2), u * p.tau * w**2, u * p.b / w**3
+    kinetic, trap, swave = u * p.kappa / w**2, u * p.tau * w**2, u * p.b / w**3
     grav = 0.5 * u * p.c * pair_energy(w, p.kernel) if p.c else 0.0
-    return EnergyBreakdown(kinetic, trap, swave, grav, kinetic + trap + swave + grav)
+    total = kinetic + trap + swave + grav
+    if _tf_law(p) and w >= W_ASYMPTOTIC:  # swave + grav cancel near threshold
+        total = kinetic + trap + u * _tf_energies(w, [p.r])[0]
+    return EnergyBreakdown(kinetic, trap, swave, grav, total)
+
+
+def _tf_law(p: _Reduced) -> bool:
+    """Whether E is S_c/(r w^3) + g/2 plus kinetic and trap: full kernel, c > 0, b > 0."""
+    return p.kernel == "full" and p.b > 0.0 and p.c > 0.0
 
 
 def _reduced(cfg: AnsatzConfig) -> _Reduced:
     """The one map from SI: E per particle = unit (kappa/w^2 + tau w^2 + b/w^3 +
-    c g/2), kappa dropped where tf; unit = N u/lam (c = 1, b = S_c/r to rounding)
+    c g/2), kappa = 0 where tf_limit; unit = N u/lam (c = 1, b = S_c/r to rounding)
     or, without coupling, 3 hbar^2/(4 m lam^2) (c = 0); r = I/I0 where a > 0, else NaN."""
     i, lam, m = cfg.interaction, cfg.interaction.wavelength, cfg.species.mass
     k, e = 3.0 * CONSTANTS.hbar**2 / (4.0 * m * lam * lam), tf_energy_unit(cfg)
-    unit = e or k
+    unit, kappa = e or k, 0.0 if cfg.tf_limit else k
     t = 0.75 * m * cfg.trap_frequency**2 * lam * lam
     s = cfg.species.contact_coupling * cfg.n_atoms / (2.0 * (2.0 * math.pi) ** 1.5 * lam**3)
     r = i.intensity / _threshold_at(cfg.species, i.alpha_si) if s > 0.0 else math.nan
-    return _Reduced(unit, lam, *(x / unit for x in (e, k, t, s)), r, cfg.kernel, cfg.tf_limit)
+    return _Reduced(unit, lam, *(x / unit for x in (e, kappa, t, s)), r, cfg.kernel)
 
 
 def energy_gradient_parts(w: float, cfg: AnsatzConfig) -> tuple[float, float]:
@@ -210,9 +220,8 @@ def tf_width(ratio: float) -> float:
     """Width w* of the trap-free TF cloud at I/I0 = ``ratio`` for any species,
     wavelength and N: the one root of the rising h(w) = S_c/r.  NaN (no
     minimum) for 0 <= r <= 1, ``ValueError`` for r < 0 or NaN and
-    :class:`NumericsError` past r = 1e150.  Above z = 6 it solves
-    S_c (r - 1)/r = S_c - h, the deficit summed from the asymptotic F and F'
-    so that the root keeps its digits as r -> 1."""
+    :class:`NumericsError` past r = 1e150.  Above W_ASYMPTOTIC it solves (r - 1)/r
+    = q (:func:`_tf_deficit`), so that the root keeps its digits as r -> 1."""
     if not ratio >= 0.0:
         raise ValueError("intensity ratios must be non-negative")
     if ratio > 1e150:
@@ -226,28 +235,19 @@ def tf_width(ratio: float) -> float:
 
 
 def _tf_slope(w: float, ratio: float) -> float:  # h(w) - S_c/r
-    x = 1.0 / (16.0 * (math.pi * w) ** 2)  # 1/(2 z^2)
-    if x > 0.5 / _DAWSON_SWITCH**2:
+    if w < W_ASYMPTOTIC:
         return w**4 * pair_energy(w, d_dw=True) / 6.0 - CONTACT_AT_THRESHOLD / ratio
-    tail = _horner(x, _DAWSON_ASYMPTOTIC[1:])  # Sum_(n>1) (2n-1)!! x^(n-2)
-    lead = (3.0 + 16.0 * x + 48.0 * x * x) * (1.0 + x * tail)
-    return CONTACT_AT_THRESHOLD * ((ratio - 1.0) / ratio
-                                   - x / 3.5 * (32.0 - 48.0 * x - tail / 2 - lead))
+    return CONTACT_AT_THRESHOLD * ((ratio - 1.0) / ratio - _tf_deficit(w)[1])
 
 
 def _tf_energies(w: float, ratios: Sequence[float]) -> list[float]:
     """TF energy per particle S_c/(r w^3) + g(w)/2, in units of N u/lam, at
-    width ``w`` for each r = I/I0 in ``ratios``.  The two terms cancel to
-    O(w^-5) at r = 1, so above z = 6 it sums S_c (1 - r)/(r w^3) + D, with
-    D = g/2 + S_c/w^3 from the asymptotic F and its z^-3 terms cancelled."""
-    z = 2.0 * math.sqrt(2.0) * math.pi * w
-    if z < _DAWSON_SWITCH:
+    width ``w`` for each r = I/I0 in ``ratios``.  The two terms cancel to O(w^-5)
+    at r = 1, so above W_ASYMPTOTIC it sums S_c (1 - r)/(r w^3) + D (:func:`_tf_deficit`)."""
+    if w < W_ASYMPTOTIC:
         half_g = pair_energy(w) / 2
         return [CONTACT_AT_THRESHOLD / (r * w**3) + half_g for r in ratios]
-    t = _horner(0.5 / (z * z), _DAWSON_ASYMPTOTIC)
-    d = (-(10.0 * math.sqrt(math.pi) / 11.0)
-         * (-9.0 * z + 6.0 / z + 0.75 * t * (z + 2.0 / z + 4.0 / z**3)) / z**6)
-    contact = CONTACT_AT_THRESHOLD / w**3  # r w^3 would overflow at huge r
+    contact, d = CONTACT_AT_THRESHOLD / w**3, _tf_deficit(w)[0]  # r w^3 overflows at huge r
     return [contact * (1.0 - r) / r + d for r in ratios]
 
 
@@ -274,8 +274,8 @@ def _minima(p: _Reduced) -> list[float]:
     between ends past which sigma keeps one sign, refined by Brent's method:
     below, < 0 (b >= 0: h <= _H_CAP w^2) or > 0 (w < 3|b|/(2 kappa)); above,
     > 0 (a trap or the -u/r h) or < 0 (past 3 (S_c - b)/(2 kappa): h < S_c)."""
-    c, kappa, tau, b, full = p.c, 0.0 if p.tf else p.kappa, p.tau, p.b, p.kernel == "full"
-    exact, gap = full and b > 0.0 and c > 0.0, CONTACT_AT_THRESHOLD - b
+    c, kappa, tau, b, full = p.c, p.kappa, p.tau, p.b, p.kernel == "full"
+    exact, gap = _tf_law(p), CONTACT_AT_THRESHOLD - b
     if exact and kappa == tau == 0.0:
         return [w for w in (tf_width(p.r),) if not math.isnan(w)]
     if c == tau == 0.0 or not (kappa > 0.0 or b > 0.0):

@@ -1,8 +1,9 @@
 """Output audit against another checkout, ``python tests/byte_audit.py PARENT``: the README
-examples, the ``gpe`` case matrix (ROADMAP item 1's 30 Hz case among them) and every benchmark
-op at seeds 1 and 2, each run in a fresh directory of both trees.  Prints ``same`` where exit
-code, streams and files match byte for byte, else each moved numeric cell with its move
-relative to the largest magnitude in its column (a CSV column, a JSON key) and to itself."""
+examples, the ``gpe`` case matrix (ROADMAP item 1's 30 Hz case among them), three commands
+where the TF energy's terms cancel near threshold and every benchmark op at seeds 1 and 2,
+each run in a fresh directory of both trees.  Prints ``same`` where exit code, streams and
+files match byte for byte, else each moved numeric cell with its move relative to the
+largest magnitude in its column (a CSV column, a JSON key) and to itself."""
 
 import os
 import re
@@ -24,12 +25,16 @@ atom-count --wavelength 589e-9 --rho-peak 1e22 --ratio 1.5 --self-consistent"""
 GPE = ["--ratio 1.34 --atoms 1000 --trap 188.49555921538757", "--ratio 1.01 --atoms 1e7",
        "--ratio 1.001 --atoms 1e8", "--ratio 1.0001 --atoms 1e9", "--ratio 100 --atoms 1e5",
        "--ratio 1.5 --atoms 1e4 --kernel newton", "--trap 100 --ratio 0.5 --atoms 1e4"]
+NEAR = ["width-sweep --ratios 1.000000000001 --atoms 1e8",
+        "width-sweep --no-tf --ratios 1.0000000000000002,1.000001 --atoms 1e30",
+        "fig1a --ratios 1,1.000000001 --wmin 100 --wmax 1e5 --samples 5"]
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
 
 
 def commands():
     yield from (("cli", line.split()) for line in README.replace("\n", "|").split("|"))
     yield from (("cli", ["gpe", "--species", "Na", *case.split()]) for case in GPE)
+    yield from (("cli", case.split()) for case in NEAR)
     for seed in (1, 2):
         for workload in workloads.WORKLOADS:
             yield from ((op.kind, op.argv) for op in workloads.generate(workload, seed, "."))

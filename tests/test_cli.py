@@ -1061,6 +1061,20 @@ def test_width_sweep_no_tf_answers_at_both_ends_of_the_old_grid(ratio, atoms, bo
     assert err == "" and out.splitlines()[1].split(",")[3] == bound
 
 
+@pytest.mark.parametrize("argv, total", [
+    (["--no-tf", "--ratios", "1.0000000000000002", "--atoms", "1e30"], -4.14127290157023e-41),
+    (["--ratios", "1.000000000001", "--atoms", "1e8"], -5.63844409328843e-54)])
+def test_width_sweep_total_keeps_its_digits_near_threshold(argv, total, capsys):
+    # swave_J and gravitational_J cancel to O(w^-5); summed in joules the
+    # totals once read +1.836709923160e-40 (bound_global false) and
+    # -5.630624050707e-54.  The references are 150-digit mpmath values.
+    assert run(["width-sweep", *argv]) == 0
+    header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    row = dict(zip(header, row))
+    assert row["bound_global"] == "true"
+    assert float(row["total_J"]) == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
 def test_width_sweep_schema(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["width-sweep", "--species", "Na", "--ratios", "0.9,1.5",

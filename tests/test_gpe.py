@@ -268,6 +268,16 @@ def test_reduced_problem_is_species_invariant(na, rb):
     assert state_rb.r_rms / 780e-9 == pytest.approx(state_na.r_rms / LAM, rel=1e-12, abs=0.0)
 
 
+def test_solve_ignores_the_tf_flag(na):
+    # the solve keeps the kinetic term, so its box and start are sized from
+    # the kinetic minimum whatever tf_limit says (the TF radius once moved
+    # r_rms by 2.5e-7 here)
+    cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
+    plain, tf = solve_ground(cfg, 512), solve_ground(cfg.replace(tf_limit=True), 512)
+    assert (tf.grid, tf.r_rms, tf.mu, tf.iterations, tf.energies) == \
+        (plain.grid, plain.r_rms, plain.mu, plain.iterations, plain.energies)
+
+
 def test_gmres_solves_a_nonsymmetric_system():
     rng = np.random.default_rng(11)
     n = 200

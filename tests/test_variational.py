@@ -11,7 +11,7 @@ from lasergrav import (CONSTANTS, AnsatzConfig, InteractionParams,
                        threshold_intensity, total_energy, width_vs_intensity)
 from lasergrav import variational
 from lasergrav.errors import NumericsError
-from lasergrav.variational import (CONTACT_AT_THRESHOLD, W_MAX, W_MIN,
+from lasergrav.variational import (CONTACT_AT_THRESHOLD, W_ASYMPTOTIC, W_MAX, W_MIN,
                                    W_SWITCH, _brent_root, _reduced, pair_energy,
                                    tf_energy_unit)
 from quadrature_oracle import pair_interaction_integral
@@ -279,17 +279,60 @@ def _mpmath_pair_energy(w, digits=50):
 
 
 def test_pair_energy_matches_mpmath():
-    # both sides of the series/Dawson switch in w and of z = 6 in Dawson's F;
-    # measured worst cases 1.1e-15 (g) and 8.6e-15 (g', Dawson form near w = 0.5)
-    dawson_switch = 6.0 / (2.0 * math.sqrt(2.0) * math.pi)
+    # both sides of the series/Dawson switch and of W_ASYMPTOTIC (z = 6), where
+    # the asymptotic deficit takes over; measured worst cases 1.1e-15 (g) and
+    # 8.6e-15 (g', Dawson form just below z = 6)
     widths = np.concatenate([np.logspace(-6.0, 4.0, 101),
                              [W_SWITCH * (1 - 1e-9), W_SWITCH,
-                              dawson_switch * (1 - 1e-9),
-                              dawson_switch * (1 + 1e-9)]])
+                              W_ASYMPTOTIC * (1 - 1e-9),
+                              W_ASYMPTOTIC * (1 + 1e-9)]])
     for w in widths.tolist():
         exact, exact_slope = _mpmath_pair_energy(w)
         assert abs(pair_energy(w) / exact - 1.0) < 3e-15, w
         assert abs(pair_energy(w, d_dw=True) / exact_slope - 1.0) < 1.5e-14, w
+
+
+def test_tf_deficit_matches_mpmath():
+    # D = g/2 + S_c/w^3 and q = 1 - w^4 g'/(6 S_c) from just above z = 6 to
+    # w = 1e30 (measured worst 6.7e-16 and 6.0e-15).  At z = 6 itself the
+    # asymptotic series' truncation leaves q off by 2.9e-14 of itself, 3.4e-15
+    # of h, which the g' pin above covers.  Past 1e30 the mpmath reference
+    # needs more than 250 digits.
+    import mpmath as mp
+    for w in [W_ASYMPTOTIC * 1.01] + np.logspace(math.log10(0.69), 30.0, 31).tolist():
+        d, q = variational._tf_deficit(w)
+        with mp.workdps(250):
+            x = mp.mpf(w)
+            contact = 35 / (88 * mp.pi * (2 * mp.pi) ** mp.mpf(1.5))
+            exact_d = float(_mpmath_g(x) / 2 + contact / x**3)
+            exact_q = float(1 - x**4 * mp.diff(_mpmath_g, x) / (6 * contact))
+        assert d == pytest.approx(exact_d, rel=2e-15, abs=0.0), w
+        assert q == pytest.approx(exact_q, rel=1e-14, abs=0.0), w
+
+
+@pytest.mark.parametrize("ratio, atoms, trap, tf_limit", [
+    (1 + 2.2e-16, 1e30, 0.0, False), (1 + 8.8e-16, 1e2, 0.0, True),
+    (1 + 1e-15, 1e25, 0.0, False), (1 + 1e-12, 1e8, 0.0, True),
+    (1 + 1e-9, 1e15, 1.0, True), (1 + 1e-7, 1e10, 1.0, False),
+    (1 + 1e-6, 1e12, 0.0, False), (1 + 1e-4, 1e4, 100.0, False),
+    (1 + 1e-3, 1e20, 1.0, False), (1 + 1e-2, 1e25, 100.0, True)])
+def test_bound_totals_near_threshold_match_mpmath(na, ratio, atoms, trap, tf_limit):
+    # contact and attraction cancel to O(w^-5) near threshold: summed in
+    # joules the total once read +1.8e-40 J for -4.1e-41 J at 1 + 2.2e-16
+    # (1e30 atoms, --no-tf), and off by 100% at 1 + 1e-12.  The reference
+    # takes kinetic, trap and unit from SI (measured worst 1.6e-15).
+    import mpmath as mp
+    cfg = config_at_ratio(na, 1.0, LAM, n_atoms=atoms, use_detuned=True,
+                          trap_frequency=trap, tf_limit=tf_limit)
+    result, = width_vs_intensity(cfg, [ratio])
+    coupling = config_at_ratio(na, ratio, LAM, use_detuned=True).interaction.coupling
+    with mp.workdps(150):
+        x, m, lam = mp.mpf(result.w_star), mp.mpf(na.mass), mp.mpf(LAM)
+        contact = 35 / (88 * mp.pi * (2 * mp.pi) ** mp.mpf(1.5))
+        kinetic = 0 if tf_limit else 3 * mp.mpf(CONSTANTS.hbar) ** 2 / (4 * m * (lam * x) ** 2)
+        exact = float(kinetic + 3 * m * (mp.mpf(trap) * lam * x) ** 2 / 4 + atoms
+                      * mp.mpf(coupling) / lam * (contact / (ratio * x**3) + _mpmath_g(x) / 2))
+    assert result.breakdown.total == pytest.approx(exact, rel=5e-15, abs=0.0)
 
 
 def test_pair_energy_keeps_its_digits_over_the_width_domain(na):
@@ -493,8 +536,12 @@ def test_invalid_inputs(na):
 
 
 def test_breakdown_total_is_sum_of_parts(na):
+    # below W_ASYMPTOTIC the total is the plain sum; above it contact and
+    # attraction are summed as S_c (1 - r)/(r w^3) + D, which keeps the digits
+    # that their cancellation near threshold takes from a plain sum
     cfg = config_at_ratio(na, 1.5, LAM, n_atoms=50.0, use_detuned=True,
                           trap_frequency=2 * math.pi * 50.0)
+    assert 0.4 < W_ASYMPTOTIC
     b = energy_breakdown(0.4, cfg)
     assert b.total == b.kinetic + b.trap + b.swave + b.gravitational
     assert b.kinetic >= 0.0 and b.trap >= 0.0 and b.swave >= 0.0
