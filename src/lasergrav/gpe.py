@@ -18,19 +18,20 @@ and never stored as a matrix.
 The solver takes Newton steps on the discrete eigenproblem
 (H[rho] - mu) v = 0, |v| = 1 for v = R * Psi (which makes the radial
 Laplacian tridiagonal), with Dirichlet ends v(0) = v(R_max) = 0.  Each step
-solves its bordered Jacobian system by GMRES to a tenth of the eigen-residual
-||(H[rho] - mu) v|| / sum |E_term|, a forcing term that the Newton update sets
-from the state it steps from (inexact Newton: Eisenstat & Walker, SIAM J. Sci.
-Comput. 17, 16 (1996)), with the Jacobian applied as a product, never formed,
-and preconditioned by its tridiagonal part, factored once per step and
-applied by recursive doubling.  GMRES's small triangular system
-is solved by back substitution in the module, so the solve makes no LAPACK
-call.  Where Newton heads for a noded state of higher energy (in a box below
-threshold, where the wall holds the cloud), a Levenberg-Marquardt shift on
-the Jacobian's diagonal (Marquardt, J. SIAM 11, 431 (1963)) turns the
-rejected step into a descent step, and the shift is let go again as the
-steps are accepted.  The iteration count does not grow with the grid.  A
-solve without coupling takes the same path with a zero Hartree map.
+solves its Jacobian system on the tangent space v-perp of the norm by GMRES
+to a tenth of the eigen-residual ||(H[rho] - mu) v|| / sum |E_term|, a
+forcing term set from the state it steps from (inexact Newton: Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the Jacobian applied as a
+product, never formed, and preconditioned by its tridiagonal part on v-perp,
+factored once per step and applied by recursive doubling.  GMRES's small
+triangular system is solved by back substitution in the module, so the solve
+makes no LAPACK call.  Where Newton heads for a noded state of higher energy
+(in a box below threshold, where the wall holds the cloud), a
+Levenberg-Marquardt shift on the Jacobian's diagonal (Marquardt, J. SIAM 11,
+431 (1963)) turns the rejected step into a descent step, and the shift is let
+go again as the steps are accepted.  The iteration count does not grow with
+the grid.  A solve without coupling takes the same path with a zero Hartree
+map.
 
 One variational solve gives the start and, unless the caller fixes it, the
 grid: 8 variational radii at a spacing of at most lam/40 for the full
@@ -370,52 +371,51 @@ class _MeanField:
         return _State(vec, local, terms, mu, r, scale, self.norm(r) / scale)
 
     def jacobian(self, state: _State, shift: float):
-        """Product with the bordered Jacobian of ``((T + V[v] - mu) v, v.v)``
-        in ``(v, mu)`` at ``state``, its n x n block shifted by ``shift``, on
-        vectors ``(dv, dmu)`` of length n + 1: ``T + diag(V + 2 g chi^2 - mu + shift)``
-        plus the Hartree term ``gamma v Phi[2 chi dv/x]``, bordered by ``-v``
-        and ``2 v^T``.  Never forms the n x n matrix."""
+        """Product with the Jacobian of ``(T + V[v] - mu) v`` in ``v`` at
+        ``state``, shifted by ``shift`` and projected on the tangent space of
+        the norm constraint: ``Q (T + diag(V + 2 g chi^2 - mu + shift) + K) dv``
+        with the Hartree term ``K dv = gamma v Phi[2 chi dv/x]`` and
+        ``Q = I - v v^T/v.v``.  Maps n-vectors to n-vectors; never forms the
+        matrix."""
         vec = state.v
         chi = vec / self.x
         diag = state.local + 2.0 * self.g_sw * chi**2 - state.mu + shift
 
-        def product(z: np.ndarray) -> np.ndarray:
-            dv = z[:-1]
-            out = self.kinetic(dv) + diag * dv - z[-1] * vec
+        def product(dv: np.ndarray) -> np.ndarray:
+            out = self.kinetic(dv) + diag * dv
             out += (self.gamma * vec) * self.hartree(2.0 * chi * dv / self.x)
-            return np.append(out, 2.0 * float(vec @ dv))
+            return out - float(vec @ out) / float(vec @ vec) * vec
 
         return product
 
     def newton_update(self, state: _State, shift: float) -> np.ndarray:
-        """``state.v`` plus one Newton step on ``(T + V[v] - mu) v = 0``,
-        ``4 pi h v.v = 1``, its bordered system, with ``shift >= 0`` added to
-        the diagonal of the n x n block, solved by GMRES to the forcing term,
-        a tenth of ``state.residual``.
+        """``state.v`` plus one Newton step on ``(T + V[v] - mu) v = 0`` on the
+        sphere ``4 pi h v.v = 1``: ``Q J dv = -Q r`` for ``dv`` orthogonal to
+        ``v`` (:meth:`jacobian`, ``shift >= 0`` on its diagonal), solved by
+        GMRES to the forcing term, a tenth of ``state.residual``.
 
-        The preconditioner is the bordered matrix with the Jacobian's n x n
-        block replaced by ``T + diag(V - min V + 2 g chi^2 + shift)``:
+        The preconditioner is the constraint preconditioner ``P^-1 z - P^-1 v
+        (v.P^-1 z)/(v.P^-1 v)`` (Gould, Hribar & Nocedal, SIAM J. Sci. Comput.
+        23, 1376 (2001)) of ``P = T + diag(V - min V + 2 g chi^2 + shift)``:
         symmetric, with a diagonal of at least twice the off-diagonal and
         more in the first row, so irreducibly diagonally dominant and
         positive definite, and its Thomas elimination needs no pivoting.  It
-        is factored once per step (:class:`_Tridiagonal`), and the border is
-        eliminated through the Schur complement ``2 v^T P^-1 v``.
+        is factored once per step (:class:`_Tridiagonal`).
         """
         vec, local = state.v, state.local
         pre = _Tridiagonal(-0.5 / self.h**2, 1.0 / self.h**2 + local - local.min()
                            + 2.0 * self.g_sw * (vec / self.x) ** 2 + shift)
         pre_v = pre.solve(vec)
-        schur = 2.0 * float(vec @ pre_v)
+        pre_v /= float(vec @ pre_v)
 
         def precondition(z: np.ndarray) -> np.ndarray:
-            y = pre.solve(z[:-1])
-            dmu = (z[-1] - 2.0 * float(vec @ y)) / schur
-            return np.append(y + dmu * pre_v, dmu)
+            y = pre.solve(z)
+            return y - float(vec @ y) * pre_v
 
-        rhs = np.append(-state.r, 1.0 / (4.0 * math.pi * self.h) - float(vec @ vec))
-        step = _gmres(self.jacobian(state, shift), precondition, rhs,
-                      0.1 * state.residual)
-        return vec + step[:-1]
+        # r is orthogonal to v only to rounding, which GMRES on v-perp cannot cut
+        rhs = float(vec @ state.r) / float(vec @ vec) * vec - state.r
+        return vec + _gmres(self.jacobian(state, shift), precondition, rhs,
+                            0.1 * state.residual)
 
 
 def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,

@@ -188,9 +188,10 @@ def _field_setups(na):
 
 @pytest.mark.parametrize("setup", ["full", "near_zone", "oscillator"])
 def test_jacobian_product_matches_finite_differences(na, setup):
-    # the residual map (T + V[v] - mu) v, bordered by v.v, is cubic in v, so
-    # a central difference is off the exact product only by t^2/6 times the
-    # third derivative, and by rounding
+    # the residual map (T + V[v] - mu) v at fixed mu is cubic in v, so a
+    # central difference is off the exact product only by t^2/6 times the
+    # third derivative, and by rounding; the product is its projection on
+    # the tangent space of the norm constraint, v-perp
     cfg, grid, width = _field_setups(na)[setup]
     field = _MeanField(_reduced(cfg), grid)
     v = field.x * np.exp(-field.x**2 / (2.0 * width**2))
@@ -198,25 +199,37 @@ def test_jacobian_product_matches_finite_differences(na, setup):
     evaluated = field.evaluate(v)
     mu = evaluated.mu
 
-    def residual_map(z):
-        vec = z[:-1]
-        return np.append(field.kinetic(vec) + (field.evaluate(vec).local - z[-1]) * vec,
-                         vec @ vec)
+    def residual_map(vec):
+        return field.kinetic(vec) + (field.evaluate(vec).local - mu) * vec
 
-    rng = np.random.default_rng(7)
-    direction = np.append(rng.standard_normal(v.size) * v, mu)
+    def project(vec):
+        return vec - (v @ vec) / (v @ v) * v
+
+    direction = np.random.default_rng(7).standard_normal(v.size) * v
     t = 1e-5
-    z = np.append(v, mu)
-    difference = (residual_map(z + t * direction)
-                  - residual_map(z - t * direction)) / (2 * t)
+    difference = project(residual_map(v + t * direction)
+                         - residual_map(v - t * direction)) / (2 * t)
     product = field.jacobian(evaluated, 0.0)(direction)
+    assert product.shape == v.shape
     assert np.linalg.norm(product - difference) < 1e-8 * np.linalg.norm(product)
-    # the shift adds shift * dv to the n-block and leaves the border row alone
+    assert abs(v @ product) <= 1e-14 * np.linalg.norm(v) * np.linalg.norm(product)
+    # the shift adds Q shift dv
     shift = 3.0 * abs(mu) + 1.0
     shifted = field.jacobian(evaluated, shift)(direction) - product
-    assert np.max(np.abs(shifted[:-1] - shift * direction[:-1])) \
-        <= 1e-12 * np.max(np.abs(shift * direction[:-1]))
-    assert shifted[-1] == 0.0
+    expected = project(shift * direction)
+    assert np.max(np.abs(shifted - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("setup", ["full", "near_zone", "oscillator"])
+def test_newton_step_is_tangent_to_the_norm_sphere(na, setup):
+    # the step solves Q J dv = -Q r on v-perp, so it has no part along v
+    cfg, grid, width = _field_setups(na)[setup]
+    field = _MeanField(_reduced(cfg), grid)
+    v = field.x * np.exp(-field.x**2 / (2.0 * width**2))
+    state = field.evaluate(v / field.norm(v))
+    step = field.newton_update(state, 0.0) - state.v
+    assert np.linalg.norm(step) > 0.0
+    assert abs(state.v @ step) <= 1e-12 * np.linalg.norm(state.v) * np.linalg.norm(step)
 
 
 @pytest.mark.parametrize("setup", ["trapped", "oscillator"])
