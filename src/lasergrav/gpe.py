@@ -9,29 +9,27 @@ reduces to a one-dimensional integral
 with J(t) = Int_0^t t' U(t') dt' finite at zero because t U(t) -> -u.  J is
 tabulated once per solve on the nodes t_k = k h as a cumulative sum of one
 fixed Gauss-Legendre rule per cell [t_k, t_k+1].  The s-integral is the
-trapezoid rule plus one diagonal Euler-Maclaurin term for the derivative
-kink at s = R, a corrected trapezoid rule in the sense of Kapur & Rokhlin,
-SIAM J. Numer. Anal. 34, 1331 (1997): a symmetric Hankel-minus-Toeplitz
-operator, O(h^4) on every node, applied by FFT convolution in O(n log n)
-and never stored as a matrix.
+trapezoid rule plus two Euler-Maclaurin terms for the derivative kink at
+s = R, a corrected trapezoid rule in the sense of Kapur & Rokhlin, SIAM J.
+Numer. Anal. 34, 1331 (1997): a symmetric Hankel-minus-Toeplitz operator,
+O(h^6), applied by FFT convolution in O(n log n) and never stored as a
+matrix.
 
 The solver takes Newton steps on the discrete eigenproblem
 (H[rho] - mu) v = 0, |v| = 1 for v = R * Psi (which makes the radial
 Laplacian tridiagonal), with Dirichlet ends v(0) = v(R_max) = 0.  Each step
-solves its Jacobian system on the tangent space v-perp of the norm by GMRES
-to a tenth of the eigen-residual ||(H[rho] - mu) v|| / sum |E_term|, a
-forcing term set from the state it steps from (inexact Newton: Eisenstat &
-Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the Jacobian applied as a
-product, never formed, and preconditioned by its tridiagonal part on v-perp,
-factored once per step and applied by recursive doubling.  GMRES's small
-triangular system is solved by back substitution in the module, so the solve
-makes no LAPACK call.  Where Newton heads for a noded state of higher energy
-(in a box below threshold, where the wall holds the cloud), a
+solves its Jacobian system on v-perp, the tangent space of the norm, by GMRES
+to a tenth of the eigen-residual ||(H[rho] - mu) v|| / sum |E_term| (inexact
+Newton: Eisenstat & Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the
+Jacobian applied as a product and preconditioned by its tridiagonal part on
+v-perp, factored once per step and applied by recursive doubling.  GMRES's
+small triangular system is solved by back substitution in the module, so the
+solve makes no LAPACK call.  Where Newton heads for a noded state of higher
+energy (in a box below threshold, where the wall holds the cloud), a
 Levenberg-Marquardt shift on the Jacobian's diagonal (Marquardt, J. SIAM 11,
-431 (1963)) turns the rejected step into a descent step, and the shift is let
-go again as the steps are accepted.  The iteration count does not grow with
-the grid.  A solve without coupling takes the same path with a zero Hartree
-map.
+431 (1963)) turns the rejected step into a descent step, let go again as the
+steps are accepted.  The iteration count does not grow with the grid.  A
+solve without coupling takes the same path with a zero Hartree map.
 
 One variational solve gives the start and, unless the caller fixes it, the
 grid: 8 variational radii at a spacing of at most lam/40 for the full
@@ -166,8 +164,10 @@ class _HartreeOperator:
                 f"{grid.spacing:.3e} m resolves fewer than "
                 f"{_MIN_POINTS_PER_HALF_WAVE} points per half-oscillation")
         self._x = grid.nodes / wavelength
-        self._h = h
-        j_tab = _j_table(n, h, kernel)
+        # h J, with product's kink terms at Toeplitz lags 0 and 1, before J(t_2)
+        j_tab = h * _j_table(n, h, kernel)
+        c3 = (46.0 / 77.0) * (2.0 * math.pi) ** 2 / 3.0 if kernel == "full" else 0.0
+        j_tab[:2] += (-h**2 / 6.0 - h**2 / 60.0 - c3 * h**4 / 60.0, h**2 / 120.0)
         # circular convolutions of a power-of-two length of at least 2n - 1,
         # so that no lag -(n-1)..2n-2 of either kernel wraps onto another:
         # Toeplitz J(t_|k|) at lags -(n-1)..n-1, Hankel J(t_k+2) at 0..2n-2
@@ -177,21 +177,21 @@ class _HartreeOperator:
         self._hankel = np.fft.rfft(j_tab[2:], self._size)
 
     def product(self, y: np.ndarray) -> np.ndarray:
-        """``M y`` for the symmetric ``M = h (Hankel(J) - Toeplitz(J)) + (h^2/6) I``,
-        entries ``J(t_i+j)`` and ``J(t_|i-j|)`` over nodes i, j = 1..n.
+        """``M y`` for the symmetric ``M = h (Hankel(J) - Toeplitz(J)) + (h^2/6 +
+        c3 h^4/60) I - (h^2/120) D2``, entries ``J(t_i+j)`` and ``J(t_|i-j|)``
+        over nodes i, j = 1..n, ``D2`` the second difference with zero ends.
 
-        Applied to ``y = x rho`` this is the trapezoid rule, weight h on
-        every node, for the s-integral of ``s rho(s) [J(R+s) - J(|R-s|)]``.
-        That integrand is even in s, so the end s = 0 adds no error term, and
-        its slope jumps by ``2 R rho(R)`` at the kink s = R (t U(t) -> -u at
-        0), so the Euler-Maclaurin correction, ``h^2/12`` times that jump, is
-        the diagonal term and the rule is O(h^4).
-        The Hankel product is a convolution with the reversed ``y``, whose
-        transform is the conjugate of that of ``y``.
+        Applied to ``y = x rho`` this is the trapezoid rule, weight h on every node, for
+        the s-integral of ``s rho(s) [J(R+s) - J(|R-s|)]``, even in s, so the end s = 0
+        adds no error term.  As ``J(t) = -t + c3 t^3 + O(t^5)`` (``c3 = (46/77)
+        (2 pi)^2/3``, 0 for ``-u/r``), at the kink s = R its slope jumps by ``2 y`` and
+        its third derivative by ``6 y'' - 12 c3 y``; the Euler-Maclaurin terms,
+        ``h^2/12`` and ``-h^4/720`` times these jumps, make the rule O(h^6).  The Hankel
+        product is a convolution with the reversed ``y``, whose transform is the
+        conjugate of that of ``y``.
         """
         f = np.fft.rfft(y, self._size)
-        conv = np.fft.irfft(self._hankel * f.conj() - self._toeplitz * f, self._size)
-        return self._h * conv[:y.size] + (self._h**2 / 6.0) * y
+        return np.fft.irfft(self._hankel * f.conj() - self._toeplitz * f, self._size)[:y.size]
 
     def __call__(self, rho_dimless: np.ndarray) -> np.ndarray:
         """Potential in units of u/lam for density samples in units lam^-3."""
@@ -372,11 +372,10 @@ class _MeanField:
 
     def jacobian(self, state: _State, shift: float):
         """Product with the Jacobian of ``(T + V[v] - mu) v`` in ``v`` at
-        ``state``, shifted by ``shift`` and projected on the tangent space of
-        the norm constraint: ``Q (T + diag(V + 2 g chi^2 - mu + shift) + K) dv``
-        with the Hartree term ``K dv = gamma v Phi[2 chi dv/x]`` and
-        ``Q = I - v v^T/v.v``.  Maps n-vectors to n-vectors; never forms the
-        matrix."""
+        ``state``, shifted by ``shift`` and projected on v-perp, the tangent
+        space of the norm: ``Q (T + diag(V + 2 g chi^2 - mu + shift) + K) dv``,
+        ``K dv = gamma v Phi[2 chi dv/x]``, ``Q = I - v v^T/v.v``.  Maps
+        n-vectors to n-vectors; never forms the matrix."""
         vec = state.v
         chi = vec / self.x
         diag = state.local + 2.0 * self.g_sw * chi**2 - state.mu + shift
@@ -397,10 +396,9 @@ class _MeanField:
         The preconditioner is the constraint preconditioner ``P^-1 z - P^-1 v
         (v.P^-1 z)/(v.P^-1 v)`` (Gould, Hribar & Nocedal, SIAM J. Sci. Comput.
         23, 1376 (2001)) of ``P = T + diag(V - min V + 2 g chi^2 + shift)``:
-        symmetric, with a diagonal of at least twice the off-diagonal and
-        more in the first row, so irreducibly diagonally dominant and
-        positive definite, and its Thomas elimination needs no pivoting.  It
-        is factored once per step (:class:`_Tridiagonal`).
+        symmetric, with a diagonal of at least twice the off-diagonal and more
+        in the first row, so irreducibly diagonally dominant and positive
+        definite; its Thomas elimination, once per step, needs no pivoting.
         """
         vec, local = state.v, state.local
         pre = _Tridiagonal(-0.5 / self.h**2, 1.0 / self.h**2 + local - local.min()

@@ -18,7 +18,7 @@ from lasergrav.gpe import (_KEPT_PRODUCTS, RESIDUAL_TOL, _back_substitute,
                            _gmres, _HartreeOperator, _j_table, _MeanField,
                            _Tridiagonal)
 from lasergrav.interaction import X_SWITCH, kernel_shape
-from lasergrav.variational import _reduced
+from lasergrav.variational import _reduced, pair_energy
 
 LAM = 589e-9
 
@@ -143,15 +143,17 @@ def test_iteration_count_independent_of_grid(gpe_full_512, gpe_full_1024):
     assert it1024 <= 1.5 * it512
 
 
-# r_rms (m) and mu (J) of the two full-kernel solves below, from the
-# gradient flow alone (each step once LAPACK's banded Cholesky, then the
-# in-module elimination, which reproduced it) run on to an eigen-residual of
-# 1e-12, in 301 and 307 steps, with the symmetric Hartree rule; the flow's
-# old stop at 1e-8 lay 5.3e-9 (r_rms) and 1.3e-9 (mu) from there.  The
-# iteration counts are the solver's: Newton steps from the start.
+# r_rms (m) and mu (J) of the two full-kernel solves below.  Under the
+# O(h^4) Hartree rule they came from the gradient flow alone (each step once
+# LAPACK's banded Cholesky, then the in-module elimination, which reproduced
+# it) run on to an eigen-residual of 1e-12, in 301 and 307 steps, and the
+# Newton solve reproduced them; under the O(h^6) rule (r_rms moved by 5.0e-8
+# and 3.1e-9) they are the Newton solve's, which the bordered (v, mu) Newton
+# step it replaced reproduces to 2e-15.  The iteration counts are the
+# solver's: Newton steps from the start.
 _BANDED_CHOLESKY_REFERENCE = {
-    512: (6, 2.3170013475390395e-07, -1.4381617277919877e-28),
-    1024: (6, 2.3170183187761779e-07, -1.4381498114363344e-28),
+    512: (6, 2.3170014623937957e-07, -1.4381615034465672e-28),
+    1024: (6, 2.317018325954416e-07, -1.4381497974140169e-28),
 }
 
 
@@ -419,9 +421,9 @@ _BOX = ("--ratio", "0.9", "--rmax", "5e-6")
 # just above it, with the variational state unbound, mu crosses 0 on the way
 # (13 and 6 steps measured)
 _BOXES = {
-    _BOX: 2.863562039982191e-06,
-    ("--ratio", "1.01", "--atoms", "1e5", "--rmax", "5e-6"): 2.365973527357872e-06,
-    ("--ratio", "1.05", "--atoms", "1e4", "--rmax", "5e-6"): 2.430900982810836e-06,
+    _BOX: 2.8635623322810715e-06,
+    ("--ratio", "1.01", "--atoms", "1e5", "--rmax", "5e-6"): 2.3659922005390793e-06,
+    ("--ratio", "1.05", "--atoms", "1e4", "--rmax", "5e-6"): 2.430903402185277e-06,
 }
 
 
@@ -455,6 +457,18 @@ def test_rejected_step_below_tolerance_ends_the_solve(na, monkeypatch):
     assert state.iterations == 5 and accepted == [1, 2, 3, 4]
     assert state.residual < RESIDUAL_TOL
     assert state.r_rms == pytest.approx(plain.r_rms, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ratio, atoms", [("1.01", "1e7"), ("1.001", "1e7"), ("1.001", "1e8")])
+def test_near_threshold_radius_on_the_default_grid_is_converged(gpe_run, ratio, atoms):
+    # near threshold the Hartree rule's error acts as a shift of the
+    # threshold, r_rms error about delta/(2 (r - 1)); with the O(h^6) rule
+    # the default grid reads 8.9e-7 (1.01/1e7) and 1.1e-6 (1.001/1e8) off
+    # twice the grid, against 6.6e-5 and 6.3e-4 under the O(h^4) rule
+    default = gpe_run("--ratio", ratio, "--atoms", atoms)
+    fine = gpe_run("--ratio", ratio, "--atoms", atoms, "--n", str(2 * default["n_points"]))
+    assert fine["r_max_m"] == default["r_max_m"]
+    assert abs(default["r_rms_m"] / fine["r_rms_m"] - 1.0) < 1e-5
 
 
 def test_trapped_cloud_binds_itself_past_threshold(gpe_run):
@@ -870,23 +884,56 @@ def _newtonian_gaussian_error(n):
 
 
 def test_hartree_newtonian_gaussian_oracle(na):
-    # O(h^4) on every node, the innermost included: 7.3e-9 measured at
-    # n = 512, and 16x less per doubling of the grid
+    # O(h^6) on every node, the innermost included: 2.2e-10, 3.4e-12 and
+    # 6.4e-14 measured at n = 256, 512 and 1024, 64x less per doubling of
+    # the grid down to rounding (the O(h^4) rule: 7.3e-9 at n = 512)
     errors = [_newtonian_gaussian_error(n) for n in (256, 512, 1024)]
-    assert errors[1] < 1e-7
-    assert errors[0] > 12.0 * errors[1] > 144.0 * errors[2]
+    assert errors[1] < 1e-10
+    assert errors[0] > 48.0 * errors[1] > 48.0 * 24.0 * errors[2]
 
 
-def _dense_product(j_tab, h, y):
-    """``(h (Hankel(J) - Toeplitz(J)) + (h^2/6) I) y`` summed row block by
-    row block straight from the J table, the reference for the FFT product."""
+def _attraction_error(kernel, w, per_wavelength):
+    """Relative error of the discrete attraction energy per atom, in u/lam,
+    of the density ``exp(-x^2/w^2)`` (x in wavelengths), normalized on a
+    grid of ``per_wavelength`` nodes per wavelength out to 8 w, against the
+    closed form ``pair_energy(w)/2``."""
+    grid = RadialGrid(round(8 * w * per_wavelength), 8.0 * w)
+    x, h = grid.nodes, grid.spacing
+    rho = np.exp(-x**2 / w**2)
+    rho /= 4.0 * math.pi * h * float(x**2 @ rho)
+    phi = _HartreeOperator(grid, 1.0, kernel)(rho)
+    return 2.0 * math.pi * h * float((x**2 * rho) @ phi) / (0.5 * pair_energy(w, kernel)) - 1.0
+
+
+@pytest.mark.parametrize("kernel", ["full", "near_zone"])
+def test_hartree_attraction_of_broad_gaussians_matches_pair_energy(kernel):
+    # exact oracle for the corrected trapezoid rule: the two Euler-Maclaurin
+    # terms at the kink make it O(h^6).  Measured for the full kernel
+    # 1.9e-9 to 2.0e-9 at lam/40 (1.3e-6 with the h^2 term alone), 64 times
+    # less at lam/80; the -u/r kernel is at rounding
+    for w in (2.0, 5.0, 10.0):
+        coarse, fine = (_attraction_error(kernel, w, per) for per in (40, 80))
+        assert abs(coarse) < 1e-8 and abs(fine) < 1e-8
+        if kernel == "full":
+            assert abs(coarse) > 32.0 * abs(fine)
+
+
+# J(t)/(u lam) = -t + _C3 t^3 + O(t^5) for the full kernel
+_C3 = (46.0 / 77.0) * (2.0 * math.pi) ** 2 / 3.0
+
+
+def _dense_product(j_tab, h, y, c3):
+    """``(h (Hankel(J) - Toeplitz(J)) + (h^2/6 + c3 h^4/60) I - (h^2/120) D2) y``
+    summed row block by row block straight from the J table, with ``D2`` the
+    second difference with zero ends: the reference for the FFT product."""
     nodes = np.arange(1, y.size + 1)
     out = np.empty(y.size)
     for start in range(0, y.size, 256):
         i = nodes[start:start + 256, None]
         out[start:start + 256] = \
             h * ((j_tab[i + nodes] - j_tab[np.abs(i - nodes)]) @ y)
-    return out + (h * h / 6.0) * y
+    second_difference = np.convolve(y, [1.0, -2.0, 1.0])[1:-1]
+    return out + (h * h / 6.0 + c3 * h**4 / 60.0) * y - (h * h / 120.0) * second_difference
 
 
 # 513: the FFT length must be 2048, as 2n - 1 = 1025 is one past 1024
@@ -895,7 +942,7 @@ def test_hartree_fft_product_matches_dense(n):
     grid = RadialGrid(n, 3.5 * LAM)
     h = grid.spacing / LAM
     y = np.random.default_rng(n).random(n)
-    dense = _dense_product(_j_table(n, h, "full"), h, y)
+    dense = _dense_product(_j_table(n, h, "full"), h, y, _C3)
     product = _HartreeOperator(grid, LAM, "full").product(y)
     assert np.max(np.abs(product - dense)) <= 1e-14 * np.max(np.abs(dense))
 
