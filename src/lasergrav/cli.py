@@ -400,6 +400,8 @@ def _dispatch(args):
         # every species draws the same curve, but only with a threshold and a wavelength
         variational.config_at_ratio(species, 1.0, lam, use_detuned=args.detuned)
         curves = {f"E_over_N_tf_units_ratio_{r:g}": r for r in ratios}
+        if len(curves) < len(ratios):  # two ratios would print one column name
+            raise ValueError("--ratios must differ in their first 6 significant digits")
 
         def row(w):
             cells = variational._tf_energies(w, curves.values())
