@@ -164,7 +164,7 @@ class _HartreeOperator:
                 f"{grid.spacing:.3e} m resolves fewer than "
                 f"{_MIN_POINTS_PER_HALF_WAVE} points per half-oscillation")
         self._x = grid.nodes / wavelength
-        # h J, with product's kink terms at Toeplitz lags 0 and 1, before J(t_2)
+        # h J plus product's kink terms at Toeplitz lags 0 and 1 (Hankel starts at 2)
         j_tab = h * _j_table(n, h, kernel)
         c3 = (46.0 / 77.0) * (2.0 * math.pi) ** 2 / 3.0 if kernel == "full" else 0.0
         j_tab[:2] += (-h**2 / 6.0 - h**2 / 60.0 - c3 * h**4 / 60.0, h**2 / 120.0)

@@ -767,7 +767,8 @@ def test_gpe_below_threshold_without_box_is_numerical_failure(capsys,
     # ratios that print one column name once shared it, the later curve kept
     (["fig1a", "--ratios", "1,1.000000001"],
      "--ratios must differ in their first 6 significant digits"),
-    (["fig1a", "--ratios", "1.5,1.5"], "--ratios must differ in their first 6 significant digits"),
+    (["fig1a", "--ratios", "1.5,1.5"],
+     "--ratios must differ in their first 6 significant digits"),
     (["gpe", "--ratio", "1.5", "--n", "100"], "--n must be at least 256, got 100"))])
 def test_degenerate_inputs_are_usage_errors(argv, message, capsys, monkeypatch):
     # rejected before the solve or the first classification starts
