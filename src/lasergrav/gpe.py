@@ -18,13 +18,13 @@ matrix.
 The solver takes Newton steps on the discrete eigenproblem
 (H[rho] - mu) v = 0, |v| = 1 for v = R * Psi (which makes the radial
 Laplacian tridiagonal), with Dirichlet ends v(0) = v(R_max) = 0.  Each step
-solves its Jacobian system on v-perp, the tangent space of the norm, by GMRES
-to a tenth of the eigen-residual ||(H[rho] - mu) v|| / sum |E_term| (inexact
-Newton: Eisenstat & Walker, SIAM J. Sci. Comput. 17, 16 (1996)), with the
-Jacobian applied as a product and preconditioned by its tridiagonal part on
-v-perp, factored once per step and applied by recursive doubling.  GMRES's
-small triangular system is solved by back substitution in the module, so the
-solve makes no LAPACK call.  Where Newton heads for a noded state of higher
+solves its Jacobian system on v-perp, the tangent space of the norm, where it
+is symmetric, by preconditioned MINRES to a tenth of the eigen-residual
+||(H[rho] - mu) v|| / sum |E_term| (inexact Newton: Eisenstat & Walker, SIAM
+J. Sci. Comput. 17, 16 (1996)), with the Jacobian applied as a product and
+preconditioned by its tridiagonal part on v-perp, factored once per step and
+applied by recursive doubling.  MINRES keeps a fixed handful of n-vectors and
+makes no LAPACK call.  Where Newton heads for a noded state of higher
 energy (in a box below threshold, where the wall holds the cloud), a
 Levenberg-Marquardt shift on the Jacobian's diagonal (Marquardt, J. SIAM 11,
 431 (1963)) turns the rejected step into a descent step, let go again as the
@@ -75,11 +75,11 @@ MAX_ITERATIONS = 100
 # energy rise, over the residual's scale, that rejects a step
 _ENERGY_SLACK = 1e-12
 # Krylov steps at most per Newton step
-_GMRES_MAX_STEPS = 60
+_KRYLOV_MAX_STEPS = 60
 # a preconditioner factorization keeps doubling levels while their products
 # total at most this many floats (1 MiB), and its first level always:
 # every level up to 8,192 points, the first 2 of 16 at 65,536, where all
-# would take 7.5 MiB beside the GMRES basis
+# would take 7.5 MiB against the solve's traced peak of 18 MiB
 _KEPT_PRODUCTS = 1 << 17
 
 
@@ -265,54 +265,45 @@ def hartree_potential(rho: np.ndarray, grid: RadialGrid, coupling: float,
     return (coupling / wavelength) * op(rho * wavelength**3)
 
 
-def _gmres(apply, precondition, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """Solve ``apply(x) = rhs`` by right-preconditioned GMRES from x = 0
-    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856 (1986)).
+def _minres(apply, precondition, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """Solve ``apply(x) = rhs`` for a symmetric, possibly indefinite ``apply`` by
+    preconditioned MINRES from x = 0 (Paige & Saunders, SIAM J. Numer. Anal. 12,
+    617 (1975)), in the loop of SciPy's ``minres``.
 
-    ``precondition`` applies an approximate inverse of ``apply``.  The Krylov
-    basis is orthogonalized by classical Gram-Schmidt taken twice, and the
-    least-squares problem is kept triangular by Givens rotations, so the
-    residual norm is known at every step.  Stops once it is below
-    ``tol ||rhs||``, or after ``_GMRES_MAX_STEPS`` steps.
+    ``precondition`` applies a symmetric positive definite approximate inverse
+    ``C`` of ``apply``.  The Lanczos recurrence in the ``C`` inner product keeps
+    two vectors, the update three search directions, and the tridiagonal's QR
+    one Givens rotation, so memory is O(n) whatever the step count.  The stop
+    test is on the preconditioned residual norm ``sqrt(r.C r)``, known at every
+    step: below ``tol`` times that of ``rhs``, or after ``_KRYLOV_MAX_STEPS``
+    steps.  A zero ``rhs`` returns a zero ``x``.
     """
-    beta = math.sqrt(float(rhs @ rhs))
-    basis = np.empty((_GMRES_MAX_STEPS + 1, rhs.size))
-    basis[0] = rhs / beta
-    upper = np.zeros((_GMRES_MAX_STEPS + 1, _GMRES_MAX_STEPS))
-    rotations = []
-    target = np.zeros(_GMRES_MAX_STEPS + 1)
-    target[0] = beta
-    for k in range(_GMRES_MAX_STEPS):
-        w = apply(precondition(basis[k]))
-        for _ in range(2):
-            coef = basis[:k + 1] @ w
-            w -= coef @ basis[:k + 1]
-            upper[:k + 1, k] += coef
-        w_norm = math.sqrt(float(w @ w))
-        column = upper[:, k]
-        for j, (c, s) in enumerate(rotations):
-            column[j], column[j + 1] = (c * column[j] + s * column[j + 1],
-                                        c * column[j + 1] - s * column[j])
-        d = math.hypot(column[k], w_norm)
-        c, s = column[k] / d, w_norm / d
-        rotations.append((c, s))
-        column[k] = d
-        target[k + 1] = -s * target[k]
-        target[k] *= c
-        if abs(target[k + 1]) <= tol * beta or w_norm == 0.0:
-            break
-        basis[k + 1] = w / w_norm
-    m = len(rotations)
-    y = _back_substitute(upper[:m, :m], target[:m])
-    return precondition(y @ basis[:m])
-
-
-def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``x`` with ``upper @ x = rhs`` for a nonsingular upper-triangular
-    ``upper``, by back substitution."""
     x = np.zeros(rhs.size)
-    for i in range(rhs.size - 1, -1, -1):
-        x[i] = (rhs[i] - upper[i, i + 1:] @ x[i + 1:]) / upper[i, i]
+    y = precondition(rhs)
+    beta_0 = math.sqrt(float(rhs @ y))
+    if beta_0 == 0.0:
+        return x
+    # Lanczos vectors r_(k-1), r_k and search directions w_(k-1), w_k; zero before step 1
+    r_old, r, w_old, w = 0.0, rhs, 0.0, 0.0
+    beta, beta_old, dbar, eps, phibar, c, s = beta_0, 1.0, 0.0, 0.0, beta_0, -1.0, 0.0
+    for _ in range(_KRYLOV_MAX_STEPS):
+        v = y / beta
+        y = apply(v) - (beta / beta_old) * r_old
+        alpha = float(v @ y)
+        y -= (alpha / beta) * r
+        r_old, r = r, y
+        y = precondition(r)
+        beta_old, beta = beta, math.sqrt(float(r @ y))
+        # the previous rotation on the tridiagonal's new column, then a rotation of its own
+        eps_old, delta, gbar = eps, c * dbar + s * alpha, s * dbar - c * alpha
+        eps, dbar = s * beta, -c * beta
+        gamma = math.hypot(gbar, beta)
+        c, s = gbar / gamma, beta / gamma
+        w_old, w = w, (v - eps_old * w_old - delta * w) / gamma
+        x += (c * phibar) * w
+        phibar *= s
+        if phibar <= tol * beta_0 or beta == 0.0:
+            break
     return x
 
 
@@ -391,7 +382,9 @@ class _MeanField:
         """``state.v`` plus one Newton step on ``(T + V[v] - mu) v = 0`` on the
         sphere ``4 pi h v.v = 1``: ``Q J dv = -Q r`` for ``dv`` orthogonal to
         ``v`` (:meth:`jacobian`, ``shift >= 0`` on its diagonal), solved by
-        GMRES to the forcing term, a tenth of ``state.residual``.
+        :func:`_minres` to the forcing term, a tenth of ``state.residual``.
+        ``Q J`` is symmetric on v-perp, as the Hartree matrix is, and
+        indefinite near a saddle of the energy.
 
         The preconditioner is the constraint preconditioner ``P^-1 z - P^-1 v
         (v.P^-1 z)/(v.P^-1 v)`` (Gould, Hribar & Nocedal, SIAM J. Sci. Comput.
@@ -399,6 +392,9 @@ class _MeanField:
         symmetric, with a diagonal of at least twice the off-diagonal and more
         in the first row, so irreducibly diagonally dominant and positive
         definite; its Thomas elimination, once per step, needs no pivoting.
+        The constraint preconditioner is zero on ``v``, so MINRES never damps
+        rounding along ``v`` in its Lanczos vectors: it grows as 1e-16 over
+        the relative residual reached, harmless at forcing terms of 1e-17 up.
         """
         vec, local = state.v, state.local
         pre = _Tridiagonal(-0.5 / self.h**2, 1.0 / self.h**2 + local - local.min()
@@ -410,10 +406,10 @@ class _MeanField:
             y = pre.solve(z)
             return y - float(vec @ y) * pre_v
 
-        # r is orthogonal to v only to rounding, which GMRES on v-perp cannot cut
+        # r is orthogonal to v only to rounding, which MINRES on v-perp cannot cut
         rhs = float(vec @ state.r) / float(vec @ vec) * vec - state.r
-        return vec + _gmres(self.jacobian(state, shift), precondition, rhs,
-                            0.1 * state.residual)
+        return vec + _minres(self.jacobian(state, shift), precondition, rhs,
+                             0.1 * state.residual)
 
 
 def solve_ground(cfg: AnsatzConfig, n_points: int | None = None,

@@ -27,7 +27,7 @@ GPE = ["--ratio 1.34 --atoms 1000 --trap 188.49555921538757", "--ratio 1.01 --at
        "--ratio 1.5 --atoms 1e4 --kernel newton", "--trap 100 --ratio 0.5 --atoms 1e4"]
 NEAR = ["width-sweep --ratios 1.000000000001 --atoms 1e8",
         "width-sweep --no-tf --ratios 1.0000000000000002,1.000001 --atoms 1e30",
-        "fig1a --ratios 1,1.000000001 --wmin 100 --wmax 1e5 --samples 5"]
+        "fig1a --ratios 1,1.00001 --wmin 100 --wmax 1e5 --samples 5"]
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
 
 

@@ -14,9 +14,8 @@ from lasergrav import (CONSTANTS, AnsatzConfig, CollapseError,
                        pair_potential, solve_ground)
 from lasergrav import gpe, variational
 from lasergrav.cli import run
-from lasergrav.gpe import (_KEPT_PRODUCTS, RESIDUAL_TOL, _back_substitute,
-                           _gmres, _HartreeOperator, _j_table, _MeanField,
-                           _Tridiagonal)
+from lasergrav.gpe import (_KEPT_PRODUCTS, RESIDUAL_TOL, _HartreeOperator,
+                           _j_table, _MeanField, _minres, _Tridiagonal)
 from lasergrav.interaction import X_SWITCH, kernel_shape
 from lasergrav.variational import _reduced, pair_energy
 
@@ -293,13 +292,61 @@ def test_solve_ignores_the_tf_flag(na):
         (plain.grid, plain.r_rms, plain.mu, plain.iterations, plain.energies)
 
 
-def test_gmres_solves_a_nonsymmetric_system():
+@pytest.mark.parametrize("negatives", [0, 3, 30])
+def test_minres_solves_a_symmetric_indefinite_system(monkeypatch, negatives):
+    # the projected Jacobian is symmetric but need not be definite: at a
+    # saddle of the energy some of its eigenvalues lie below 0
     rng = np.random.default_rng(11)
     n = 200
-    matrix = np.diag(np.linspace(1.0, 10.0, n)) + rng.standard_normal((n, n)) / n
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigenvalues = np.linspace(0.5, 10.0, n)
+    eigenvalues[:negatives] = -np.linspace(0.2, 3.0, negatives)
+    matrix = (basis * eigenvalues) @ basis.T
+    matrix = 0.5 * (matrix + matrix.T)
+    diagonal = np.abs(np.diag(matrix)) + 1.0
     rhs = rng.standard_normal(n)
-    x = _gmres(lambda z: matrix @ z, lambda z: z / np.diag(matrix), rhs, 1e-12)
-    assert np.linalg.norm(matrix @ x - rhs) < 1e-11 * np.linalg.norm(rhs)
+    monkeypatch.setattr(gpe, "_KRYLOV_MAX_STEPS", n)
+    x = _minres(lambda z: matrix @ z, lambda z: z / diagonal, rhs, 1e-12)
+    reference = np.linalg.solve(matrix, rhs)
+    assert np.max(np.abs(x - reference)) <= 1e-10 * np.max(np.abs(reference))
+    assert not _minres(lambda z: matrix @ z, lambda z: z / diagonal,
+                       np.zeros(n), 1e-12).any()
+
+
+def test_newton_step_memory_does_not_grow_with_the_krylov_cap(na, monkeypatch):
+    # MINRES keeps a fixed handful of n-vectors, so a tenfold cap leaves the
+    # traced peak of one Newton step where it was.  The first step at the
+    # threshold edge needs more than 60 Krylov steps (80 measured), which a
+    # stored basis would pay for with one n-vector each (20 MB at cap 600)
+    n = 4096
+    cfg = config_at_ratio(na, 1.001, LAM, n_atoms=1e8, use_detuned=True)
+    reduced = _reduced(cfg)
+    trial = variational._minimum(reduced)
+    field = _MeanField(reduced, RadialGrid(n, 8.0 * trial.r_rms))
+    v = field.x * np.exp(-field.x**2 / (2.0 * trial.w_star**2))
+    state = field.evaluate(v / field.norm(v))
+    jacobian, steps, peaks = field.jacobian, [], []
+
+    def counted(state, shift):
+        product = jacobian(state, shift)
+
+        def apply(dv):
+            steps[-1] += 1
+            return product(dv)
+        return apply
+
+    field.jacobian = counted
+    for cap in (60, 600):
+        monkeypatch.setattr(gpe, "_KRYLOV_MAX_STEPS", cap)
+        steps.append(0)
+        tracemalloc.start()
+        try:
+            field.newton_update(state, 0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert steps[0] == 60 and steps[1] > 60
+    assert peaks[1] < peaks[0] + 8 * n
 
 
 def test_solve_allocates_no_n_by_n_array(na):
@@ -568,7 +615,7 @@ def test_solve_tridiagonal_pivots_stay_above_off(shift_h2):
 
 
 def test_one_factorization_solves_many_right_hand_sides():
-    # GMRES applies one factorization up to 61 times per Newton step, and
+    # MINRES applies one factorization up to 61 times per Newton step, and
     # each solve must not depend on the ones before it
     off, diag, _ = _solver_system(1024, 1.0)
     factor = _Tridiagonal(off, diag)
@@ -597,21 +644,9 @@ def test_factorization_keeps_its_levels_within_budget(n, monkeypatch):
     assert factor.solve(rhs).tobytes() == every.solve(rhs).tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 10, 60])
-def test_back_substitution_matches_dense_solve(m):
-    # GMRES's least-squares matrix after its Givens rotations: upper
-    # triangular, at most _GMRES_MAX_STEPS square
-    rng = np.random.default_rng(m)
-    upper = np.diag(1.0 + rng.random(m)) + np.triu(rng.standard_normal((m, m)), 1) / m
-    rhs = rng.standard_normal(m)
-    reference = np.linalg.solve(upper, rhs)
-    x = _back_substitute(upper, rhs)
-    assert np.max(np.abs(x - reference)) <= 1e-13 * np.max(np.abs(reference))
-
-
 def test_solve_ground_makes_no_dense_solve(na, monkeypatch):
-    # the Newton step solves its own small systems: no LAPACK call, whose
-    # first use raises a process's peak RSS by about 0.43 MB
+    # the Newton step makes no LAPACK call, whose first use raises a
+    # process's peak RSS by about 0.43 MB
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.solve called")
 
