@@ -352,7 +352,7 @@ def test_newton_step_memory_does_not_grow_with_the_krylov_cap(na, monkeypatch):
 def test_solve_allocates_no_n_by_n_array(na):
     # the Hartree operator keeps two transforms of about 2n points and the
     # Newton finish applies its Jacobian as products, so the traced peak of
-    # a solve stays far below one n x n array of floats (4.4 MB measured)
+    # a solve stays far below one n x n array of floats (1.7 MB measured)
     n = 4096
     cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
     tracemalloc.start()
