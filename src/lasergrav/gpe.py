@@ -276,7 +276,8 @@ def _minres(apply, precondition, rhs: np.ndarray, tol: float) -> np.ndarray:
     one Givens rotation, so memory is O(n) whatever the step count.  The stop
     test is on the preconditioned residual norm ``sqrt(r.C r)``, known at every
     step: below ``tol`` times that of ``rhs``, or after ``_KRYLOV_MAX_STEPS``
-    steps.  A zero ``rhs`` returns a zero ``x``.
+    steps, or on a breakdown, ``r.C r`` at 0 or, by rounding, below.  A zero ``rhs``
+    returns a zero ``x``.
     """
     x = np.zeros(rhs.size)
     y = precondition(rhs)
@@ -293,7 +294,7 @@ def _minres(apply, precondition, rhs: np.ndarray, tol: float) -> np.ndarray:
         y -= (alpha / beta) * r
         r_old, r = r, y
         y = precondition(r)
-        beta_old, beta = beta, math.sqrt(float(r @ y))
+        beta_old, beta = beta, math.sqrt(max(float(r @ y), 0.0))
         # the previous rotation on the tridiagonal's new column, then a rotation of its own
         eps_old, delta, gbar = eps, c * dbar + s * alpha, s * dbar - c * alpha
         eps, dbar = s * beta, -c * beta
@@ -370,11 +371,12 @@ class _MeanField:
         vec = state.v
         chi = vec / self.x
         diag = state.local + 2.0 * self.g_sw * chi**2 - state.mu + shift
+        gamma_v, two_chi, vv = self.gamma * vec, 2.0 * chi, float(vec @ vec)
 
         def product(dv: np.ndarray) -> np.ndarray:
             out = self.kinetic(dv) + diag * dv
-            out += (self.gamma * vec) * self.hartree(2.0 * chi * dv / self.x)
-            return out - float(vec @ out) / float(vec @ vec) * vec
+            out += gamma_v * self.hartree(two_chi * dv / self.x)
+            return out - float(vec @ out) / vv * vec
 
         return product
 
@@ -394,7 +396,8 @@ class _MeanField:
         definite; its Thomas elimination, once per step, needs no pivoting.
         The constraint preconditioner is zero on ``v``, so MINRES never damps
         rounding along ``v`` in its Lanczos vectors: it grows as 1e-16 over
-        the relative residual reached, harmless at forcing terms of 1e-17 up.
+        the relative residual reached, harmless at forcing terms of 1e-17 up;
+        below, it can turn ``r.C r`` negative, which :func:`_minres` takes as a breakdown.
         """
         vec, local = state.v, state.local
         pre = _Tridiagonal(-0.5 / self.h**2, 1.0 / self.h**2 + local - local.min()

@@ -180,36 +180,29 @@ def _brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
 
 
 class InteractionParams(Record):
-    """Total beam intensity, wavelength and the derived coupling.
-
-    ``coupling`` (J m) is fixed by construction to the value implied by
-    ``intensity`` and ``alpha_si``.
-    """
+    """Total beam intensity, wavelength and SI polarizability; ``coupling``
+    is computed from them, so a copy with a new intensity has its own."""
 
     intensity: float
     wavelength: float
-    coupling: float
     alpha_si: float
 
-    @classmethod
-    def from_alpha(cls, intensity: float, wavelength: float,
-                   alpha: float) -> "InteractionParams":
-        """Coupling u = (11 pi/15) I alpha^2 / (c eps0^2 lam^2) in J m for
-        the SI polarizability ``alpha``; linear in the total intensity."""
-        if not intensity >= 0.0:
-            raise ValueError(f"intensity must be non-negative, got {intensity}")
-        if not wavelength > 0.0:
-            raise ValueError(f"wavelength must be positive, got {wavelength}")
-        coupling = (11.0 * math.pi / 15.0) * intensity * alpha**2 / (
-            CONSTANTS.c * CONSTANTS.eps0**2 * wavelength**2)
-        return cls(intensity=intensity, wavelength=wavelength,
-                   coupling=coupling, alpha_si=alpha)
+    def _check(self):
+        if not self.intensity >= 0.0:
+            raise ValueError(f"intensity must be non-negative, got {self.intensity}")
+        if not self.wavelength > 0.0:
+            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+
+    @property
+    def coupling(self) -> float:
+        """u = (11 pi/15) I alpha^2 / (c eps0^2 lam^2) in J m; linear in I."""
+        return (11.0 * math.pi / 15.0) * self.intensity * self.alpha_si**2 / (
+            CONSTANTS.c * CONSTANTS.eps0**2 * self.wavelength**2)
 
     @classmethod
     def from_intensity(cls, species: AtomSpecies, intensity: float,
                        wavelength: float, use_detuned: bool = False) -> "InteractionParams":
-        return cls.from_alpha(intensity, wavelength,
-                              species.alpha_si(use_detuned))
+        return cls(intensity, wavelength, species.alpha_si(use_detuned))
 
 
 def pair_potential(r_tilde, coupling: float, wavelength: float):

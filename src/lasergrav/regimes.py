@@ -28,7 +28,7 @@ class RegimePoint(Record):
     y: float        # log10(I / I0)
     n_border: float
     f: float
-    label: str      # "Unbound", "G" or "TFG"
+    label = property(lambda self: _label(self.x, self.y))  # "Unbound", "G" or "TFG"
 
 
 def border_atom_number(coupling: float, species: AtomSpecies) -> float:
@@ -80,8 +80,7 @@ def classify(n_atoms: float, intensity: float, species: AtomSpecies,
                                          use_detuned).coupling
     n_b = border_atom_number(u, species)
     x, y = math.log10(ratio_x), math.log10(ratio_y)
-    return RegimePoint(x=x, y=y, n_border=n_b, f=f_factor(n_atoms, n_b),
-                       label=_label(x, y))
+    return RegimePoint(x=x, y=y, n_border=n_b, f=f_factor(n_atoms, n_b))
 
 
 def trap_relevance(rho: float, trap_frequency: float, wavelength: float,

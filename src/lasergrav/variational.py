@@ -102,16 +102,16 @@ class EnergyBreakdown(Record):
 
 
 class VariationalResult(Record):
-    """Equilibrium width and self-binding verdict.  ``bound_local``: a
-    finite-w local minimum exists.  ``bound_global``: its energy lies below
-    the w -> infinity dissociation value (zero without a trap).  Unbound:
-    ``w_star`` and ``r_rms`` are NaN and ``breakdown`` is None."""
+    """Equilibrium width and self-binding verdict, read off ``breakdown``.
+    ``bound_local``: a finite-w minimum exists (else ``breakdown`` is None and
+    ``w_star``, ``r_rms`` NaN).  ``bound_global``: also E < 0, its w -> infinity value
+    without a trap; a trap makes that infinite, so then it is no dissociation test."""
 
     w_star: float
     r_rms: float
     breakdown: EnergyBreakdown | None
-    bound_local: bool
-    bound_global: bool
+    bound_local = property(lambda self: self.breakdown is not None)
+    bound_global = property(lambda self: self.bound_local and self.breakdown.total < 0.0)
 
 
 def _g_series(w: float, d_dw: bool) -> float:
@@ -260,11 +260,10 @@ def minimize_width(cfg: AnsatzConfig) -> VariationalResult:
 def _minimum(p: _Reduced) -> VariationalResult:
     roots = _minima(p)
     if not roots:
-        return VariationalResult(math.nan, math.nan, None, False, False)
+        return VariationalResult(math.nan, math.nan, None)
     best, w_star = min(((_breakdown(x, p), x) for x in roots),
                        key=lambda pair: pair[0].total)
-    return VariationalResult(w_star, math.sqrt(1.5) * w_star * p.lam,
-                             best, bound_local=True, bound_global=best.total < 0.0)
+    return VariationalResult(w_star, math.sqrt(1.5) * w_star * p.lam, best)
 
 
 def _minima(p: _Reduced) -> list[float]:
@@ -343,10 +342,9 @@ def width_vs_intensity(cfg: AnsatzConfig,
     A negative or NaN ratio raises ``ValueError``; I/I0 = 0 reads unbound."""
     if any(not r >= 0.0 for r in ratios):
         raise ValueError("intensity ratios must be non-negative")
-    alpha, lam = cfg.interaction.alpha_si, cfg.interaction.wavelength
-    i0 = _threshold_at(cfg.species, alpha)
-    return [_minimum(_reduced(cfg.replace(interaction=InteractionParams.from_alpha(
-        r * i0, lam, alpha)))._replace(r=r)) for r in ratios]
+    i0 = _threshold_at(cfg.species, cfg.interaction.alpha_si)
+    return [_minimum(_reduced(cfg.replace(interaction=cfg.interaction.replace(
+        intensity=r * i0)))._replace(r=r)) for r in ratios]
 
 
 def critical_intensity_ratio(species: AtomSpecies, wavelength: float,

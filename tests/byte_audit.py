@@ -2,8 +2,9 @@
 examples, the ``gpe`` case matrix (ROADMAP item 1's 30 Hz case among them), three commands
 where the TF energy's terms cancel near threshold and every benchmark op at seeds 1 and 2,
 each run in a fresh directory of both trees.  Prints ``same`` where exit code, streams and
-files match byte for byte, else each moved numeric cell with its move relative to the
-largest magnitude in its column (a CSV column, a JSON key) and to itself."""
+files match byte for byte, else the moved numeric cells with their move relative to the
+largest magnitude in their column (a CSV column, a JSON key) and to themselves: every cell
+of a JSON output (a ``.json`` file or a stream holding JSON), then the 12 largest others."""
 
 import os
 import re
@@ -74,11 +75,17 @@ def moved_cells(old: dict, new: dict) -> list:
 if __name__ == "__main__":  # not collected by pytest
     for kind, argv in commands():
         label, parent = " ".join(argv), Path(sys.argv[1]).resolve()
+        old, new = run(parent, kind, argv), run(HERE, kind, argv)
         try:
-            cells = moved_cells(run(parent, kind, argv), run(HERE, kind, argv))
+            cells = moved_cells(old, new)
         except ValueError as exc:
             print(f"{label}: text differs: {exc}")
             continue
         print(f"{label}: {len(cells)} cells moved" if cells else f"{label}: same")
-        for where, x, y, column, itself in cells[:12]:
+        # a profile's rounding-level cells cannot hide a moved iteration count or radius
+        json_out = {name for name, text in new.items()
+                    if name.endswith(".json") or text.startswith("{")}
+        first = [cell for cell in cells if cell[0].rsplit(":", 1)[0] in json_out]
+        rest = [cell for cell in cells if cell[0].rsplit(":", 1)[0] not in json_out]
+        for where, x, y, column, itself in first + rest[:12]:
             print(f"    {where} {x} -> {y} (column {column:.2g}, itself {itself:.2g})")

@@ -190,7 +190,7 @@ def test_criterion_8_property_suite(na):
     species = na.replace(scattering_length=0.0, detuned=None)
     omega0 = 2 * math.pi * 100.0
     l0 = math.sqrt(CONSTANTS.hbar / (species.mass * omega0))
-    params = InteractionParams(intensity=0.0, wavelength=NA_LAM, coupling=0.0,
+    params = InteractionParams(intensity=0.0, wavelength=NA_LAM,
                                alpha_si=species.alpha_si())
     cfg = AnsatzConfig(n_atoms=100.0, species=species, interaction=params,
                        trap_frequency=omega0)

@@ -393,7 +393,8 @@ def test_fig1a_streams_its_rows(monkeypatch, capsys):
 _DOMAIN = "must lie in [1e-76, 1e+40], got"
 
 
-@pytest.mark.parametrize("argv, code, message", [pytest.param(*case, id=" ".join(case[0])) for case in (
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(*case, id=" ".join(case[0])) for case in (
     # a width outside variational's domain names its option, whatever --samples
     (["--wmin", "1e-120"], 2, f"--wmin {_DOMAIN} 1e-120"),
     (["--wmax", "1e200"], 2, f"--wmax {_DOMAIN} 1e+200"),
@@ -1154,7 +1155,8 @@ def test_gpe_profile_is_the_dict_row_csv_across_chunks(tmp_path, monkeypatch):
     assert profile.read_bytes() == rows.read_bytes()
 
 
-@pytest.mark.parametrize("argv, n_points", [pytest.param(*case, id=" ".join(case[0])) for case in (
+@pytest.mark.parametrize("argv, n_points", [
+    pytest.param(*case, id=" ".join(case[0])) for case in (
     # every box that 512 points resolved keeps them
     (["--ratio", "1.5"], 512),
     (["--ratio", "1.5", "--kernel", "newton", "--rmax", "4e-5"], 512),

@@ -22,11 +22,11 @@ from lasergrav.variational import _reduced, pair_energy
 LAM = 589e-9
 
 
-def _interaction(species, coupling, intensity=1.0):
-    """Interaction with an explicitly chosen coupling (for oracle setups)."""
-    return InteractionParams(intensity=intensity, wavelength=LAM,
-                             coupling=coupling,
-                             alpha_si=species.alpha_si())
+def _interaction(species, coupling):
+    """Interaction at the intensity that gives ``coupling``, to rounding (for
+    oracle setups)."""
+    per_intensity = InteractionParams(1.0, LAM, species.alpha_si()).coupling
+    return InteractionParams(coupling / per_intensity, LAM, species.alpha_si())
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_harmonic_oscillator_ground_state(no_contact):
     l0 = math.sqrt(CONSTANTS.hbar / (no_contact.mass * omega0))
     r_rms_exact = math.sqrt(1.5) * l0
     cfg = AnsatzConfig(n_atoms=1000.0, species=no_contact,
-                       interaction=_interaction(no_contact, 0.0, 0.0),
+                       interaction=_interaction(no_contact, 0.0),
                        trap_frequency=omega0)
     state = solve_ground(cfg, 512, 8.0 * r_rms_exact)
     assert state.mu == pytest.approx(1.5 * CONSTANTS.hbar * omega0, rel=1e-4, abs=0.0)
@@ -180,7 +180,7 @@ def _field_setups(na):
     omega0 = 2 * math.pi * 100.0
     l0 = math.sqrt(CONSTANTS.hbar / (na.mass * omega0))
     trapped = AnsatzConfig(n_atoms=1000.0, species=na,
-                           interaction=_interaction(na, 0.0, 0.0),
+                           interaction=_interaction(na, 0.0),
                            trap_frequency=omega0)
     return {"full": (full, RadialGrid(512, 3.5 * LAM), 0.3),
             "near_zone": (near, RadialGrid(512, 3.0 * LAM), 0.4),
@@ -311,6 +311,25 @@ def test_minres_solves_a_symmetric_indefinite_system(monkeypatch, negatives):
     assert np.max(np.abs(x - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert not _minres(lambda z: matrix @ z, lambda z: z / diagonal,
                        np.zeros(n), 1e-12).any()
+
+
+def test_minres_ends_on_a_lanczos_breakdown(na):
+    # with a forcing term of 0, rounding along v, which the constraint
+    # preconditioner never damps, takes over the Lanczos vectors until r.C r
+    # rounds below 0 (at step 48 of 60 measured; sqrt once raised a math
+    # domain error there); MINRES ends on it as on r.C r = 0, with a step as
+    # good as the one to the usual forcing term
+    cfg = config_at_ratio(na, 1.5, LAM, n_atoms=1e4, use_detuned=True)
+    reduced = _reduced(cfg)
+    trial = variational._minimum(reduced)
+    field = _MeanField(reduced, RadialGrid(4096, 8.0 * trial.r_rms))
+    v = field.x * np.exp(-field.x**2 / (2.0 * trial.w_star**2))
+    state = field.evaluate(v / field.norm(v))
+    jacobian, steps = field.jacobian(state, 0.0), []
+    field.jacobian = lambda state, shift: lambda dv: steps.append(1) or jacobian(dv)
+    step = np.abs(field.newton_update(state._replace(residual=0.0), 0.0))
+    assert np.all(np.isfinite(step)) and len(steps) < gpe._KRYLOV_MAX_STEPS
+    assert field.evaluate(step / field.norm(step)).residual < 0.5 * state.residual
 
 
 def test_newton_step_memory_does_not_grow_with_the_krylov_cap(na, monkeypatch):
@@ -893,7 +912,7 @@ def test_ground_state_potential_is_hartree_of_its_density(na, no_contact,
     # u = 0: no Hartree term at all
     omega0 = 2 * math.pi * 100.0
     cfg = AnsatzConfig(n_atoms=1000.0, species=no_contact,
-                       interaction=_interaction(no_contact, 0.0, 0.0),
+                       interaction=_interaction(no_contact, 0.0),
                        trap_frequency=omega0)
     l0 = math.sqrt(CONSTANTS.hbar / (no_contact.mass * omega0))
     still = solve_ground(cfg, 256, 10.0 * l0)

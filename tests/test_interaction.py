@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lasergrav import (CONSTANTS, InteractionParams, beam_budget,
-                       kernel_shape, kernel_slope, oscillation_onset,
+from lasergrav import (CONSTANTS, AnsatzConfig, InteractionParams, beam_budget,
+                       kernel_shape, kernel_slope, minimize_width, oscillation_onset,
                        pair_potential, threshold_intensity)
 from lasergrav.interaction import X_SWITCH, _f_direct, _f_series
 
@@ -34,6 +34,27 @@ def test_coupling_at_threshold_matches_closed_form(na):
         na.scattering_length / (na.mass * lam**2)
     assert u == pytest.approx(u_closed, rel=1e-10, abs=0.0)
     assert u == pytest.approx(1.15e-37, rel=0.02, abs=0.0)
+
+
+def test_copy_at_a_new_intensity_has_its_own_coupling(na):
+    # the coupling is computed from the stored intensity, so a copy cannot
+    # keep the old one: a stored 1.5 I0 coupling at 3 I0 once read w* =
+    # 0.14096 and E = +1.77e-27 J (bound_global false) for the fresh record's
+    # 0.14056 and -2.08e-27 J
+    i0 = threshold_intensity(na, use_detuned=True)
+    fresh = InteractionParams.from_intensity(na, 3.0 * i0, 589e-9, use_detuned=True)
+    copied = InteractionParams.from_intensity(na, 1.5 * i0, 589e-9,
+                                              use_detuned=True).replace(intensity=3.0 * i0)
+    assert copied == fresh and copied.coupling == fresh.coupling
+    results = [minimize_width(AnsatzConfig(n_atoms=1e4, species=na, interaction=params))
+               for params in (copied, fresh)]
+    assert results[0].w_star == results[1].w_star == pytest.approx(0.14056, abs=1e-5)
+    assert results[0].bound_global and results[1].bound_global
+    with pytest.raises(TypeError):
+        InteractionParams(intensity=i0, wavelength=589e-9, coupling=fresh.coupling,
+                          alpha_si=fresh.alpha_si)
+    with pytest.raises(TypeError):
+        fresh.replace(coupling=0.0)
 
 
 def test_coupling_requires_detuned_context(rb):

@@ -152,7 +152,8 @@ def test_species_file_errors_name_the_line():
     for key, value, message in [
             ("detuned_transition_wavelength_m", "-6e-7",
              "detuned transition wavelength must be positive, got -6e-07"),
-            ("detuned_gamma_rad_s", "-6e7", "detuned linewidth must be positive, got -60000000.0"),
+            ("detuned_gamma_rad_s", "-6e7",
+             "detuned linewidth must be positive, got -60000000.0"),
             ("detuned_d_Cm", "0", "detuned dipole moment must be positive, got 0.0"),
             ("detuned_alpha_v_m3", "0",
              "detuned polarizability volume must be non-zero, got 0.0")]:
@@ -179,5 +180,6 @@ def test_species_table_file_entry_replaces_catalog_entry(tmp_path):
     table = SpeciesTable(str(path))
     assert list(table) == ["Na", "Rb87"]
     assert table["Na"].mass == 1e-26 and table["Rb87"] == catalog_lookup("Rb87")
-    with pytest.raises(ValueError, match=r"^unknown species 'X'; known species: \['Na', 'Rb87'\]$"):
+    with pytest.raises(ValueError,
+                       match=r"^unknown species 'X'; known species: \['Na', 'Rb87'\]$"):
         table["X"]

@@ -182,7 +182,7 @@ def test_minima_without_light_is_the_oscillator_width(na):
     species = na.replace(scattering_length=0.0, detuned=None)
     omega0 = 2 * math.pi * 100.0
     l0 = math.sqrt(CONSTANTS.hbar / (species.mass * omega0))
-    params = InteractionParams(intensity=0.0, wavelength=LAM, coupling=0.0,
+    params = InteractionParams(intensity=0.0, wavelength=LAM,
                                alpha_si=species.alpha_si())
     cfg = AnsatzConfig(n_atoms=100.0, species=species, interaction=params,
                        trap_frequency=omega0)
@@ -528,7 +528,7 @@ def test_invalid_inputs(na):
     with pytest.raises(ValueError, match=r"width must lie in \[1e-76, 1e\+40\], got 0.0"):
         pair_energy(0.0)
     with pytest.raises(ValueError, match="intensity must be non-negative, got -1.0"):
-        InteractionParams.from_alpha(-1.0, LAM, cfg.interaction.alpha_si)
+        cfg.interaction.replace(intensity=-1.0)
     with pytest.raises(ValueError):
         cfg.replace(kernel="yukawa")
     with pytest.raises(ValueError, match="non-positive scattering length"):
